@@ -8,7 +8,6 @@ angle/resolvent checks used to validate the iteration's behaviour.
 """
 
 from .errors import (
-    AllConverged,
     Breakdown,
     BreakdownError,
     DegenerateResidual,
@@ -46,7 +45,6 @@ from .problems import (
 from .qep import (
     Eigentriplet,
     QepProblem,
-    linearize,
     q_apply,
     q_prime_apply,
     read_problem,
@@ -65,7 +63,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllConverged",
     "Breakdown",
     "BreakdownError",
     "DegenerateResidual",
@@ -95,7 +92,6 @@ __all__ = [
     "expansion_perturbation_diagnostics",
     "full_eig",
     "gmres",
-    "linearize",
     "newton_solve",
     "outer_loop",
     "q_apply",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SubspaceExhausted
 from .gmres import gmres
-from .linalg import OrthonormalBasis
+from .linalg import OrthonormalBasis, project_out
 from .oracle import (
     angle_sandwich,
     expansion_angle_bound,
@@ -118,7 +118,7 @@ def run_angle_identity_check(p, sigma, steps, seed=0, x_target=None):
     records = []
 
     def observer(view):
-        x_perp = view.basis.project_out(x)
+        x_perp = project_out(view.basis.matrix, x)
         factor = float(
             np.linalg.norm(x_perp - view.v_next * np.vdot(view.v_next, x_perp))
             / np.linalg.norm(x_perp)

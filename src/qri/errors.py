@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Everything derives from :class:`QriError` so callers can catch the whole
-family at once.  A few of these act as control-flow signals rather than
-genuine failures (``AllConverged``, ``SubspaceExhausted``); they are
-exceptions so that the condition cannot be silently ignored.
+family at once.  ``SubspaceExhausted`` acts as a control-flow signal
+rather than a genuine failure; it is an exception so that the condition
+cannot be silently ignored.
 """
 
 
@@ -50,10 +50,6 @@ class OrthogonalToTarget(QriError):
 
 class Stagnation(QriError):
     """An iteration produced an update too small to change the iterate."""
-
-
-class AllConverged(QriError):
-    """Signal: every tracked pair already satisfies the outer tolerance."""
 
 
 class BreakdownError(QriError):

@@ -7,17 +7,18 @@ All complex inner products are conjugate-linear in the first argument
 (``numpy.vdot`` convention).
 """
 
+import warnings
+
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import Breakdown, NoConvergence, SingularMatrix, ZeroVector
 
-# A second modified Gram-Schmidt pass keeps the loss of orthogonality at
+# A second classical Gram-Schmidt pass keeps the loss of orthogonality at
 # the eps level ("twice is enough"); after both passes, anything whose
 # remainder is below this fraction of the original norm is treated as
 # linearly dependent.
-MGS_BREAKDOWN_RTOL = 1e-13
+BREAKDOWN_RTOL = 1e-13
 
 # Pivots below this fraction of the largest entry are treated as exact
 # zeros (the factorization only fails on genuinely singular input).
@@ -40,33 +41,22 @@ def spmv(A, x):
     return A @ x
 
 
-def dense_lu_solve(A, b):
-    """Solve ``A x = b`` by LU with partial pivoting.
-
-    Parameters
-    ----------
-    A : (n, n) array_like
-    b : (n,) or (n, k) array_like
-
-    Raises
-    ------
-    SingularMatrix
-        If a pivot is smaller than ``LU_PIVOT_RTOL * max|A|`` in modulus,
-        i.e. the matrix is singular to machine precision.
-    """
-    A = np.asarray(A, dtype=complex)
-    lu, piv = sla.lu_factor(A, check_finite=False)
-    _check_pivots(lu, np.abs(A).max())
-    return sla.lu_solve((lu, piv), b, check_finite=False)
-
-
 class LUSolver:
-    """LU factorization computed once, applied to many right-hand sides."""
+    """LU factorization computed once, applied to many right-hand sides.
+
+    Raises :class:`SingularMatrix` if a pivot is at most
+    ``LU_PIVOT_RTOL * max|A|`` in modulus, i.e. the matrix is singular to
+    machine precision.
+    """
 
     def __init__(self, A):
         A = np.asarray(A, dtype=complex)
         self.shape = A.shape
-        self._lu, self._piv = sla.lu_factor(A, check_finite=False)
+        # scipy warns about an exactly zero pivot; _check_pivots raises
+        # the named error for it instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            self._lu, self._piv = sla.lu_factor(A, check_finite=False)
         _check_pivots(self._lu, np.abs(A).max())
 
     def solve(self, b):
@@ -111,6 +101,21 @@ def smallest_singular_vector(A):
     return Vh[-1].conj()
 
 
+def project_out(V, x):
+    """Return ``(I - V V*) x`` for orthonormal columns ``V``.
+
+    Two classical Gram-Schmidt passes (CGS2), each one BLAS-2 product
+    against all columns at once; the second pass keeps the result
+    accurate when the remainder is many orders of magnitude smaller than
+    ``x``.  ``V*`` is never formed: ``V* w`` is computed as
+    ``conj(conj(w) @ V)``.
+    """
+    w = np.array(x, dtype=complex)
+    for _ in range(2):
+        w -= V @ (w.conj() @ V).conj()
+    return w
+
+
 class OrthonormalBasis:
     """Growing orthonormal basis with reorthogonalized Gram-Schmidt appends.
 
@@ -137,13 +142,13 @@ class OrthonormalBasis:
         """Orthogonalize ``u`` against the basis and normalize, without
         appending.
 
-        Two modified Gram-Schmidt passes are run unconditionally.
+        Both passes of :func:`project_out` are run unconditionally.
 
         Raises
         ------
         Breakdown
             If the remainder after both passes has norm at most
-            ``MGS_BREAKDOWN_RTOL * norm(u)``: the vector adds nothing.
+            ``BREAKDOWN_RTOL * norm(u)``: the vector adds nothing.
         ZeroVector
             If ``u`` itself has zero norm.
         """
@@ -153,12 +158,9 @@ class OrthonormalBasis:
         nrm_in = np.linalg.norm(u)
         if nrm_in == 0.0:
             raise ZeroVector("cannot orthonormalize a zero vector")
-        w = u.copy()
-        for _ in range(2):
-            for i in range(self.k):
-                w -= np.vdot(self._V[:, i], w) * self._V[:, i]
+        w = project_out(self._V[:, : self.k], u)
         nrm = np.linalg.norm(w)
-        if nrm <= MGS_BREAKDOWN_RTOL * nrm_in:
+        if nrm <= BREAKDOWN_RTOL * nrm_in:
             raise Breakdown(
                 "vector lies in the span of the basis "
                 f"(remainder {nrm:.2e} vs input {nrm_in:.2e})"
@@ -182,55 +184,22 @@ class OrthonormalBasis:
         self._V[:, self.k] = v
         self.k += 1
 
-    def project_out(self, x, passes=2):
-        """Return ``(I - V V*) x`` using ``passes`` subtraction sweeps.
-
-        Two sweeps keep the result accurate even when the remainder is
-        many orders of magnitude smaller than ``x``.
-        """
-        x = np.asarray(x, dtype=complex)
-        w = x.copy()
-        V = self._V
-        for _ in range(passes):
-            for i in range(self.k):
-                w -= np.vdot(V[:, i], w) * V[:, i]
-        return w
-
     def orthonormality_defect(self):
         """``max |V* V - I|`` over the current columns, for testing."""
         if self.k == 0:
             return 0.0
         V = self._V[:, : self.k]
-        G = V.conj().T @ V - np.eye(self.k)
+        # the transpose of V* V, as far from the identity
+        G = V.T @ V.conj() - np.eye(self.k)
         return float(np.abs(G).max())
-
-
-def mgs_append(basis, u):
-    """Functional form of :meth:`OrthonormalBasis.append`."""
-    return basis.append(u)
-
-
-def basis_from_columns(columns):
-    """Build an :class:`OrthonormalBasis` by appending the given columns
-    in order.  Accepts a 2-d array (columns are the vectors) or any
-    iterable of 1-d vectors.  Raises :class:`Breakdown` if dependent."""
-    if isinstance(columns, np.ndarray) and columns.ndim == 2:
-        mat = np.asarray(columns, dtype=complex)
-    else:
-        mat = np.column_stack([np.asarray(c, dtype=complex) for c in columns])
-    n = mat.shape[0]
-    basis = OrthonormalBasis(n, capacity=max(32, mat.shape[1]))
-    for j in range(mat.shape[1]):
-        basis.append(mat[:, j])
-    return basis
 
 
 def sin_angle_vectors(a, b):
     """Sine of the angle between the directions of two vectors.
 
-    Computed as ``norm((I - P_b) a) / norm(a)`` with a reorthogonalization
-    pass, which stays accurate when the angle is tiny.  Phases are ignored
-    (the angle is between one-dimensional subspaces).
+    Computed as ``norm((I - P_b) a) / norm(a)`` with :func:`project_out`,
+    whose second pass keeps it accurate when the angle is tiny.  Phases
+    are ignored (the angle is between one-dimensional subspaces).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -238,11 +207,4 @@ def sin_angle_vectors(a, b):
     nb = np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("angle with a zero vector is undefined")
-    bh = b / nb
-    w = a - np.vdot(bh, a) * bh
-    w -= np.vdot(bh, w) * bh
-    return np.linalg.norm(w) / na
-
-
-def is_csr(A):
-    return sp.issparse(A) and A.format == "csr"
+    return np.linalg.norm(project_out((b / nb)[:, None], a)) / na

@@ -30,12 +30,8 @@ from .errors import (
     SingularMatrix,
     ZeroVector,
 )
-from .linalg import LUSolver, OrthonormalBasis, dense_eig, sin_angle_vectors
-from .qep import Eigentriplet, dense_cap, pencil_dense, shift_invert_dense
-
-# theta below this fraction of the dominant |theta| is a zero of the
-# shift-inverted pencil, i.e. an infinite eigenvalue of the quadratic
-INF_THETA_RTOL = 1e-10
+from .linalg import LUSolver, OrthonormalBasis, dense_eig, project_out, sin_angle_vectors
+from .qep import Eigentriplet, dense_cap, finite_order, shift_invert
 
 # a target direction whose component outside the subspace falls below
 # this fraction of its norm makes the angle quantities meaningless
@@ -52,14 +48,6 @@ def _columns(V):
     return V
 
 
-def _project_out(V, x, passes=2):
-    Vm = _columns(V)
-    w = np.array(x, dtype=complex)
-    for _ in range(passes):
-        w -= Vm @ (Vm.conj().T @ w)
-    return w
-
-
 def sin_angle(V, x):
     """Sine of the angle between ``span(V)`` and the vector ``x``.
 
@@ -69,9 +57,7 @@ def sin_angle(V, x):
     nx = np.linalg.norm(x)
     if nx == 0.0:
         raise ZeroVector("angle of a zero vector is undefined")
-    if _columns(V).shape[1] == 0:
-        return 1.0
-    return float(np.linalg.norm(_project_out(V, x)) / nx)
+    return float(np.linalg.norm(project_out(_columns(V), x)) / nx)
 
 
 @dataclass
@@ -130,8 +116,7 @@ def full_eig(p, sigma):
             f"oracle needs 2n = {2 * n} <= dense cap {dense_cap()}; "
             "set QRI_DENSE_CAP to override"
         )
-    A, B = pencil_dense(*p.densify())
-    S, fsolve = shift_invert_dense(A, B, sigma)
+    S, fsolve = shift_invert(*p.densify(), sigma)
     theta, W = dense_eig(S)
 
     Finv = fsolve.solve(np.eye(2 * n, dtype=complex))
@@ -143,21 +128,11 @@ def full_eig(p, sigma):
             "a diagonalizable shifted pencil"
         ) from exc
 
-    thr = INF_THETA_RTOL * max(1.0, float(np.abs(theta).max()))
-    finite = np.abs(theta) > thr
-
-    fin_idx = np.flatnonzero(finite)
-    lam_fin = sigma + 1.0 / theta[fin_idx]
-    dist = np.abs(lam_fin - sigma)
-    phase = np.angle(lam_fin - sigma)
-    order = np.lexsort((np.arange(len(fin_idx)), phase, dist))
-
-    lams = lam_fin[order]
-    X = np.empty((n, len(order)), dtype=complex)
-    Y = np.empty((n, len(order)), dtype=complex)
+    idx, lams, inf_idx = finite_order(theta, sigma)
+    X = np.empty((n, idx.size), dtype=complex)
+    Y = np.empty((n, idx.size), dtype=complex)
     triplets = []
-    for col, j in enumerate(order):
-        i = fin_idx[j]
+    for col, i in enumerate(idx):
         xraw = W[n:, i]
         c = np.linalg.norm(xraw)
         if c == 0.0:
@@ -168,7 +143,7 @@ def full_eig(p, sigma):
         Y[:, col] = y
         triplets.append(Eigentriplet(lam=complex(lams[col]), x=x, y=y))
 
-    for i in np.flatnonzero(~finite):
+    for i in inf_idx:
         xraw = W[:n, i]
         c = np.linalg.norm(xraw)
         if c == 0.0:
@@ -187,23 +162,25 @@ def full_eig(p, sigma):
         lams=lams,
         X=X,
         Y=Y,
-        n_infinite=int(np.count_nonzero(~finite)),
+        n_infinite=int(inf_idx.size),
     )
 
 
 def select_target_pair(lams, sigma):
     """Indices of the closest and second-closest values to ``sigma``.
 
-    Ties are broken by the phase of ``lam - sigma`` and then by position,
-    matching the ordering used by :func:`full_eig`.
+    Uses the ordering of :func:`full_eig` (:func:`~qri.qep.finite_order`):
+    ties are broken by the phase of ``lam - sigma`` and then by position,
+    and values it would class as infinite (at least 1e10 times
+    ``min(1, nearest distance)`` from ``sigma``) are left out.
     """
     lams = np.asarray(lams, dtype=complex)
-    if lams.size < 2:
+    if np.any(lams == sigma):
+        raise ValueError("sigma coincides with an eigenvalue")
+    idx, _, _ = finite_order(1.0 / (lams - sigma), sigma)
+    if idx.size < 2:
         raise ValueError("need at least two finite eigenvalues")
-    dist = np.abs(lams - sigma)
-    phase = np.angle(lams - sigma)
-    order = np.lexsort((np.arange(lams.size), phase, dist))
-    return int(order[0]), int(order[1])
+    return int(idx[0]), int(idx[1])
 
 
 def resolvent_check(d, mu):
@@ -246,7 +223,7 @@ def expansion_angle_identity(V, v_next, x):
     """
     Vm = _columns(V)
     v = np.asarray(v_next, dtype=complex)
-    if Vm.shape[1] and float(np.abs(Vm.conj().T @ v).max()) > 1e-12:
+    if Vm.shape[1] and float(np.abs(v.conj() @ Vm).max()) > 1e-12:
         raise ValueError("v_next is not orthogonal to the basis")
     if abs(np.linalg.norm(v) - 1.0) > 1e-12:
         raise ValueError("v_next must have unit norm")
@@ -255,7 +232,7 @@ def expansion_angle_identity(V, v_next, x):
     if nx == 0.0:
         raise ZeroVector("angle of a zero vector is undefined")
 
-    x_perp = _project_out(Vm, x)
+    x_perp = project_out(Vm, x)
     if np.linalg.norm(x_perp) <= PERP_FLOOR_RTOL * nx:
         raise HypothesisViolated("x lies in span(V) to working precision")
 
@@ -285,7 +262,7 @@ def expansion_angle_bound(d, V, r, sigma):
         )
     r = np.asarray(r, dtype=complex)
     i1, i2 = select_target_pair(d.lams, sigma)
-    coeffs = d.Y.conj().T @ r
+    coeffs = (r.conj() @ d.Y).conj()
     if abs(coeffs[i1]) < 1e-300:
         raise DegenerateResidual(
             "residual has no component along the target left eigenvector"
@@ -294,13 +271,14 @@ def expansion_angle_bound(d, V, r, sigma):
     xi = float(rest / abs(coeffs[i1]))
     rhs = abs(d.lams[i1] - sigma) / abs(d.lams[i2] - sigma) * xi
 
+    V = _columns(V)
     x1 = d.X[:, i1]
-    x1_perp = _project_out(V, x1)
+    x1_perp = project_out(V, x1)
     if np.linalg.norm(x1_perp) <= PERP_FLOOR_RTOL:
         raise HypothesisViolated("target vector already lies in span(V)")
 
     u = d.shifted_solver(sigma).solve(r)
-    u_perp = _project_out(V, u)
+    u_perp = project_out(V, u)
     nu = np.linalg.norm(u_perp)
     if nu <= 1e-300:
         raise Breakdown("exact expansion direction lies in span(V)")
@@ -345,13 +323,14 @@ def expansion_perturbation_diagnostics(V, u, utilde):
     component outside the subspace, since no expansion direction exists
     then.
     """
+    V = _columns(V)
     u = np.asarray(u, dtype=complex)
     utilde = np.asarray(utilde, dtype=complex)
     nu = np.linalg.norm(u)
     if nu == 0.0:
         raise ZeroVector("exact expansion vector is zero")
 
-    u_perp = _project_out(V, u)
+    u_perp = project_out(V, u)
     nup = np.linalg.norm(u_perp)
     if nup <= PERP_FLOOR_RTOL * nu:
         raise HypothesisViolated("u lies in span(V); no expansion direction")
@@ -368,15 +347,15 @@ def expansion_perturbation_diagnostics(V, u, utilde):
 
     eps = float(ndelta / nu)
     f = delta / ndelta
-    f_perp = _project_out(V, f)
+    f_perp = project_out(V, f)
 
-    ut_perp = _project_out(V, utilde)
+    ut_perp = project_out(V, utilde)
     nutp = np.linalg.norm(ut_perp)
     if nutp <= PERP_FLOOR_RTOL * np.linalg.norm(utilde):
         raise HypothesisViolated("utilde lies in span(V); no expansion direction")
     vtilde = ut_perp / nutp
 
-    eps_tilde = float(np.linalg.norm(_project_out(V, delta)) / nup)
+    eps_tilde = float(np.linalg.norm(project_out(V, delta)) / nup)
 
     gap_scale = abs(eps_tilde * sin_angle(V, u) - eps * sin_angle(V, f))
     if np.linalg.norm(f_perp) == 0.0:

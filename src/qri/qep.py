@@ -1,4 +1,4 @@
-"""Quadratic eigenvalue problem container and first-order companion form.
+"""Quadratic eigenvalue problem container and its companion pencil.
 
 A problem is the triple ``(M, C, K)`` defining ``Q(lam) = lam^2 M + lam C + K``;
 eigenpairs satisfy ``Q(lam) x = 0``.  When ``M`` is singular some of the 2n
@@ -21,10 +21,13 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .errors import SingularMatrix
 from .linalg import LUSolver, spmv
 
 DEFAULT_DENSE_CAP = 2000
+
+# theta below this fraction of the dominant |theta| is a zero of the
+# shift-inverted pencil, i.e. an infinite eigenvalue of the quadratic
+INF_THETA_RTOL = 1e-10
 
 
 def dense_cap():
@@ -151,28 +154,17 @@ def relative_residual(p, omega, xtilde):
     return float(np.linalg.norm(r) / residual_denominator(p, omega))
 
 
-@dataclass
-class LinearizedPencil:
-    """Companion pencil ``(A, B)`` of a quadratic problem, kept sparse."""
+def shift_invert(Md, Cd, Kd, sigma):
+    """Dense ``S = (A - sigma B)^{-1} B`` for the companion pencil of the
+    dense blocks ``Md, Cd, Kd``.
 
-    A: sp.csr_array
-    B: sp.csr_array
-    n: int
-
-
-def linearize(p):
-    """Companion linearization of ``p`` with sparse 2n x 2n blocks."""
-    n = p.n
-    eye = sp.identity(n, dtype=complex, format="csr")
-    A = sp.block_array([[-p.C, -p.K], [eye, None]], format="csr")
-    B = sp.block_array([[p.M, None], [None, eye]], format="csr")
-    A.sort_indices()
-    B.sort_indices()
-    return LinearizedPencil(A=sp.csr_array(A), B=sp.csr_array(B), n=n)
-
-
-def pencil_dense(Md, Cd, Kd):
-    """Dense companion pencil from dense coefficient blocks."""
+    Eigenvalues ``theta`` of ``S`` map to quadratic eigenvalues through
+    ``lam = sigma + 1/theta`` (see :func:`finite_order`); ``theta = 0``
+    corresponds to an infinite eigenvalue.  Returns ``(S, fsolve)`` where
+    ``fsolve`` is the LU solver for ``A - sigma B``, for callers that need
+    further solves with the same shifted pencil.  Raises
+    :class:`SingularMatrix` when ``sigma`` is an eigenvalue of the pencil.
+    """
     n = Md.shape[0]
     A = np.zeros((2 * n, 2 * n), dtype=complex)
     B = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -181,44 +173,29 @@ def pencil_dense(Md, Cd, Kd):
     A[n:, :n] = np.eye(n)
     B[:n, :n] = Md
     B[n:, n:] = np.eye(n)
-    return A, B
+    fsolve = LUSolver(A - sigma * B)
+    return fsolve.solve(B), fsolve
 
 
-def shift_invert_dense(A, B, sigma):
-    """``S = (A - sigma B)^{-1} B`` for a dense pencil.
+def finite_order(theta, sigma):
+    """Order the eigenvalues ``theta`` of a shift-inverted pencil.
 
-    Returns ``(S, fsolve)`` where ``fsolve`` is the LU solver for
-    ``A - sigma B`` (reused by callers that need further solves with the
-    same shifted pencil).  Raises :class:`SingularMatrix` when ``sigma``
-    is an eigenvalue of the pencil.
+    A ``theta`` at most ``INF_THETA_RTOL`` times the dominant ``|theta|``
+    (or 1) is a zero of the pencil, i.e. an infinite eigenvalue.  The
+    finite ones, ``lam = sigma + 1/theta``, are sorted by ascending
+    ``|lam - sigma|``, ties by the phase of ``lam - sigma``, then by
+    position.  Returns ``(idx, lams, inf_idx)``: the indices of the finite
+    ``theta`` in that order, their eigenvalues, and the indices of the
+    infinite ones.
     """
-    F = A - sigma * B
-    fsolve = LUSolver(F)
-    S = fsolve.solve(B)
-    return S, fsolve
-
-
-def linearize_shift_invert(p, sigma):
-    """Dense ``S = (A - sigma B)^{-1} B`` for the companion pencil of ``p``.
-
-    Eigenvalues ``theta`` of ``S`` map to quadratic eigenvalues through
-    ``lam = sigma + 1/theta``; ``theta = 0`` corresponds to an infinite
-    eigenvalue.  Only available while ``2 n`` stays within
-    :func:`dense_cap`.
-    """
-    if 2 * p.n > dense_cap():
-        raise ValueError(
-            f"2n = {2 * p.n} exceeds the dense cap {dense_cap()}; "
-            "set QRI_DENSE_CAP to override"
-        )
-    A, B = pencil_dense(*p.densify())
-    try:
-        S, _ = shift_invert_dense(A, B, sigma)
-    except SingularMatrix as exc:
-        raise SingularMatrix(
-            f"sigma = {sigma} is an eigenvalue of the companion pencil"
-        ) from exc
-    return S
+    theta = np.asarray(theta)
+    finite = np.abs(theta) > INF_THETA_RTOL * np.abs(theta).max(initial=1.0)
+    idx = np.flatnonzero(finite)
+    lams = sigma + 1.0 / theta[idx]
+    order = np.lexsort(
+        (np.arange(idx.size), np.angle(lams - sigma), np.abs(lams - sigma))
+    )
+    return idx[order], lams[order], np.flatnonzero(~finite)
 
 
 _SUFFIXES = ("_M.mtx", "_C.mtx", "_K.mtx")

@@ -18,12 +18,11 @@ block) are detected and skipped rather than polluting the targets.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    AllConverged,
     Breakdown,
     BreakdownError,
     SingularMatrix,
@@ -35,19 +34,14 @@ from .linalg import LUSolver, OrthonormalBasis, dense_eig, smallest_singular_vec
 from .qep import (
     Eigentriplet,
     dense_cap,
-    pencil_dense,
+    finite_order,
     q_apply,
     q_prime_apply,
     relative_residual,
     residual_denominator,
-    shift_invert_dense,
+    shift_invert,
     shifted_matrix,
 )
-
-# same classification threshold as the dense oracle: a projected
-# shift-inverted eigenvalue this far below the dominant one is a zero,
-# i.e. an infinite Ritz value
-INF_THETA_RTOL = 1e-10
 
 DEFAULT_MAX_SUBSPACE = 120
 
@@ -73,6 +67,14 @@ class SolverConfig:
     initial_vector: np.ndarray | None = None
 
     def validate(self, n=None):
+        # sigma^2 scales M in Q(sigma); a non-finite square would only
+        # surface later as a zero pivot
+        sigma = complex(self.sigma)
+        if not np.isfinite(sigma * sigma):
+            raise ValueError(f"sigma must be finite with a finite square, got {sigma}")
+        v1 = self.initial_vector
+        if v1 is not None and not np.isfinite(v1).all():
+            raise ValueError("initial_vector must be finite")
         if self.mode not in ("newton", "exact", "inexact"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.extraction not in ("ritz", "refined"):
@@ -178,43 +180,36 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
 class ProjectionCache:
     """Projected blocks ``V* M V, V* C V, V* K V`` maintained incrementally.
 
-    Appending a column costs three sparse products plus O(n k) dot
-    products; the small blocks are updated in place, never recomputed.
+    Only the k x k blocks are kept, so the basis is the only n-sized state
+    of the outer loop.  Appending a column costs, per matrix, one sparse
+    product for the new column, one transposed sparse product for the new
+    row and O(n k) dot products; the blocks are updated in place, never
+    recomputed.
     """
 
     def __init__(self, p, capacity=32):
         self.p = p
-        n = p.n
         cap = max(1, capacity)
-        self._tall = [np.zeros((n, cap), dtype=complex) for _ in range(3)]
         self._small = [np.zeros((cap, cap), dtype=complex) for _ in range(3)]
         self.k = 0
-
-    def _grow(self):
-        n = self.p.n
-        cap = 2 * self._tall[0].shape[1]
-        for i in range(3):
-            tall = np.zeros((n, cap), dtype=complex)
-            tall[:, : self.k] = self._tall[i][:, : self.k]
-            self._tall[i] = tall
-            small = np.zeros((cap, cap), dtype=complex)
-            small[: self.k, : self.k] = self._small[i][: self.k, : self.k]
-            self._small[i] = small
 
     def append(self, V, v):
         """Extend the cache with column ``v``; ``V`` must already contain
         it as its last column."""
         k = self.k
-        if k + 1 > self._tall[0].shape[1]:
-            self._grow()
-        for mat, tall, small in zip(
-            (self.p.M, self.p.C, self.p.K), self._tall, self._small
-        ):
-            av = spmv(mat, v)
-            tall[:, k] = av
-            small[: k + 1, k] = V.conj().T @ av
+        cap = self._small[0].shape[0]
+        if k == cap:
+            for i, small in enumerate(self._small):
+                grown = np.zeros((2 * cap, 2 * cap), dtype=complex)
+                grown[:k, :k] = small[:k, :k]
+                self._small[i] = grown
+        vc = v.conj()
+        for mat, small in zip((self.p.M, self.p.C, self.p.K), self._small):
+            # column V* (A v) and row v* A V = (A^T conj(v)) V, neither
+            # forming V*
+            small[: k + 1, k] = (spmv(mat, v).conj() @ V).conj()
             if k:
-                small[k, :k] = v.conj() @ tall[:, :k]
+                small[k, :k] = (mat.T @ vc) @ V[:, :k]
         self.k = k + 1
 
     @property
@@ -222,60 +217,42 @@ class ProjectionCache:
         k = self.k
         return tuple(small[:k, :k] for small in self._small)
 
-    @property
-    def tall_blocks(self):
-        k = self.k
-        return tuple(tall[:, :k] for tall in self._tall)
-
 
 @dataclass
 class ProjectedPair:
-    """One eigenpair of the projected problem; ``omega`` is ``None``
-    exactly when ``infinite`` is set."""
+    """One finite eigenpair of the projected problem."""
 
-    omega: complex | None
+    omega: complex
     z: np.ndarray
-    infinite: bool = False
 
 
 def solve_projected_qep(Mk, Ck, Kk, sigma):
-    """All 2k eigenpairs of the dense projected problem.
+    """The finite eigenpairs of the dense projected problem.
 
     Solved through the shift-inverted companion pencil at ``sigma``;
-    returns finite pairs sorted by ``|omega - sigma|`` (ties by phase,
-    then position), infinite ones last.  If ``sigma`` happens to be an
-    eigenvalue of the projected pencil the shift is nudged once by a
-    relative ``1e-8`` perturbation; a second failure propagates as
+    returns the pairs in :func:`~qri.qep.finite_order` and skips the
+    infinite ones (singular projected mass block).  If ``sigma`` happens
+    to be an eigenvalue of the projected pencil the shift is nudged once
+    by a relative ``1e-8`` perturbation (the Ritz values are then read
+    off the nudged shift); a second failure propagates as
     :class:`SingularMatrix`.
     """
-    A, B = pencil_dense(Mk, Ck, Kk)
     try:
-        S, _ = shift_invert_dense(A, B, sigma)
+        S, _ = shift_invert(Mk, Ck, Kk, sigma)
     except SingularMatrix:
-        sigma_retry = sigma * (1.0 + 1e-8) + 1e-8j
-        S, _ = shift_invert_dense(A, B, sigma_retry)
+        sigma = sigma * (1.0 + 1e-8) + 1e-8j
+        S, _ = shift_invert(Mk, Ck, Kk, sigma)
     theta, W = dense_eig(S)
     k = Mk.shape[0]
-
-    thr = INF_THETA_RTOL * max(1.0, float(np.abs(theta).max()))
-    finite = np.abs(theta) > thr
-    fin_idx = np.flatnonzero(finite)
-    omegas = sigma + 1.0 / theta[fin_idx]
-    order = np.lexsort(
-        (np.arange(len(fin_idx)), np.angle(omegas - sigma), np.abs(omegas - sigma))
-    )
+    idx, omegas, _ = finite_order(theta, sigma)
 
     pairs = []
-    for j in order:
-        z = W[k:, fin_idx[j]]
+    for i, omega in zip(idx, omegas):
+        z = W[k:, i]
         nz = np.linalg.norm(z)
         if nz == 0.0:
             continue  # numerically empty lower block: treat as infinite-like
-        pairs.append(ProjectedPair(omega=complex(omegas[j]), z=z / nz))
-    for i in np.flatnonzero(~finite):
-        z = W[:k, i]
-        nz = np.linalg.norm(z)
-        pairs.append(ProjectedPair(omega=None, z=z / nz if nz else z, infinite=True))
+        pairs.append(ProjectedPair(omega=complex(omega), z=z / nz))
     return pairs
 
 
@@ -289,40 +266,40 @@ class RitzPair:
     converged: bool
 
 
-def refined_vector(p, V, omega):
+def refined_vector(p, V, omega, products=None):
     """Unit vector in ``span(V)`` minimizing ``norm(Q(omega) u)``.
 
     Found as the smallest right singular vector of the tall matrix
     ``omega^2 M V + omega C V + K V``.  Never worse than the Ritz vector
     for the same ``omega`` (the Ritz coordinate vector is a candidate in
-    the same minimization).
+    the same minimization).  ``products`` is ``(M V, C V, K V)`` when the
+    caller has already formed it.  Returns the vector and its
+    coordinates in ``V``.
     """
     Vm = V.matrix if isinstance(V, OrthonormalBasis) else np.asarray(V, dtype=complex)
-    tall = omega * omega * (p.M @ Vm) + omega * (p.C @ Vm) + p.K @ Vm
-    z = smallest_singular_vector(tall)
+    MV, CV, KV = products or (p.M @ Vm, p.C @ Vm, p.K @ Vm)
+    return _lift(Vm, smallest_singular_vector(omega * omega * MV + omega * CV + KV))
+
+
+def _lift(Vm, z):
+    """``(Vm z, z)`` scaled so that ``Vm z`` has unit norm."""
     u = Vm @ z
     nu = np.linalg.norm(u)
     return u / nu, z / nu
 
 
-def _extract_pairs(p, Vm, proj, proj_pairs, nev, tol_outer, extraction):
-    MV, CV, KV = proj.tall_blocks
+def _extract_pairs(p, Vm, proj_pairs, nev, tol_outer, extraction):
+    # refined extraction shares one set of sparse products per iteration
+    products = (p.M @ Vm, p.C @ Vm, p.K @ Vm) if extraction == "refined" else None
     out = []
     for pp in proj_pairs:
-        if pp.infinite:
-            continue
         if len(out) == nev:
             break
         omega = pp.omega
-        if extraction == "refined":
-            tall = omega * omega * MV + omega * CV + KV
-            z = smallest_singular_vector(tall)
+        if products:
+            xtilde, z = refined_vector(p, Vm, omega, products)
         else:
-            z = pp.z
-        xtilde = Vm @ z
-        nx = np.linalg.norm(xtilde)
-        xtilde = xtilde / nx
-        z = z / nx
+            xtilde, z = _lift(Vm, pp.z)
         resid = q_apply(p, omega, xtilde)
         relres = float(np.linalg.norm(resid) / residual_denominator(p, omega))
         out.append(
@@ -338,21 +315,20 @@ def _extract_pairs(p, Vm, proj, proj_pairs, nev, tol_outer, extraction):
     return out
 
 
-def select_expansion_residual(pairs, nev, tol_outer):
+def select_expansion_residual(pairs, nev):
     """Index of the first pair whose residual still needs work.
 
     Walks the pairs (already sorted by distance to the shift) and
-    returns the first with ``relres > tol_outer``.  Raises
-    :class:`AllConverged` once the first ``nev`` pairs all pass.  If
-    fewer than ``nev`` pairs exist but all of them pass, the first one
-    is returned anyway: the subspace still has to grow before
-    convergence can be declared.
+    returns the first that is not converged.  Returns ``None``
+    once the first ``nev`` pairs all pass.  If fewer than ``nev`` pairs
+    exist but all of them pass, the first one is returned anyway: the
+    subspace still has to grow before convergence can be declared.
     """
     for i, pair in enumerate(pairs[:nev]):
         if not pair.converged:
             return i
     if len(pairs) >= nev:
-        raise AllConverged(f"first {nev} pairs at or below {tol_outer}")
+        return None
     if not pairs:
         raise BreakdownError("projected problem produced no finite pairs")
     return 0
@@ -499,7 +475,7 @@ def outer_loop(p, config, observer=None):
         t0 = time.perf_counter()
         proj_pairs = solve_projected_qep(Mk, Ck, Kk, sigma)
         pairs = _extract_pairs(
-            p, basis.matrix, proj, proj_pairs, nev, config.tol_outer, config.extraction
+            p, basis.matrix, proj_pairs, nev, config.tol_outer, config.extraction
         )
         phase["small_solve"] += time.perf_counter() - t0
 
@@ -510,18 +486,11 @@ def outer_loop(p, config, observer=None):
             relres=[pr.relres for pr in pairs],
         )
 
-        try:
-            selected = select_expansion_residual(pairs, nev, config.tol_outer)
-        except AllConverged:
+        selected = select_expansion_residual(pairs, nev)
+        if selected is None or basis.k >= max_sub:
             history.append(record)
             iter_wall.append((time.perf_counter() - t_iter) * 1e3)
-            stop_reason = "converged"
-            break
-
-        if basis.k >= max_sub:
-            history.append(record)
-            iter_wall.append((time.perf_counter() - t_iter) * 1e3)
-            stop_reason = "exhausted"
+            stop_reason = "converged" if selected is None else "exhausted"
             break
 
         # expansion, falling through to later residuals on breakdown

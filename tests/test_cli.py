@@ -90,6 +90,13 @@ def test_missing_sigma_is_usage_error():
     assert excinfo.value.code == 4
 
 
+def test_nonfinite_sigma_is_config_error(capsys):
+    assert run_cli("solve", "--gen", "example1", "--sigma", "nan") == 4
+    err = capsys.readouterr().err
+    assert "sigma" in err
+    assert "pivot" not in err
+
+
 def test_unknown_generator_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         run_cli("solve", "--gen", "bogus", "--sigma", "0.9")

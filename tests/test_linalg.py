@@ -6,10 +6,8 @@ from qri.errors import Breakdown, NoConvergence, SingularMatrix, ZeroVector
 from qri.linalg import (
     LUSolver,
     OrthonormalBasis,
-    basis_from_columns,
     dense_eig,
-    dense_lu_solve,
-    mgs_append,
+    project_out,
     sin_angle_vectors,
     smallest_singular_vector,
     spmv,
@@ -33,7 +31,7 @@ def test_spmv_shape_mismatch(rng):
 def test_lu_round_trip(rng):
     A = rand_complex(rng, 30 * 30).reshape(30, 30) + 30.0 * np.eye(30)
     x_true = rand_complex(rng, 30)
-    x = dense_lu_solve(A, A @ x_true)
+    x = LUSolver(A).solve(A @ x_true)
     assert np.linalg.norm(x - x_true) <= 1e-12 * np.linalg.norm(x_true)
 
 
@@ -45,6 +43,7 @@ def test_lu_solver_reuse(rng):
         assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.filterwarnings("error")
 def test_lu_singular_raises():
     A = np.zeros((3, 3), dtype=complex)
     A[0, 0] = 1.0
@@ -52,10 +51,12 @@ def test_lu_singular_raises():
         LUSolver(A)
 
 
+@pytest.mark.filterwarnings("error")
 def test_lu_exactly_singular_raises():
     # elimination produces an exact zero pivot; near-singular matrices
     # with rounding-level pivots are deliberately let through (the
-    # shift-invert path relies on factoring nearly singular matrices)
+    # shift-invert path relies on factoring nearly singular matrices).
+    # The named error comes without scipy's zero-pivot warning.
     A = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     with pytest.raises(SingularMatrix):
         LUSolver(A)
@@ -132,23 +133,56 @@ def test_basis_project_out(rng):
     for _ in range(5):
         basis.append(rand_complex(rng, 20))
     x = rand_complex(rng, 20)
-    r = basis.project_out(x)
+    r = project_out(basis.matrix, x)
     assert np.max(np.abs(basis.matrix.conj().T @ r)) <= 1e-13 * np.linalg.norm(x)
+    # reference: two modified Gram-Schmidt sweeps, one column at a time;
+    # the summation order differs, so equal to rounding only
+    ref = x.copy()
+    for _ in range(2):
+        for i in range(basis.k):
+            ref -= np.vdot(basis.matrix[:, i], ref) * basis.matrix[:, i]
+    assert np.linalg.norm(r - ref) <= 1e-14 * np.linalg.norm(x)
+    # the component outside the span is left untouched
+    assert np.linalg.norm(project_out(basis.matrix, r) - r) <= 1e-13 * np.linalg.norm(r)
+    # an empty basis projects nothing out
+    assert np.array_equal(project_out(basis.matrix[:, :0], x), x)
 
 
-def test_mgs_append_functional(rng):
+def test_project_out_tiny_remainder(rng):
+    # a remainder 1e-10 times smaller than x: one pass leaves it about
+    # 1e-6 out of orthogonality, the second pass restores eps level
+    n = 60
+    V, _ = np.linalg.qr(rand_complex(rng, n * 8).reshape(n, 8))
+    q = project_out(V, rand_complex(rng, n))
+    q /= np.linalg.norm(q)
+    x = V @ rand_complex(rng, 8) + 1e-10 * q
+    r = project_out(V, x)
+    assert np.max(np.abs(V.conj().T @ r)) <= 1e-13 * np.linalg.norm(r)
+    assert np.linalg.norm(r - 1e-10 * q) <= 1e-14 * np.linalg.norm(x)
+
+
+def test_basis_append_returns_unit_column(rng):
     basis = OrthonormalBasis(15)
     u = rand_complex(rng, 15)
-    v = mgs_append(basis, u)
+    v = basis.append(u)
     assert basis.k == 1
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-13
+    assert np.array_equal(basis.matrix[:, 0], v)
+    assert sin_angle_vectors(v, u) <= 1e-14
 
 
-def test_basis_from_columns(rng):
-    cols = [rand_complex(rng, 12) for _ in range(4)]
-    basis = basis_from_columns(cols)
+def test_basis_append_columns_in_order(rng):
+    # appending columns in order spans the same leading subspaces,
+    # including across the growth of the preallocated block
+    cols = rand_complex(rng, 12 * 4).reshape(12, 4)
+    basis = OrthonormalBasis(12, capacity=2)
+    for j in range(4):
+        basis.append(cols[:, j])
     assert basis.k == 4
     assert basis.orthonormality_defect() <= 1e-13
+    for j in range(4):
+        r = project_out(basis.matrix[:, : j + 1], cols[:, j])
+        assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(cols[:, j])
 
 
 def test_sin_angle_vectors_phase_invariant(rng):

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qri import QepProblem, example1, linearize, q_apply, q_prime_apply
-from qri.linalg import dense_lu_solve
+from qri import QepProblem, example1, full_eig, q_apply, q_prime_apply
+from qri.errors import SingularMatrix
+from qri.linalg import LUSolver
 from qri.qep import (
     dense_cap,
-    linearize_shift_invert,
-    pencil_dense,
+    finite_order,
     read_problem,
     relative_residual,
     residual_denominator,
-    shift_invert_dense,
+    shift_invert,
     shifted_matrix,
     write_problem,
 )
@@ -81,7 +81,7 @@ def test_shifted_inverse_dominant_vector(p_example1):
 def test_lu_column_of_inverse(p_example1):
     Q = shifted_matrix(p_example1, 0.9).toarray()
     e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
-    x = dense_lu_solve(Q, e3)
+    x = LUSolver(Q).solve(e3)
     assert np.allclose(x, [0.0, 0.0, 1.0 / 1.81], atol=1e-14)
 
 
@@ -104,57 +104,75 @@ def test_damping_action_frozen(p_example1):
 
 
 def test_linearize_blocks(p_example1):
+    # eigenvectors of the shift-inverted companion matrix are [lam x; x]
+    # with Q(lam) x = 0; infinite ones (theta = 0) have an empty lower
+    # block
     p = p_example1
-    pen = linearize(p)
     n = p.n
-    A = pen.A.toarray()
-    B = pen.B.toarray()
-    assert np.allclose(A[:n, :n], -p.C.toarray())
-    assert np.allclose(A[:n, n:], -p.K.toarray())
-    assert np.allclose(A[n:, :n], np.eye(n))
-    assert np.allclose(A[n:, n:], 0.0)
-    assert np.allclose(B[:n, :n], p.M.toarray())
-    assert np.allclose(B[:n, n:], 0.0)
-    assert np.allclose(B[n:, n:], np.eye(n))
+    Md, Cd, Kd = p.densify()
+    S, _ = shift_invert(Md, Cd, Kd, 0.9)
+    theta, W = np.linalg.eig(S)
+    idx, lams, inf_idx = finite_order(theta, 0.9)
+    assert len(idx) == 5 and len(inf_idx) == 1
+    for i, lam in zip(idx, lams):
+        upper, lower = W[:n, i], W[n:, i]
+        assert np.linalg.norm(upper - lam * lower) <= 1e-12
+        assert np.linalg.norm(q_apply(p, lam, lower)) <= 1e-12 * np.linalg.norm(lower)
+    assert np.linalg.norm(W[n:, inf_idx[0]]) <= 1e-12
 
 
 def test_linearize_scalar_closed_form():
     # n = 1: Q(lam) = 2 lam^2 + 3 lam + 1 has roots -1 and -1/2; the
     # pencil eigenvalues must be exactly those
-    M = sp.csr_array(np.array([[2.0]]))
-    C = sp.csr_array(np.array([[3.0]]))
-    K = sp.csr_array(np.array([[1.0]]))
-    p = QepProblem(M, C, K)
-    pen = linearize(p)
-    lam = np.sort(
-        np.linalg.eigvals(np.linalg.solve(pen.B.toarray(), pen.A.toarray())).real
-    )
-    assert np.allclose(lam, [-1.0, -0.5], atol=1e-12)
+    one = np.ones((1, 1))
+    S, _ = shift_invert(2.0 * one, 3.0 * one, one, 0.0)
+    _, lams, _ = finite_order(np.linalg.eigvals(S), 0.0)
+    assert np.allclose(np.sort(lams.real), [-1.0, -0.5], atol=1e-12)
+    assert np.abs(lams.imag).max() <= 1e-12
 
 
 def test_shift_invert_identity(p_example1):
-    pen = linearize(p_example1)
-    A = pen.A.toarray()
-    B = pen.B.toarray()
+    # (A - sigma B) S = B for the companion pencil A = [-C -K; I 0],
+    # B = [M 0; 0 I] of the module docstring
+    Md, Cd, Kd = p_example1.densify()
+    n = p_example1.n
+    I, Z = np.eye(n), np.zeros((n, n))
+    A = np.block([[-Cd, -Kd], [I, Z]])
+    B = np.block([[Md, Z], [Z, I]])
     sigma = 0.9
-    S, _ = shift_invert_dense(A, B, sigma)
+    S, fsolve = shift_invert(Md, Cd, Kd, sigma)
     assert np.linalg.norm((A - sigma * B) @ S - B) <= 1e-10
+    b = np.arange(2 * n, dtype=complex)
+    assert np.linalg.norm((A - sigma * B) @ fsolve.solve(b) - b) <= 1e-12
 
 
 def test_shift_invert_theta_contains_ten(p_example1):
     # lam = 1 at sigma = 0.9 maps to theta = 1/(1 - 0.9) = 10
-    Md, Cd, Kd = p_example1.densify()
-    A, B = pencil_dense(Md, Cd, Kd)
-    S, _ = shift_invert_dense(A, B, 0.9)
+    S, _ = shift_invert(*p_example1.densify(), 0.9)
     theta = np.linalg.eigvals(S)
     assert np.min(np.abs(theta - 10.0)) <= 1e-8
 
 
-def test_linearize_shift_invert_guard(monkeypatch, p_example1):
+def test_shift_invert_at_eigenvalue(p_example1):
+    with pytest.raises(SingularMatrix):
+        shift_invert(*p_example1.densify(), 1.0)
+
+
+def test_finite_order_ties_and_infinite():
+    # lam = sigma + 1/theta; equidistant values tie-break by the phase
+    # of lam - sigma (-pi/2 before pi/2), then by position
+    theta = np.array([1.0j, 0.0, -1.0j, 0.5, 1.0j])
+    idx, lams, inf_idx = finite_order(theta, 2.0)
+    assert list(idx) == [0, 4, 2, 3]
+    assert np.allclose(lams, [2.0 - 1.0j, 2.0 - 1.0j, 2.0 + 1.0j, 4.0])
+    assert list(inf_idx) == [1]
+
+
+def test_full_eig_dense_cap_guard(monkeypatch, p_example1):
     monkeypatch.setenv("QRI_DENSE_CAP", "4")
     assert dense_cap() == 4
     with pytest.raises(ValueError):
-        linearize_shift_invert(p_example1, 0.9)
+        full_eig(p_example1, 0.9)
 
 
 def test_residual_denominator(p_example1, rng):

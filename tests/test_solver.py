@@ -9,13 +9,18 @@ from qri import (
     full_eig,
     newton_solve,
     outer_loop,
+    random_qep,
     refined_vector,
     relative_residual,
     wave2d,
 )
-from qri.errors import AllConverged
 from qri.linalg import sin_angle_vectors
-from qri.solver import ProjectionCache, RitzPair, select_expansion_residual
+from qri.solver import (
+    ProjectionCache,
+    RitzPair,
+    select_expansion_residual,
+    solve_projected_qep,
+)
 
 PROBE = 0.1234 + 0.4321j
 
@@ -61,15 +66,18 @@ def test_newton_respects_maxit(p_example1):
 
 
 def test_projection_cache_matches_scratch(p_wave2d6, rng):
-    n = p_wave2d6.n
-    V, _ = np.linalg.qr(rand_complex(rng, n * 6).reshape(n, 6))
-    cache = ProjectionCache(p_wave2d6)
-    for k in range(6):
-        cache.append(V[:, : k + 1], V[:, k])
-    Md, Cd, Kd = p_wave2d6.densify()
-    for got, full in zip(cache.blocks, (Md, Cd, Kd)):
-        want = V.conj().T @ full @ V
-        assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1.0)
+    # wave2d's matrices are real symmetric, so a missing conjugate or
+    # transpose in the cache's new row shows only on the complex,
+    # unstructured random problem
+    for p in (p_wave2d6, random_qep(30, density=0.1, seed=1)):
+        n = p.n
+        V, _ = np.linalg.qr(rand_complex(rng, n * 6).reshape(n, 6))
+        cache = ProjectionCache(p)
+        for k in range(6):
+            cache.append(V[:, : k + 1], V[:, k])
+        for got, full in zip(cache.blocks, p.densify()):
+            want = V.conj().T @ full @ V
+            assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1.0)
 
 
 def test_projection_cache_grows(p_wave2d4, rng):
@@ -82,6 +90,17 @@ def test_projection_cache_grows(p_wave2d4, rng):
     Md, _, _ = p_wave2d4.densify()
     want = V.conj().T @ Md @ V
     assert np.linalg.norm(cache.blocks[0] - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_projected_solve_at_eigenvalue(p_example1):
+    # sigma = 1 is an eigenvalue, so the shift is nudged by about 1e-8;
+    # the values must be read off the nudged shift, or the nearest one
+    # is off by that much
+    Md, Cd, Kd = p_example1.densify()
+    pairs = solve_projected_qep(Md, Cd, Kd, 1.0 + 0.0j)
+    assert len(pairs) == 5  # the infinite eigenvalue is skipped
+    assert abs(pairs[0].omega - 1.0) <= 1e-12
+    assert np.linalg.norm((Md + Cd + Kd) @ pairs[0].z) <= 1e-12
 
 
 def test_outer_loop_small_reference(p_example1):
@@ -176,6 +195,30 @@ def test_refined_never_worse_than_ritz(p_wave2d6):
     assert checked >= 5
 
 
+def test_refined_extraction_run(p_wave2d4, oracle_wave2d4_probe):
+    # the loop's refined pairs are the ones refined_vector gives for the
+    # same basis and Ritz value
+    checked = 0
+
+    def compare(view):
+        nonlocal checked
+        for pair in view.pairs:
+            xr, zr = refined_vector(p_wave2d4, view.basis, pair.omega)
+            assert np.linalg.norm(pair.xtilde - xr) <= 1e-12
+            assert np.linalg.norm(pair.z - zr) <= 1e-12
+            checked += 1
+        return False
+
+    cfg = SolverConfig(
+        sigma=PROBE, nev=3, tol_outer=1e-11, mode="exact", extraction="refined", seed=0
+    )
+    res = outer_loop(p_wave2d4, cfg, observer=compare)
+    assert checked >= 3
+    assert all(res.converged)
+    for pair, lam_true in zip(res.eigenpairs, oracle_wave2d4_probe.lams[:3]):
+        assert abs(pair.lam - lam_true) <= 1e-9 * max(1.0, abs(lam_true))
+
+
 def test_inexact_mode_converges(p_wave2d6):
     cfg = SolverConfig(
         sigma=PROBE, nev=2, tol_outer=1e-8, mode="inexact", tol_inner=1e-4, seed=3
@@ -204,13 +247,13 @@ def test_determinism_bit_identical(p_wave2d6):
 
 def test_select_expansion_residual_cases():
     pairs = [make_pair(1e-14, True), make_pair(1e-2, False), make_pair(1e-1, False)]
-    assert select_expansion_residual(pairs, 3, 1e-10) == 1
-    with pytest.raises(AllConverged):
-        select_expansion_residual(pairs, 1, 1e-10)
+    assert select_expansion_residual(pairs, 3) == 1
+    # the first nev pairs all pass: nothing left to expand
+    assert select_expansion_residual(pairs, 1) is None
     with pytest.raises(BreakdownError):
-        select_expansion_residual([], 1, 1e-10)
+        select_expansion_residual([], 1)
     # all present pairs pass but too few of them: keep growing
-    assert select_expansion_residual([make_pair(1e-14, True)], 2, 1e-10) == 0
+    assert select_expansion_residual([make_pair(1e-14, True)], 2) == 0
 
 
 def test_config_validation(p_example1):
@@ -231,6 +274,17 @@ def test_config_validation(p_example1):
     ]
     for cfg in cases:
         with pytest.raises(ValueError):
+            cfg.validate(n)
+    # non-finite inputs fail here, naming the field, instead of as a
+    # zero pivot or a singular projected problem later on
+    named = [
+        ("sigma", SolverConfig(sigma=complex("nan"))),
+        ("sigma", SolverConfig(sigma=float("inf"))),
+        ("sigma", SolverConfig(sigma=1e308 + 1e308j)),
+        ("initial_vector", SolverConfig(sigma=0.9, initial_vector=[1.0, np.nan, 0.0])),
+    ]
+    for field, cfg in named:
+        with pytest.raises(ValueError, match=field):
             cfg.validate(n)
 
 
