@@ -1,16 +1,23 @@
 """Restarted GMRES for the inner solves of the inexact expansion.
 
-Arnoldi with modified Gram-Schmidt, least squares by Givens rotations,
-always started from the zero guess.  The rotation recurrence makes the
-residual estimate non-increasing within a cycle; the true residual is
-recomputed at every cycle end, so the reported value is never an
-estimate.
+Arnoldi with one modified Gram-Schmidt pass, least squares by Givens
+rotations, always started from the zero guess.  The rotation recurrence
+makes the residual estimate non-increasing within a cycle; the true
+residual is recomputed at every cycle end, so the reported value is
+never an estimate.
+
+The Krylov vectors are stored as the rows of one C-ordered block that
+is allocated once per call and reused by every cycle.  Each vector is
+then contiguous in memory, so the Gram-Schmidt pass runs as in-place
+BLAS-1 (``zdotc``/``zaxpy``) on unit-stride data instead of on strided
+columns.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dznrm2, zaxpy, zdotc
 
 from .errors import ZeroVector
 
@@ -78,6 +85,9 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500):
     total = 0
     resnorms = []
     cycles = []
+    # Krylov vectors are rows, so each one is contiguous for BLAS-1;
+    # row j is always written before it is read
+    block = np.empty((min(restart, maxit) + 1, n), dtype=complex)
 
     while True:
         beta = np.linalg.norm(r)
@@ -92,29 +102,33 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500):
             )
 
         m = min(restart, maxit - total)
-        V = np.zeros((n, m + 1), dtype=complex)
+        V = block[: m + 1]
         H = np.zeros((m + 1, m), dtype=complex)
         cs = np.zeros(m)
         sn = np.zeros(m, dtype=complex)
         g = np.zeros(m + 1, dtype=complex)
         g[0] = beta
-        V[:, 0] = r / beta
+        np.divide(r, beta, out=V[0])
 
         j = 0
         for j in range(m):
             # always copy: apply_op may hand back a view of its input
-            # (identity-like operators), and w is updated in place below
-            w = np.array(apply_op(V[:, j]), dtype=complex)
+            # (identity-like operators), a strided or read-only array,
+            # and w is updated in place below
+            w = np.array(apply_op(V[j]), dtype=complex)
             total += 1
-            wnorm = np.linalg.norm(w)
+            wnorm = dznrm2(w)
+            # zaxpy updates w in place; taking its return value keeps the
+            # pass correct should it ever have to copy
             for i in range(j + 1):
-                H[i, j] = np.vdot(V[:, i], w)
-                w -= H[i, j] * V[:, i]
-            hnext = np.linalg.norm(w)
+                h = zdotc(V[i], w)
+                H[i, j] = h
+                w = zaxpy(V[i], w, a=-h)
+            hnext = dznrm2(w)
             happy = hnext <= HAPPY_BREAKDOWN_RTOL * max(wnorm, 1e-300)
             H[j + 1, j] = hnext
             if not happy:
-                V[:, j + 1] = w / hnext
+                np.divide(w, hnext, out=V[j + 1])
 
             for i in range(j):
                 hi, hi1 = H[i, j], H[i + 1, j]
@@ -133,5 +147,5 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500):
         k = j + 1
         cycles.append(k)
         y = sla.solve_triangular(H[:k, :k], g[:k], check_finite=False)
-        x = x + V[:, :k] @ y
+        x = x + y @ V[:k]
         r = b - apply_op(x)

@@ -30,8 +30,8 @@ from .errors import (
     SingularMatrix,
     ZeroVector,
 )
-from .linalg import LUSolver, OrthonormalBasis, dense_eig, project_out, sin_angle_vectors
-from .qep import Eigentriplet, dense_cap, finite_order, shift_invert
+from .linalg import OrthonormalBasis, dense_eig, project_out, sin_angle_vectors
+from .qep import Eigentriplet, dense_cap, factor_q, finite_order, shift_invert
 
 # a target direction whose component outside the subspace falls below
 # this fraction of its norm makes the angle quantities meaningless
@@ -93,7 +93,7 @@ class OracleDecomposition:
         key = complex(mu)
         if key not in self._shift_lu:
             Md, Cd, Kd = self.problem.densify()
-            self._shift_lu[key] = LUSolver(key * key * Md + key * Cd + Kd)
+            self._shift_lu[key] = factor_q(Md, Cd, Kd, key, "mu")
         return self._shift_lu[key]
 
 

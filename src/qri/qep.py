@@ -21,6 +21,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
+from .errors import SingularMatrix
 from .linalg import LUSolver, spmv
 
 DEFAULT_DENSE_CAP = 2000
@@ -136,6 +137,22 @@ def shifted_matrix(p, sigma):
     S.sum_duplicates()
     S.sort_indices()
     return S
+
+
+def factor_q(Md, Cd, Kd, shift, name):
+    """Dense LU of ``Q(shift)`` from the densified blocks.
+
+    Raises :class:`SingularMatrix` naming ``name`` and its value when
+    ``Q`` is singular there, i.e. the shift is an eigenvalue to working
+    precision.
+    """
+    try:
+        return LUSolver(shift * shift * Md + shift * Cd + Kd)
+    except SingularMatrix as exc:
+        raise SingularMatrix(
+            f"Q is singular at {name} = {shift}: the shift is an eigenvalue "
+            "to working precision"
+        ) from exc
 
 
 def residual_denominator(p, omega):

@@ -30,10 +30,11 @@ from .errors import (
     SubspaceExhausted,
 )
 from .gmres import gmres
-from .linalg import LUSolver, OrthonormalBasis, dense_eig, smallest_singular_vector, spmv
+from .linalg import OrthonormalBasis, dense_eig, smallest_singular_vector, spmv
 from .qep import (
     Eigentriplet,
     dense_cap,
+    factor_q,
     finite_order,
     q_apply,
     q_prime_apply,
@@ -44,6 +45,21 @@ from .qep import (
 )
 
 DEFAULT_MAX_SUBSPACE = 120
+
+
+def check_shift(value, name):
+    """``value`` as a complex shift; raises a :class:`ValueError` naming
+    ``name`` unless the shift and its square are finite.
+
+    ``value^2`` scales ``M`` in ``Q(value)``; a non-finite square would
+    only surface later as a zero pivot.
+    """
+    shift = complex(value)
+    if not np.isfinite(shift * shift):
+        raise ValueError(
+            f"shift {name} must be finite with a finite square, got {shift}"
+        )
+    return shift
 
 
 @dataclass
@@ -67,11 +83,7 @@ class SolverConfig:
     initial_vector: np.ndarray | None = None
 
     def validate(self, n=None):
-        # sigma^2 scales M in Q(sigma); a non-finite square would only
-        # surface later as a zero pivot
-        sigma = complex(self.sigma)
-        if not np.isfinite(sigma * sigma):
-            raise ValueError(f"sigma must be finite with a finite square, got {sigma}")
+        check_shift(self.sigma, "sigma")
         v1 = self.initial_vector
         if v1 is not None and not np.isfinite(v1).all():
             raise ValueError("initial_vector must be finite")
@@ -129,9 +141,10 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     ``e* x_k = 1``).  Converges quadratically near a simple eigenvalue.
 
     Returns a :class:`NewtonResult`; ``converged`` is False when
-    ``maxit`` ran out.  Raises :class:`Stagnation` when the update
-    scalar vanishes and :class:`SingularMatrix` when ``lam_k`` lands on
-    an eigenvalue without the residual being converged already.
+    ``maxit`` ran out.  Raises :class:`ValueError` for a non-finite
+    ``lam0`` or ``x0``, :class:`Stagnation` when the update scalar
+    vanishes and :class:`SingularMatrix` when ``lam_k`` lands on an
+    eigenvalue without the residual being converged already.
     """
     n = p.n
     if n > dense_cap():
@@ -139,12 +152,14 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
             f"newton_solve factors Q(lam) densely; n = {n} exceeds "
             f"the dense cap {dense_cap()}"
         )
+    lam = check_shift(lam0, "lam0")
     x0 = np.asarray(x0, dtype=complex)
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
     e_idx = int(np.argmax(np.abs(x0)))
     if x0[e_idx] == 0.0:
         raise ValueError("x0 must be nonzero")
     x = x0 / x0[e_idx]
-    lam = complex(lam0)
     Md, Cd, Kd = p.densify()
 
     history = []
@@ -160,7 +175,7 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
         # a SingularMatrix here means lam_k landed on an eigenvalue while
         # the residual check above already said the pair is not converged,
         # so propagating it is the honest outcome
-        qlu = LUSolver(lam * lam * Md + lam * Cd + Kd)
+        qlu = factor_q(Md, Cd, Kd, lam, "lam")
         y = qlu.solve(q_prime_apply(p, lam, x))
         s = y[e_idx]
         if abs(s) < 1e-300:
@@ -353,7 +368,7 @@ class ExactExpansion:
             self._maxit = maxit
         else:
             Md, Cd, Kd = p.densify()
-            self._lu = LUSolver(sigma * sigma * Md + sigma * Cd + Kd)
+            self._lu = factor_q(Md, Cd, Kd, sigma, "sigma")
 
     def solve(self, r):
         if self.pseudo_exact:

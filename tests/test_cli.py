@@ -91,10 +91,24 @@ def test_missing_sigma_is_usage_error():
 
 
 def test_nonfinite_sigma_is_config_error(capsys):
-    assert run_cli("solve", "--gen", "example1", "--sigma", "nan") == 4
-    err = capsys.readouterr().err
-    assert "sigma" in err
-    assert "pivot" not in err
+    # the error names the shift as the entry point calls it: the solver
+    # config's sigma, or newton_solve's start value lam0
+    for mode, name in (("exact", "sigma"), ("newton", "lam0")):
+        argv = ("solve", "--gen", "example1", "--sigma", "nan", "--mode", mode)
+        assert run_cli(*argv) == 4
+        err = capsys.readouterr().err
+        assert name in err
+        assert "pivot" not in err
+
+
+def test_eigenvalue_shift_is_named(capsys):
+    # 1.0 is an eigenvalue of example1, so Q(1.0) is singular
+    for mode in ("exact", "newton"):
+        argv = ("solve", "--gen", "example1", "--sigma", "1.0", "--mode", mode)
+        assert run_cli(*argv) == 4
+        err = capsys.readouterr().err
+        assert "eigenvalue" in err
+        assert "zero pivot" not in err
 
 
 def test_unknown_generator_is_usage_error():

@@ -1,12 +1,133 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import rand_complex
 from qri import ZeroVector, gmres
+from qri.gmres import HAPPY_BREAKDOWN_RTOL, _givens
 
 
 def op_from(A):
     return lambda v: A @ v
+
+
+def reference_gmres(apply_op, b, tol, restart, maxit=500):
+    """Restarted GMRES with the Krylov vectors stored as columns and the
+    one MGS pass written with numpy: the textbook loop that the row
+    storage and in-place BLAS kernel must reproduce.  Returns
+    ``(x, iters, resnorms, cycles)`` of the final iterate."""
+    b = np.asarray(b, dtype=complex)
+    n = b.shape[0]
+    nb = np.linalg.norm(b)
+    x = np.zeros(n, dtype=complex)
+    r = b.copy()
+    total = 0
+    resnorms = []
+    cycles = []
+    while True:
+        beta = np.linalg.norm(r)
+        if beta / nb <= tol or total >= maxit:
+            return x, total, resnorms, cycles
+        m = min(restart, maxit - total)
+        V = np.zeros((n, m + 1), dtype=complex)
+        H = np.zeros((m + 1, m), dtype=complex)
+        cs = np.zeros(m)
+        sn = np.zeros(m, dtype=complex)
+        g = np.zeros(m + 1, dtype=complex)
+        g[0] = beta
+        V[:, 0] = r / beta
+        for j in range(m):
+            w = np.array(apply_op(V[:, j]), dtype=complex)
+            total += 1
+            wnorm = np.linalg.norm(w)
+            for i in range(j + 1):
+                H[i, j] = np.vdot(V[:, i], w)
+                w -= H[i, j] * V[:, i]
+            hnext = np.linalg.norm(w)
+            happy = hnext <= HAPPY_BREAKDOWN_RTOL * max(wnorm, 1e-300)
+            H[j + 1, j] = hnext
+            if not happy:
+                V[:, j + 1] = w / hnext
+            for i in range(j):
+                hi, hi1 = H[i, j], H[i + 1, j]
+                H[i, j] = cs[i] * hi + sn[i] * hi1
+                H[i + 1, j] = -np.conj(sn[i]) * hi + cs[i] * hi1
+            cs[j], sn[j] = _givens(H[j, j], H[j + 1, j].real)
+            H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
+            H[j + 1, j] = 0.0
+            g[j + 1] = -np.conj(sn[j]) * g[j]
+            g[j] = cs[j] * g[j]
+            resnorms.append(float(abs(g[j + 1]) / nb))
+            if resnorms[-1] <= tol or happy:
+                break
+        k = j + 1
+        cycles.append(k)
+        y = sla.solve_triangular(H[:k, :k], g[:k])
+        x = x + V[:, :k] @ y
+        r = b - apply_op(x)
+
+
+def nonnormal_matrix(rng, n):
+    # random complex part plus a superdiagonal: far from normal, and
+    # slow enough with restart = 7 to run several cycles
+    G = rand_complex(rng, n * n).reshape(n, n) / np.sqrt(n)
+    return np.eye(n) + 0.4 * G + 0.6 * np.diag(np.ones(n - 1), 1)
+
+
+def test_matches_column_storage_reference(rng):
+    n = 200
+    A = nonnormal_matrix(rng, n)
+    b = rand_complex(rng, n)
+    res = gmres(op_from(A), b, tol=1e-10, restart=7)
+    x, iters, resnorms, cycles = reference_gmres(op_from(A), b, tol=1e-10, restart=7)
+    assert res.converged
+    assert len(res.cycles) > 3
+    assert res.iters == iters
+    assert res.cycles == cycles
+    # the estimates are relative to norm(b) and carry rounding at the
+    # level of eps there, hence the absolute floor for the small late ones
+    np.testing.assert_allclose(res.resnorms, resnorms, rtol=1e-10, atol=1e-15)
+    assert np.linalg.norm(res.x - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_operator_output_forms(rng):
+    # the kernel copies what apply_op returns before updating it in place,
+    # so an output that is strided, read-only, a reused buffer or the
+    # input itself must give the same bits as a fresh contiguous array
+    n = 40
+    A = nonnormal_matrix(rng, n)
+    b = rand_complex(rng, n)
+
+    def strided(v):
+        out = np.empty(2 * n, dtype=complex)
+        out[::2] = A @ v
+        return out[::2]
+
+    def read_only(v):
+        out = A @ v
+        out.flags.writeable = False
+        return out
+
+    buf = np.empty(n, dtype=complex)
+
+    def reused_buffer(v):
+        np.matmul(A, v, out=buf)
+        return buf
+
+    plain = gmres(op_from(A), b, tol=1e-12, restart=5)
+    assert plain.converged
+    for op in (strided, read_only, reused_buffer):
+        res = gmres(op, b, tol=1e-12, restart=5)
+        assert np.array_equal(res.x, plain.x)
+        assert res.resnorms == plain.resnorms
+        assert res.cycles == plain.cycles
+
+    # an operator that hands back its own input (a view of a Krylov row)
+    eye = np.eye(n)
+    plain = gmres(op_from(eye), b, tol=1e-12, restart=5)
+    res = gmres(lambda v: v, b, tol=1e-12, restart=5)
+    assert np.array_equal(res.x, plain.x)
+    assert res.resnorms == plain.resnorms
 
 
 def test_identity_one_step(rng):
@@ -73,13 +194,20 @@ def test_reported_residual_is_true_residual(rng):
 
 
 def test_invariant_rhs_happy_breakdown():
-    A = np.diag(np.arange(1.0, 11.0))
-    b = np.zeros(10)
-    b[2] = 1.0
-    res = gmres(op_from(A), b, tol=1e-12)
-    assert res.converged
-    assert res.iters == 1
-    assert np.allclose(res.x, b / 3.0, atol=1e-14)
+    d = np.arange(1.0, 11.0)
+    A = np.diag(d)
+    # one eigenvector; three eigenvectors, breaking down mid-cycle so the
+    # rows of the reused Krylov block past the third are never written
+    one = np.zeros(10)
+    one[2] = 1.0
+    three = np.zeros(10)
+    three[[0, 4, 7]] = [1.0, -2.0, 0.5]
+    for b, restart, steps in ((one, 30, 1), (three, 5, 3)):
+        res = gmres(op_from(A), b, tol=1e-12, restart=restart)
+        assert res.converged
+        assert res.iters == steps
+        assert res.cycles == [steps]
+        assert np.allclose(res.x, b / d, atol=1e-14)
 
 
 def test_zero_rhs_raises():

@@ -49,6 +49,17 @@ def test_newton_exact_start_zero_iterations(p_example1):
     assert len(res.history) == 1
 
 
+def test_newton_rejects_bad_start(p_example1):
+    # non-finite inputs fail up front, naming the argument, instead of as
+    # a zero pivot in the first factorization
+    x0 = np.ones(3, dtype=complex)
+    for lam0 in (complex("nan"), float("inf"), 1e308 + 1e308j):
+        with pytest.raises(ValueError, match="lam0"):
+            newton_solve(p_example1, lam0, x0)
+    with pytest.raises(ValueError, match="x0"):
+        newton_solve(p_example1, 0.9, [1.0, np.nan, 0.0])
+
+
 def test_newton_second_target(p_example1):
     x0 = np.ones(3, dtype=complex) / np.sqrt(3.0)
     res = newton_solve(p_example1, 0.45, x0, tol=1e-12)
