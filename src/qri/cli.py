@@ -330,8 +330,6 @@ def cmd_solve(args, parser):
         print(f"[{mark}] lam_{i} = {_fmt_complex(trip.lam)}  relres = {rr:.3e}")
     print(f"stop = {result.stop_reason}, outer iterations = {len(result.history)}, "
           f"inner iterations = {result.cumulative_inner_iters}")
-    if result.pseudo_exact:
-        print("note: n above dense cap, exact expansion used GMRES at 1e-14")
 
     if args.out_csv:
         lines = history_csv_lines(result.history, result.iter_wall_ms, args.nev)
@@ -353,7 +351,6 @@ def cmd_solve(args, parser):
             "outer_iters": len(result.history),
             "cumulative_inner_iters": result.cumulative_inner_iters,
             "inner_failures": result.inner_failures,
-            "pseudo_exact": result.pseudo_exact,
             "phase_wall_ms": result.phase_wall_ms,
             "wall_ms_total": float(sum(result.iter_wall_ms)),
         })

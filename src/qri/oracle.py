@@ -92,8 +92,7 @@ class OracleDecomposition:
         """Dense LU solver for ``Q(mu)``, memoized per ``mu``."""
         key = complex(mu)
         if key not in self._shift_lu:
-            Md, Cd, Kd = self.problem.densify()
-            self._shift_lu[key] = factor_q(Md, Cd, Kd, key, "mu")
+            self._shift_lu[key] = factor_q(self.problem, key, "mu")
         return self._shift_lu[key]
 
 

@@ -32,11 +32,13 @@ INF_THETA_RTOL = 1e-10
 
 
 def dense_cap():
-    """Largest matrix order the package will densify.
+    """Largest order of a dense matrix the package will form.
 
-    Overridable through the ``QRI_DENSE_CAP`` environment variable; the
-    guard exists so that desk-scale verification paths are not silently
-    applied to problems that are too large for them.
+    Guards :func:`factor_q` (``Q`` at a shift, order n) and the oracle's
+    companion pencil (order 2n).  Overridable through the
+    ``QRI_DENSE_CAP`` environment variable; the guard exists so that
+    dense paths are not silently applied to problems that are too large
+    for them.
     """
     value = os.environ.get("QRI_DENSE_CAP", "")
     if value:
@@ -139,15 +141,21 @@ def shifted_matrix(p, sigma):
     return S
 
 
-def factor_q(Md, Cd, Kd, shift, name):
-    """Dense LU of ``Q(shift)`` from the densified blocks.
+def factor_q(p, shift, name):
+    """Dense LU of ``Q(shift)``, the one factorization of ``Q`` at a shift
+    (exact expansion, Newton, oracle).
 
-    Raises :class:`SingularMatrix` naming ``name`` and its value when
-    ``Q`` is singular there, i.e. the shift is an eigenvalue to working
-    precision.
+    Raises :class:`ValueError` when ``p.n`` exceeds the dense cap, and
+    :class:`SingularMatrix` naming ``name`` and its value when ``Q`` is
+    singular there, i.e. the shift is an eigenvalue to working precision.
     """
+    if p.n > dense_cap():
+        raise ValueError(
+            f"Q({name}) is factored densely, but n = {p.n} exceeds the dense "
+            f"cap {dense_cap()}; use mode=\"inexact\" or raise QRI_DENSE_CAP"
+        )
     try:
-        return LUSolver(shift * shift * Md + shift * Cd + Kd)
+        return LUSolver(shifted_matrix(p, shift).toarray())
     except SingularMatrix as exc:
         raise SingularMatrix(
             f"Q is singular at {name} = {shift}: the shift is an eigenvalue "

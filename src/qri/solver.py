@@ -4,13 +4,14 @@ Three ways to chase eigenvalues of ``Q(lam) = lam^2 M + lam C + K`` near
 a shift ``sigma``:
 
 - :func:`newton_solve` refines a single pair with a Newton step on the
-  scalar normalization equation (one factorization per step).
+  scalar normalization equation (one dense LU of ``Q`` per step).
 - :func:`outer_loop` with ``mode="exact"`` grows a subspace by solving
-  ``Q(sigma) u = r`` exactly for the residual ``r`` of the first
-  unconverged Ritz pair, orthonormalizing ``u`` into the basis.
+  ``Q(sigma) u = r`` with one dense LU for the residual ``r`` of the
+  first unconverged Ritz pair, orthonormalizing ``u`` into the basis.
 - ``mode="inexact"`` replaces that solve with restarted GMRES at a fixed
   inner tolerance, trading inner iterations for (slightly) more outer
-  steps.
+  steps.  It is the only mode above the dense cap of
+  :func:`~qri.qep.factor_q`.
 
 The projected small problem is always solved through its shift-inverted
 companion pencil, so infinite Ritz values (singular projected mass
@@ -33,7 +34,6 @@ from .gmres import gmres
 from .linalg import OrthonormalBasis, dense_eig, smallest_singular_vector, spmv
 from .qep import (
     Eigentriplet,
-    dense_cap,
     factor_q,
     finite_order,
     q_apply,
@@ -132,7 +132,8 @@ class NewtonResult:
 def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     """Newton refinement of a single eigenpair from ``(lam0, x0)``.
 
-    Each step solves ``Q(lam_k) y = Q'(lam_k) x_k`` densely and updates
+    Each step solves ``Q(lam_k) y = Q'(lam_k) x_k`` with a dense LU from
+    :func:`~qri.qep.factor_q` and updates
 
         x_{k+1} = y / (e* y),      lam_{k+1} = lam_k - 1 / (e* y)
 
@@ -142,16 +143,11 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
 
     Returns a :class:`NewtonResult`; ``converged`` is False when
     ``maxit`` ran out.  Raises :class:`ValueError` for a non-finite
-    ``lam0`` or ``x0``, :class:`Stagnation` when the update scalar
-    vanishes and :class:`SingularMatrix` when ``lam_k`` lands on an
-    eigenvalue without the residual being converged already.
+    ``lam0`` or ``x0`` and, from the first step, for ``n`` above the
+    dense cap; :class:`Stagnation` when the update scalar vanishes and
+    :class:`SingularMatrix` when ``lam_k`` lands on an eigenvalue without
+    the residual being converged already.
     """
-    n = p.n
-    if n > dense_cap():
-        raise ValueError(
-            f"newton_solve factors Q(lam) densely; n = {n} exceeds "
-            f"the dense cap {dense_cap()}"
-        )
     lam = check_shift(lam0, "lam0")
     x0 = np.asarray(x0, dtype=complex)
     if not np.isfinite(x0).all():
@@ -160,22 +156,17 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     if x0[e_idx] == 0.0:
         raise ValueError("x0 must be nonzero")
     x = x0 / x0[e_idx]
-    Md, Cd, Kd = p.densify()
 
     history = []
     for k in range(maxit + 1):
         relres = relative_residual(p, lam, x / np.linalg.norm(x))
         history.append(NewtonStep(k=k, lam=lam, relres=relres))
-        if relres <= tol:
-            return NewtonResult(
-                lam=lam, x=x / np.linalg.norm(x), history=history, converged=True
-            )
-        if k == maxit:
+        if relres <= tol or k == maxit:
             break
         # a SingularMatrix here means lam_k landed on an eigenvalue while
         # the residual check above already said the pair is not converged,
         # so propagating it is the honest outcome
-        qlu = factor_q(Md, Cd, Kd, lam, "lam")
+        qlu = factor_q(p, lam, "lam")
         y = qlu.solve(q_prime_apply(p, lam, x))
         s = y[e_idx]
         if abs(s) < 1e-300:
@@ -184,7 +175,7 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
         lam = lam - 1.0 / s
 
     return NewtonResult(
-        lam=lam, x=x / np.linalg.norm(x), history=history, converged=False
+        lam=lam, x=x / np.linalg.norm(x), history=history, converged=relres <= tol
     )
 
 
@@ -350,34 +341,14 @@ def select_expansion_residual(pairs, nev):
 
 
 class ExactExpansion:
-    """Solve ``Q(sigma) u = r`` for the expansion, exactly when possible.
+    """Solve ``Q(sigma) u = r`` for the expansion with the dense LU of
+    ``Q(sigma)``, factored once by :func:`~qri.qep.factor_q` (so ``n``
+    must fit under the dense cap)."""
 
-    Uses a dense LU of ``Q(sigma)`` computed once when ``n`` fits under
-    the dense cap; otherwise falls back to GMRES at tolerance 1e-14
-    (``pseudo_exact`` is set and inner iterations are reported).
-    """
-
-    def __init__(self, p, sigma, restart=50, maxit=10000):
-        self.pseudo_exact = p.n > dense_cap()
-        self.last_iters = 0
-        self.last_relres = 0.0
-        if self.pseudo_exact:
-            op_matrix = shifted_matrix(p, sigma)
-            self._apply = lambda w: op_matrix @ w
-            self._restart = restart
-            self._maxit = maxit
-        else:
-            Md, Cd, Kd = p.densify()
-            self._lu = factor_q(Md, Cd, Kd, sigma, "sigma")
+    def __init__(self, p, sigma):
+        self._lu = factor_q(p, sigma, "sigma")
 
     def solve(self, r):
-        if self.pseudo_exact:
-            res = gmres(
-                self._apply, r, tol=1e-14, restart=self._restart, maxit=self._maxit
-            )
-            self.last_iters = res.iters
-            self.last_relres = res.relres
-            return res.x
         return self._lu.solve(r)
 
 
@@ -418,7 +389,6 @@ class RunResult:
     phase_wall_ms: dict
     cumulative_inner_iters: int
     inner_failures: int
-    pseudo_exact: bool
     stop_reason: str
 
 
@@ -429,19 +399,25 @@ def outer_loop(p, config, observer=None):
     Grows an orthonormal basis one vector per outer iteration: project,
     solve the small problem, extract Ritz (or refined) pairs, and expand
     with ``Q(sigma)^{-1} r`` for the residual ``r`` of the first
-    unconverged target pair -- exactly (``mode="exact"``) or through
-    restarted GMRES at ``tol_inner`` (``mode="inexact"``).  Converged
-    pairs are left soft-locked: they are re-extracted every iteration
-    and only reported at the end.
+    unconverged target pair -- exactly (``mode="exact"``, a dense LU of
+    ``Q(sigma)`` factored once, so ``n`` must fit under the dense cap) or
+    through restarted GMRES at ``tol_inner`` (``mode="inexact"``).
+    Converged pairs are left soft-locked: they are re-extracted every
+    iteration and only reported at the end.
 
     ``observer``, when given, is called with a :class:`StepView` before
     each basis extension; returning a truthy value stops the run
     gracefully (``stop_reason="observer"``).
 
-    Raises :class:`SubspaceExhausted` (partial result attached) when the
-    basis reaches ``max_subspace`` without convergence, and
-    :class:`BreakdownError` when no candidate residual can extend the
-    basis.
+    ``phase_wall_ms`` times the inner solves with their one-time set-up,
+    the small solve with pair extraction, and the projection update
+    (basis append plus :class:`ProjectionCache` append).
+
+    Raises :class:`ValueError` before the first iteration when exact mode
+    meets ``n`` above the dense cap, :class:`SubspaceExhausted` (partial
+    result attached) when the basis reaches ``max_subspace`` without
+    convergence, and :class:`BreakdownError` when no candidate residual
+    can extend the basis.
     """
     config.validate(p.n)
     if config.mode == "newton":
@@ -451,28 +427,30 @@ def outer_loop(p, config, observer=None):
     sigma = complex(config.sigma)
     max_sub = config.resolved_max_subspace(n)
 
+    phase = {"projection": 0.0, "small_solve": 0.0, "inner_solve": 0.0}
+    t0 = time.perf_counter()
+    if config.mode == "exact":
+        expander = ExactExpansion(p, sigma)
+    else:
+        op_matrix = shifted_matrix(p, sigma)
+        inner_op = lambda w: op_matrix @ w  # noqa: E731
+    phase["inner_solve"] += time.perf_counter() - t0
+
     rng = np.random.default_rng(config.seed)
     if config.initial_vector is not None:
         v1 = np.asarray(config.initial_vector, dtype=complex)
     else:
         v1 = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
 
+    t0 = time.perf_counter()
     basis = OrthonormalBasis(n, capacity=max(32, max_sub))
     basis.append(v1)
     proj = ProjectionCache(p, capacity=max(32, max_sub))
     proj.append(basis.matrix, basis.matrix[:, 0])
-
-    if config.mode == "exact":
-        expander = ExactExpansion(p, sigma)
-        inner_op = None
-    else:
-        expander = None
-        op_matrix = shifted_matrix(p, sigma)
-        inner_op = lambda w: op_matrix @ w  # noqa: E731
+    phase["projection"] += time.perf_counter() - t0
 
     history = []
     iter_wall = []
-    phase = {"projection": 0.0, "small_solve": 0.0, "inner_solve": 0.0}
     cum_inner = 0
     inner_failures = 0
     stop_reason = None
@@ -484,11 +462,7 @@ def outer_loop(p, config, observer=None):
         t_iter = time.perf_counter()
 
         t0 = time.perf_counter()
-        Mk, Ck, Kk = proj.blocks
-        phase["projection"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        proj_pairs = solve_projected_qep(Mk, Ck, Kk, sigma)
+        proj_pairs = solve_projected_qep(*proj.blocks, sigma)
         pairs = _extract_pairs(
             p, basis.matrix, proj_pairs, nev, config.tol_outer, config.extraction
         )
@@ -516,9 +490,6 @@ def outer_loop(p, config, observer=None):
             t0 = time.perf_counter()
             if config.mode == "exact":
                 u = expander.solve(r)
-                record.inner_iters += expander.last_iters
-                record.inner_relres = expander.last_relres
-                cum_inner += expander.last_iters
             else:
                 res = gmres(
                     inner_op,
@@ -560,31 +531,24 @@ def outer_loop(p, config, observer=None):
                 stop_reason = "observer"
                 break
 
+        t0 = time.perf_counter()
         basis.append_orthonormal(v_next)
         proj.append(basis.matrix, v_next)
+        phase["projection"] += time.perf_counter() - t0
         history.append(record)
         iter_wall.append((time.perf_counter() - t_iter) * 1e3)
 
-    # final pairs, residuals recomputed from the original matrices
-    eigenpairs = []
-    final_relres = []
-    converged_flags = []
-    for pr in pairs[:nev]:
-        eigenpairs.append(Eigentriplet(lam=pr.omega, x=pr.xtilde))
-        rr = relative_residual(p, pr.omega, pr.xtilde)
-        final_relres.append(rr)
-        converged_flags.append(rr <= config.tol_outer)
-
+    # the first nev pairs as the last extraction scored them
+    final = pairs[:nev]
     result = RunResult(
-        eigenpairs=eigenpairs,
-        converged=converged_flags,
-        relres=final_relres,
+        eigenpairs=[Eigentriplet(lam=pr.omega, x=pr.xtilde) for pr in final],
+        converged=[pr.converged for pr in final],
+        relres=[pr.relres for pr in final],
         history=history,
         iter_wall_ms=iter_wall,
         phase_wall_ms={k: v * 1e3 for k, v in phase.items()},
         cumulative_inner_iters=cum_inner,
         inner_failures=inner_failures,
-        pseudo_exact=bool(expander.pseudo_exact) if expander else False,
         stop_reason=stop_reason,
     )
     if stop_reason == "exhausted":

@@ -1,7 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from qri import example1, full_eig, wave2d
+# One BLAS thread unless the environment says otherwise: the suite's many
+# small dense LU and eig calls run about 2.5 times slower with OpenBLAS's
+# default threads on a 2-core machine.  Set before numpy is first imported,
+# which is when OpenBLAS reads these.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from qri import example1, full_eig, wave2d  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -59,6 +59,12 @@ def test_generate_then_solve_roundtrip(tmp_path, capsys):
     assert payload["stop_reason"] == "converged"
     assert payload["problem_n"] == 12
     assert all(r <= 1e-9 for r in payload["relres"])
+    assert set(payload) == {
+        "mode", "extraction", "problem_n", "sigma", "nev", "tol_outer",
+        "tol_inner", "stop_reason", "converged", "eigenvalues", "relres",
+        "outer_iters", "cumulative_inner_iters", "inner_failures",
+        "phase_wall_ms", "wall_ms_total",
+    }
 
 
 def test_solve_builtin_reference(capsys):
@@ -109,6 +115,19 @@ def test_eigenvalue_shift_is_named(capsys):
         err = capsys.readouterr().err
         assert "eigenvalue" in err
         assert "zero pivot" not in err
+
+
+def test_dense_factorization_above_cap(monkeypatch, capsys):
+    # wave2d(4) has n = 12: exact mode and Newton fail at set-up, before
+    # the first iteration, and point to inexact mode
+    monkeypatch.setenv("QRI_DENSE_CAP", "10")
+    for mode in ("exact", "newton"):
+        argv = ("solve", "--gen", "wave2d", "--m", "4", "--sigma", PROBE, "--mode", mode)
+        assert run_cli(*argv) == 4
+        captured = capsys.readouterr()
+        assert "exceeds the dense cap 10" in captured.err
+        assert 'mode="inexact"' in captured.err
+        assert "lam_1" not in captured.out
 
 
 def test_unknown_generator_is_usage_error():

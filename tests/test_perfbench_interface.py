@@ -22,14 +22,19 @@ def test_tracer_installs_and_restores(p_wave2d4):
     owners = [(owner, attr) for group, attr, _ in tracing.TARGETS for owner in group]
     before = [getattr(owner, attr) for owner, attr in owners]
     tracer = tracing.Tracer()
-    cfg = solver.SolverConfig(
-        sigma=0.1234 + 0.4321j, nev=2, tol_outer=1e-8, mode="inexact"
-    )
+    results = []
     with tracer.installed():
         assert all(getattr(o, a) is not b for (o, a), b in zip(owners, before))
-        res = solver.outer_loop(p_wave2d4, cfg)
+        for mode in ("inexact", "exact"):
+            cfg = solver.SolverConfig(
+                sigma=0.1234 + 0.4321j, nev=2, tol_outer=1e-8, mode=mode
+            )
+            results.append(solver.outer_loop(p_wave2d4, cfg))
+        pair = results[-1].eigenpairs[0]
+        nres = solver.newton_solve(p_wave2d4, pair.lam * (1 + 1e-6), pair.x, tol=1e-13)
     assert all(getattr(o, a) is b for (o, a), b in zip(owners, before))
-    assert all(res.converged)
+    assert all(all(res.converged) for res in results)
+    assert nres.converged and len(nres.history) > 1
     for name in (
         "solver.outer_loop",
         "solver.projection_append",
@@ -37,7 +42,18 @@ def test_tracer_installs_and_restores(p_wave2d4):
         "solver.small_solve",
         "solver.extract",
         "gmres",
+        "solver.expansion_setup",
+        "solver.expansion_solve",
+        "linalg.lu_factor",
+        "solver.newton",
     ):
         assert name in tracer.names
     assert tracer.check_nesting()
-    assert tracer.layer_metrics()["linalg.orth_defect"][0] <= 1e-12
+    layers = tracer.layer_metrics()
+    assert layers["linalg.orth_defect"][0] <= 1e-12
+    # the factorizations of Q stay visible to the tracer: the exact
+    # set-up and Newton's steps each open an LU span of their own
+    names, _, _, parent = tracer.arrays()
+    lu_parents = [names[i] for i in parent[names == "linalg.lu_factor"]]
+    assert lu_parents.count("solver.expansion_setup") == 1
+    assert lu_parents.count("solver.newton") == layers["solver.newton_steps"][0]

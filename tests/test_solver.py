@@ -5,6 +5,7 @@ from conftest import rand_complex
 from qri import (
     BreakdownError,
     SolverConfig,
+    SpringMaxwellParams,
     SubspaceExhausted,
     full_eig,
     newton_solve,
@@ -12,6 +13,7 @@ from qri import (
     random_qep,
     refined_vector,
     relative_residual,
+    spring_maxwell,
     wave2d,
 )
 from qri.linalg import sin_angle_vectors
@@ -310,3 +312,58 @@ def test_solver_agrees_with_oracle(p_wave2d4, oracle_wave2d4_probe):
     assert all(res.converged)
     for pair, lam_true in zip(res.eigenpairs, oracle_wave2d4_probe.lams[:3]):
         assert abs(pair.lam - lam_true) <= 1e-9 * max(1.0, abs(lam_true))
+
+
+def test_dense_cap_boundary(monkeypatch, p_wave2d4, oracle_wave2d4_probe):
+    # n = 12 above a cap of 10: exact mode and Newton refuse the dense
+    # factorization of Q up front, naming the cap and the way out, and
+    # inexact mode at a tight inner tolerance still gets the spectrum
+    monkeypatch.setenv("QRI_DENSE_CAP", "10")
+    cap_error = r'n = 12 exceeds the dense cap 10; use mode="inexact"'
+    cfg = SolverConfig(sigma=PROBE, nev=3, tol_outer=1e-11, mode="exact")
+    with pytest.raises(ValueError, match=cap_error):
+        outer_loop(p_wave2d4, cfg)
+    with pytest.raises(ValueError, match=cap_error):
+        newton_solve(p_wave2d4, PROBE, np.ones(12, dtype=complex))
+    cfg.mode, cfg.tol_inner = "inexact", 1e-14
+    res = outer_loop(p_wave2d4, cfg)
+    assert all(res.converged)
+    for pair, lam_true in zip(res.eigenpairs, oracle_wave2d4_probe.lams[:3]):
+        assert abs(pair.lam - lam_true) <= 1e-9 * max(1.0, abs(lam_true))
+
+
+def test_oracle_property_sweep():
+    # seeded shifts at 0.3 times the gap from a random eigenvalue, on an
+    # unstructured complex problem, one with singular M (infinite
+    # eigenvalues) and the waveguide, in both expansion modes.  Full
+    # GMRES (restart = n) keeps the inner solves short on these small
+    # problems; restarted at 30 it often runs to inner_maxit.
+    problems = (
+        random_qep(60, density=0.05, seed=1),
+        spring_maxwell(SpringMaxwellParams(10, 4, seed=2)),
+        wave2d(8),
+    )
+    rng = np.random.default_rng(5)
+    nev = 3
+    for p in problems:
+        lams = full_eig(p, PROBE).lams
+        for seed in range(3):
+            j = rng.integers(len(lams))
+            gap = np.sort(np.abs(lams - lams[j]))[1]
+            sigma = lams[j] + 0.3 * gap * np.exp(2j * np.pi * rng.uniform())
+            nev_dist = np.sort(np.abs(lams - sigma))[nev - 1]
+            for mode in ("exact", "inexact"):
+                cfg = SolverConfig(
+                    sigma=sigma, nev=nev, tol_outer=1e-10, mode=mode,
+                    tol_inner=1e-3, restart=p.n, seed=seed,
+                )
+                res = outer_loop(p, cfg)
+                assert res.converged == [True] * nev, (p, seed, mode)
+                matched = set()
+                for pair in res.eigenpairs:
+                    assert relative_residual(p, pair.lam, pair.x) <= 1e-10
+                    i = int(np.argmin(np.abs(lams - pair.lam)))
+                    assert abs(lams[i] - pair.lam) <= 1e-8 * max(1.0, abs(pair.lam))
+                    assert abs(pair.lam - sigma) <= nev_dist * (1 + 1e-8)
+                    matched.add(i)
+                assert len(matched) == nev, (p, seed, mode)
