@@ -16,9 +16,10 @@ def run(lam0, x0, target):
     res = newton_solve(p, lam0, x0, tol=1e-12)
     print(f"start lam0 = {lam0}")
     print(f"{'k':>3} {'lambda_k':>24} {'relres':>12} {'|lam_k - target|':>18}")
-    for step in res.history:
-        err = abs(step.lam - target)
-        print(f"{step.k:>3} {step.lam!s:>24} {step.relres:>12.3e} {err:>18.3e}")
+    for rec in res.history:
+        lam, k = rec.ritz_values[0], rec.outer_iter - 1
+        err = abs(lam - target)
+        print(f"{k:>3} {lam!s:>24} {rec.relres[0]:>12.3e} {err:>18.3e}")
     status = "converged" if res.converged else "did not converge"
     print(f"{status}: lam = {res.lam}\n")
 

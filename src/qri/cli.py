@@ -203,7 +203,7 @@ def _fmt_complex(z):
     return f"{z.real:+.12e} {z.imag:+.12e}i"
 
 
-def history_csv_lines(history, iter_wall_ms, nev):
+def history_csv_lines(history, nev):
     cols = ["outer_iter", "subspace_dim"]
     for i in range(1, nev + 1):
         cols += [f"ritz_re_{i}", f"ritz_im_{i}", f"relres_{i}"]
@@ -211,7 +211,7 @@ def history_csv_lines(history, iter_wall_ms, nev):
     lines = [",".join(cols)]
     cum = 0
     nan = repr(float("nan"))
-    for row, rec in enumerate(history):
+    for rec in history:
         cum += rec.inner_iters
         vals = [str(rec.outer_iter), str(rec.subspace_dim)]
         for i in range(nev):
@@ -221,9 +221,8 @@ def history_csv_lines(history, iter_wall_ms, nev):
                          repr(float(rec.relres[i]))]
             else:
                 vals += [nan, nan, nan]
-        wall = iter_wall_ms[row] if row < len(iter_wall_ms) else float("nan")
         vals += [str(rec.inner_iters), repr(float(rec.inner_relres)),
-                 str(cum), repr(float(wall))]
+                 str(cum), repr(float(rec.wall_ms))]
         lines.append(",".join(vals))
     return lines
 
@@ -256,21 +255,6 @@ def cmd_generate(args, parser):
     return EXIT_OK
 
 
-def _newton_history_records(history):
-    """Present Newton steps through the subspace history schema."""
-    from .solver import ConvergenceRecord
-
-    out = []
-    for step in history:
-        out.append(ConvergenceRecord(
-            outer_iter=step.k + 1,
-            subspace_dim=1,
-            ritz_values=[step.lam],
-            relres=[step.relres],
-        ))
-    return out
-
-
 def cmd_solve(args, parser):
     p = build_problem(args, parser)
 
@@ -282,12 +266,11 @@ def cmd_solve(args, parser):
         maxit = args.max_subspace if args.max_subspace is not None else 50
         nres = newton_solve(p, args.sigma, x0, tol=args.tol_outer, maxit=maxit)
         final = nres.history[-1]
-        print(f"newton: lam = {_fmt_complex(nres.lam)}  relres = {final.relres:.3e}  "
+        print(f"newton: lam = {_fmt_complex(nres.lam)}  relres = {final.relres[0]:.3e}  "
               f"steps = {len(nres.history) - 1}  "
               f"{'converged' if nres.converged else 'not converged'}")
         if args.out_csv:
-            lines = history_csv_lines(_newton_history_records(nres.history),
-                                      [float('nan')] * len(nres.history), nev=1)
+            lines = history_csv_lines(nres.history, nev=1)
             write_text(args.out_csv, "\n".join(lines) + "\n")
         if args.out_json:
             write_json(args.out_json, {
@@ -296,7 +279,7 @@ def cmd_solve(args, parser):
                 "sigma": {"re": args.sigma.real, "im": args.sigma.imag},
                 "converged": [nres.converged],
                 "eigenvalues": [{"re": nres.lam.real, "im": nres.lam.imag}],
-                "relres": [final.relres],
+                "relres": final.relres,
                 "outer_iters": len(nres.history) - 1,
             })
         return EXIT_OK if nres.converged else EXIT_NO_CONVERGENCE
@@ -332,7 +315,7 @@ def cmd_solve(args, parser):
           f"inner iterations = {result.cumulative_inner_iters}")
 
     if args.out_csv:
-        lines = history_csv_lines(result.history, result.iter_wall_ms, args.nev)
+        lines = history_csv_lines(result.history, args.nev)
         write_text(args.out_csv, "\n".join(lines) + "\n")
     if args.out_json:
         write_json(args.out_json, {
@@ -352,7 +335,7 @@ def cmd_solve(args, parser):
             "cumulative_inner_iters": result.cumulative_inner_iters,
             "inner_failures": result.inner_failures,
             "phase_wall_ms": result.phase_wall_ms,
-            "wall_ms_total": float(sum(result.iter_wall_ms)),
+            "wall_ms_total": float(sum(rec.wall_ms for rec in result.history)),
         })
     return code
 

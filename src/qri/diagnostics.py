@@ -14,13 +14,14 @@ import numpy as np
 
 from .errors import SubspaceExhausted
 from .gmres import gmres
-from .linalg import OrthonormalBasis, project_out
+from .linalg import OrthonormalBasis, project_out, sin_angle_vectors
 from .oracle import (
     angle_sandwich,
     expansion_angle_bound,
     expansion_angle_identity,
     expansion_perturbation_diagnostics,
     full_eig,
+    resolvent_check,
     select_target_pair,
     sin_angle,
 )
@@ -119,10 +120,7 @@ def run_angle_identity_check(p, sigma, steps, seed=0, x_target=None):
 
     def observer(view):
         x_perp = project_out(view.basis.matrix, x)
-        factor = float(
-            np.linalg.norm(x_perp - view.v_next * np.vdot(view.v_next, x_perp))
-            / np.linalg.norm(x_perp)
-        )
+        factor = float(sin_angle_vectors(x_perp, view.v_next))
         lhs, rhs, gap = expansion_angle_identity(view.basis.matrix, view.v_next, x)
         records.append(
             IdentityStep(
@@ -188,14 +186,7 @@ def run_angle_bound_check(
         records.append(BoundStep(k=view.k, lhs=lhs, rhs=rhs, xi=xi, sin_target=s))
         return len(records) >= max_steps
 
-    config = SolverConfig(
-        sigma=sigma,
-        nev=1,
-        tol_outer=tol_outer,
-        mode="exact",
-        max_subspace=min(p.n, max_steps + 1),
-        seed=seed,
-    )
+    config = _exact_config(sigma, seed, min(p.n, max_steps + 1), tol_outer)
     try:
         outer_loop(p, config, observer=observer)
     except SubspaceExhausted:
@@ -212,8 +203,6 @@ class ResolventPoint:
 def run_resolvent_spot_check(p, sigma, n_points=3, seed=0, margin_rtol=1e-2):
     """Relative error of the rank-one expansion of ``Q(mu)^{-1}`` at
     random probe points placed safely away from the spectrum."""
-    from .oracle import resolvent_check
-
     d = full_eig(p, sigma)
     rng = np.random.default_rng(seed)
     centre = d.lams.mean()

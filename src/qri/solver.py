@@ -19,6 +19,7 @@ block) are detected and skipped rather than polluting the targets.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ class SolverConfig:
         v1 = self.initial_vector
         if v1 is not None and not np.isfinite(v1).all():
             raise ValueError("initial_vector must be finite")
-        if self.mode not in ("newton", "exact", "inexact"):
+        if self.mode not in ("exact", "inexact"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.extraction not in ("ritz", "refined"):
             raise ValueError(f"unknown extraction {self.extraction!r}")
@@ -110,15 +111,27 @@ class SolverConfig:
         return self.max_subspace
 
 
+@dataclass
+class ConvergenceRecord:
+    """One iteration of either solver: the Ritz data it scored, the cost
+    of its expansion (GMRES steps, last inner residual, inner solves short
+    of ``tol_inner``, candidate residuals that broke down) and its wall
+    time, which runs to the next iteration's start (the first also holds
+    the set-up), so the records' ``wall_ms`` sum to the run's."""
+
+    outer_iter: int
+    subspace_dim: int
+    ritz_values: list
+    relres: list
+    inner_iters: int = 0
+    inner_relres: float = 0.0
+    inner_failures: int = 0
+    expansion_breakdowns: int = 0
+    wall_ms: float = 0.0
+
+
 # ---------------------------------------------------------------------------
 # Newton iteration for a single pair
-
-
-@dataclass
-class NewtonStep:
-    k: int
-    lam: complex
-    relres: float
 
 
 @dataclass
@@ -141,13 +154,16 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     component of ``x0`` (fixed for the whole run, normalizing
     ``e* x_k = 1``).  Converges quadratically near a simple eigenvalue.
 
-    Returns a :class:`NewtonResult`; ``converged`` is False when
-    ``maxit`` ran out.  Raises :class:`ValueError` for a non-finite
+    Returns a :class:`NewtonResult` whose ``history`` holds one
+    :class:`ConvergenceRecord` per iterate, the start included
+    (``subspace_dim=1``, ``ritz_values=[lam_k]``); ``converged`` is False
+    when ``maxit`` ran out.  Raises :class:`ValueError` for a non-finite
     ``lam0`` or ``x0`` and, from the first step, for ``n`` above the
     dense cap; :class:`Stagnation` when the update scalar vanishes and
     :class:`SingularMatrix` when ``lam_k`` lands on an eigenvalue without
     the residual being converged already.
     """
+    t_step = time.perf_counter()
     lam = check_shift(lam0, "lam0")
     x0 = np.asarray(x0, dtype=complex)
     if not np.isfinite(x0).all():
@@ -160,19 +176,26 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     history = []
     for k in range(maxit + 1):
         relres = relative_residual(p, lam, x / np.linalg.norm(x))
-        history.append(NewtonStep(k=k, lam=lam, relres=relres))
-        if relres <= tol or k == maxit:
+        record = ConvergenceRecord(
+            outer_iter=k + 1, subspace_dim=1, ritz_values=[lam], relres=[relres]
+        )
+        history.append(record)
+        done = relres <= tol or k == maxit
+        if not done:
+            # a SingularMatrix here means lam_k landed on an eigenvalue
+            # while the residual check above already said the pair is not
+            # converged, so propagating it is the honest outcome
+            qlu = factor_q(p, lam, "lam")
+            y = qlu.solve(q_prime_apply(p, lam, x))
+            s = y[e_idx]
+            if abs(s) < 1e-300:
+                raise Stagnation("update scalar e* y vanished")
+            x = y / s
+            lam = lam - 1.0 / s
+        now = time.perf_counter()
+        record.wall_ms, t_step = (now - t_step) * 1e3, now
+        if done:
             break
-        # a SingularMatrix here means lam_k landed on an eigenvalue while
-        # the residual check above already said the pair is not converged,
-        # so propagating it is the honest outcome
-        qlu = factor_q(p, lam, "lam")
-        y = qlu.solve(q_prime_apply(p, lam, x))
-        s = y[e_idx]
-        if abs(s) < 1e-300:
-            raise Stagnation("update scalar e* y vanished")
-        x = y / s
-        lam = lam - 1.0 / s
 
     return NewtonResult(
         lam=lam, x=x / np.linalg.norm(x), history=history, converged=relres <= tol
@@ -193,22 +216,15 @@ class ProjectionCache:
     recomputed.
     """
 
-    def __init__(self, p, capacity=32):
+    def __init__(self, p, capacity):
         self.p = p
-        cap = max(1, capacity)
-        self._small = [np.zeros((cap, cap), dtype=complex) for _ in range(3)]
+        self._small = [np.zeros((capacity, capacity), dtype=complex) for _ in range(3)]
         self.k = 0
 
     def append(self, V, v):
         """Extend the cache with column ``v``; ``V`` must already contain
-        it as its last column."""
+        it as its last column, and at most ``capacity`` columns fit."""
         k = self.k
-        cap = self._small[0].shape[0]
-        if k == cap:
-            for i, small in enumerate(self._small):
-                grown = np.zeros((2 * cap, 2 * cap), dtype=complex)
-                grown[:k, :k] = small[:k, :k]
-                self._small[i] = grown
         vc = v.conj()
         for mat, small in zip((self.p.M, self.p.C, self.p.K), self._small):
             # column V* (A v) and row v* A V = (A^T conj(v)) V, neither
@@ -353,20 +369,6 @@ class ExactExpansion:
 
 
 @dataclass
-class ConvergenceRecord:
-    """Per-outer-iteration snapshot: Ritz data before expansion, inner
-    solve cost of the expansion performed in the same iteration."""
-
-    outer_iter: int
-    subspace_dim: int
-    ritz_values: list
-    relres: list
-    inner_iters: int = 0
-    inner_relres: float = 0.0
-    expansion_breakdowns: int = 0
-
-
-@dataclass
 class StepView:
     """Snapshot handed to an outer-loop observer just before the basis
     grows.  Arrays are live views; valid only during the callback."""
@@ -381,15 +383,32 @@ class StepView:
 
 @dataclass
 class RunResult:
+    """The first ``nev`` pairs as the last extraction scored them, one
+    :class:`ConvergenceRecord` per iteration and the phase times."""
+
     eigenpairs: list
     converged: list
     relres: list
     history: list
-    iter_wall_ms: list
     phase_wall_ms: dict
-    cumulative_inner_iters: int
-    inner_failures: int
     stop_reason: str
+
+    @property
+    def cumulative_inner_iters(self):
+        return sum(rec.inner_iters for rec in self.history)
+
+    @property
+    def inner_failures(self):
+        return sum(rec.inner_failures for rec in self.history)
+
+
+@contextmanager
+def _timed(phase, key):
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        phase[key] += time.perf_counter() - t0
 
 
 def outer_loop(p, config, observer=None):
@@ -409,9 +428,12 @@ def outer_loop(p, config, observer=None):
     each basis extension; returning a truthy value stops the run
     gracefully (``stop_reason="observer"``).
 
-    ``phase_wall_ms`` times the inner solves with their one-time set-up,
-    the small solve with pair extraction, and the projection update
-    (basis append plus :class:`ProjectionCache` append).
+    Every iteration, the last included, leaves one
+    :class:`ConvergenceRecord` in ``history``.  ``phase_wall_ms`` times
+    the inner solves with their one-time set-up, the small solve with
+    pair extraction, and the projection update (orthogonalization, basis
+    append and :class:`ProjectionCache` append); the phases fall inside
+    the records' ``wall_ms``.
 
     Raises :class:`ValueError` before the first iteration when exact mode
     meets ``n`` above the dense cap, :class:`SubspaceExhausted` (partial
@@ -419,22 +441,31 @@ def outer_loop(p, config, observer=None):
     convergence, and :class:`BreakdownError` when no candidate residual
     can extend the basis.
     """
+    t_iter = time.perf_counter()
     config.validate(p.n)
-    if config.mode == "newton":
-        raise ValueError("use newton_solve for mode='newton'")
     n = p.n
     nev = config.nev
     sigma = complex(config.sigma)
     max_sub = config.resolved_max_subspace(n)
 
     phase = {"projection": 0.0, "small_solve": 0.0, "inner_solve": 0.0}
-    t0 = time.perf_counter()
-    if config.mode == "exact":
-        expander = ExactExpansion(p, sigma)
-    else:
-        op_matrix = shifted_matrix(p, sigma)
-        inner_op = lambda w: op_matrix @ w  # noqa: E731
-    phase["inner_solve"] += time.perf_counter() - t0
+    with _timed(phase, "inner_solve"):
+        if config.mode == "exact":
+            expander = ExactExpansion(p, sigma)
+
+            def expand(r, record):
+                return expander.solve(r)
+
+        else:
+            op_matrix = shifted_matrix(p, sigma)
+
+            def expand(r, record):
+                res = gmres(lambda w: op_matrix @ w, r, tol=config.tol_inner,
+                            restart=config.restart, maxit=config.inner_maxit)
+                record.inner_iters += res.iters
+                record.inner_relres = res.relres
+                record.inner_failures += not res.converged
+                return res.x
 
     rng = np.random.default_rng(config.seed)
     if config.initial_vector is not None:
@@ -442,101 +473,64 @@ def outer_loop(p, config, observer=None):
     else:
         v1 = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
 
-    t0 = time.perf_counter()
-    basis = OrthonormalBasis(n, capacity=max(32, max_sub))
-    basis.append(v1)
-    proj = ProjectionCache(p, capacity=max(32, max_sub))
-    proj.append(basis.matrix, basis.matrix[:, 0])
-    phase["projection"] += time.perf_counter() - t0
+    with _timed(phase, "projection"):
+        basis = OrthonormalBasis(n, capacity=max_sub)
+        basis.append(v1)
+        proj = ProjectionCache(p, capacity=max_sub)
+        proj.append(basis.matrix, basis.matrix[:, 0])
 
     history = []
-    iter_wall = []
-    cum_inner = 0
-    inner_failures = 0
     stop_reason = None
-    pairs = []
-
-    outer = 0
-    while True:
-        outer += 1
-        t_iter = time.perf_counter()
-
-        t0 = time.perf_counter()
-        proj_pairs = solve_projected_qep(*proj.blocks, sigma)
-        pairs = _extract_pairs(
-            p, basis.matrix, proj_pairs, nev, config.tol_outer, config.extraction
-        )
-        phase["small_solve"] += time.perf_counter() - t0
-
+    while stop_reason is None:
+        with _timed(phase, "small_solve"):
+            proj_pairs = solve_projected_qep(*proj.blocks, sigma)
+            pairs = _extract_pairs(
+                p, basis.matrix, proj_pairs, nev, config.tol_outer, config.extraction
+            )
         record = ConvergenceRecord(
-            outer_iter=outer,
+            outer_iter=len(history) + 1,
             subspace_dim=basis.k,
             ritz_values=[pr.omega for pr in pairs],
             relres=[pr.relres for pr in pairs],
         )
+        history.append(record)
 
         selected = select_expansion_residual(pairs, nev)
-        if selected is None or basis.k >= max_sub:
-            history.append(record)
-            iter_wall.append((time.perf_counter() - t_iter) * 1e3)
-            stop_reason = "converged" if selected is None else "exhausted"
-            break
-
-        # expansion, falling through to later residuals on breakdown
-        candidates = [selected] + [i for i in range(len(pairs)) if i != selected]
-        v_next = None
-        for attempt, idx in enumerate(candidates):
-            r = pairs[idx].resid
-            t0 = time.perf_counter()
-            if config.mode == "exact":
-                u = expander.solve(r)
-            else:
-                res = gmres(
-                    inner_op,
-                    r,
-                    tol=config.tol_inner,
-                    restart=config.restart,
-                    maxit=config.inner_maxit,
-                )
-                u = res.x
-                record.inner_iters += res.iters
-                record.inner_relres = res.relres
-                cum_inner += res.iters
-                if not res.converged:
-                    inner_failures += 1
-            phase["inner_solve"] += time.perf_counter() - t0
-            try:
-                v_next = basis.orthonormalize(u)
+        if selected is None:
+            stop_reason = "converged"
+        elif basis.k >= max_sub:
+            stop_reason = "exhausted"
+        else:
+            # expansion, falling through to later residuals on breakdown
+            candidates = [selected] + [i for i in range(len(pairs)) if i != selected]
+            for idx in candidates:
+                with _timed(phase, "inner_solve"):
+                    u = expand(pairs[idx].resid, record)
+                try:
+                    with _timed(phase, "projection"):
+                        v_next = basis.orthonormalize(u)
+                except Breakdown:
+                    record.expansion_breakdowns += 1
+                    continue
                 selected = idx
-                record.expansion_breakdowns = attempt
                 break
-            except Breakdown:
-                continue
-        if v_next is None:
-            record.expansion_breakdowns = len(candidates)
-            history.append(record)
-            raise BreakdownError(
-                f"all {len(candidates)} candidate residuals broke down in "
-                "orthogonalization"
-            )
+            else:
+                raise BreakdownError(
+                    f"all {len(candidates)} candidate residuals broke down in "
+                    "orthogonalization"
+                )
 
-        if observer is not None:
-            view = StepView(
-                k=basis.k, basis=basis, pairs=pairs,
-                selected=selected, u=u, v_next=v_next,
-            )
-            if observer(view):
-                history.append(record)
-                iter_wall.append((time.perf_counter() - t_iter) * 1e3)
+            if observer is not None and observer(
+                StepView(k=basis.k, basis=basis, pairs=pairs,
+                         selected=selected, u=u, v_next=v_next)
+            ):
                 stop_reason = "observer"
-                break
-
-        t0 = time.perf_counter()
-        basis.append_orthonormal(v_next)
-        proj.append(basis.matrix, v_next)
-        phase["projection"] += time.perf_counter() - t0
-        history.append(record)
-        iter_wall.append((time.perf_counter() - t_iter) * 1e3)
+            else:
+                with _timed(phase, "projection"):
+                    basis.append_orthonormal(v_next)
+                    proj.append(basis.matrix, v_next)
+        now = time.perf_counter()
+        record.wall_ms, t_iter = (now - t_iter) * 1e3, now
 
     # the first nev pairs as the last extraction scored them
     final = pairs[:nev]
@@ -545,10 +539,7 @@ def outer_loop(p, config, observer=None):
         converged=[pr.converged for pr in final],
         relres=[pr.relres for pr in final],
         history=history,
-        iter_wall_ms=iter_wall,
         phase_wall_ms={k: v * 1e3 for k, v in phase.items()},
-        cumulative_inner_iters=cum_inner,
-        inner_failures=inner_failures,
         stop_reason=stop_reason,
     )
     if stop_reason == "exhausted":

@@ -144,7 +144,7 @@ def test_09_newton_quadratic_rate():
     res = newton_solve(example1(), 0.45, x0, tol=1e-12)
     assert res.converged
     assert abs(res.lam - 0.5) <= 1e-10
-    errs = [abs(step.lam - 0.5) for step in res.history]
+    errs = [abs(rec.ritz_values[0] - 0.5) for rec in res.history]
     pairs = [
         (errs[i], errs[i + 1])
         for i in range(len(errs) - 1)

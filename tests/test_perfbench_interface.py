@@ -1,20 +1,28 @@
 """The benchmark's tracer wraps names that qri's modules resolve at call
-time; this keeps a renamed or deleted name from surfacing only as a
-broken traced benchmark run."""
+time, and its worker reads fields of the solvers' results; these tests
+keep a renamed or deleted name from surfacing only as a broken benchmark
+run."""
 
 import importlib.util
 import pathlib
+import sys
+
+import numpy as np
 
 import qri.solver as solver
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_module(name, filename):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_module("perfbench_tracing", "tracing.py")
 
 
 def test_tracer_installs_and_restores(p_wave2d4):
@@ -57,3 +65,25 @@ def test_tracer_installs_and_restores(p_wave2d4):
     lu_parents = [names[i] for i in parent[names == "linalg.lu_factor"]]
     assert lu_parents.count("solver.expansion_setup") == 1
     assert lu_parents.count("solver.newton") == layers["solver.newton_steps"][0]
+
+
+def test_worker_solve_one(monkeypatch, p_wave2d4, oracle_wave2d4_probe):
+    # the worker imports its tracer as a top-level module
+    monkeypatch.setitem(sys.modules, "tracing", load_tracing())
+    worker = load_module("perfbench_worker", "worker.py")
+    sigma = 0.1234 + 0.4321j
+    for mode in ("exact", "inexact"):
+        entry = {
+            "config": {"sigma": [sigma.real, sigma.imag], "nev": 2,
+                       "tol_outer": 1e-8, "mode": mode, "seed": 0},
+            "newton_tol": 1e-12,
+        }
+        lams, X, meta = worker.solve_one(p_wave2d4, entry)
+        assert meta["converged"], mode
+        assert lams.shape == (1,) and X.shape == (p_wave2d4.n, 1)
+        assert abs(lams[0] - oracle_wave2d4_probe.lams[0]) <= 1e-10
+        assert meta["outer_iters"] >= 1 and meta["final_k"] >= 1
+        assert (meta["inner_iters"] > 0) == (mode == "inexact")
+        assert meta["inner_failures"] == 0 and meta["expansion_breakdowns"] == 0
+        assert meta["phase_s"] > 0.0 and meta["newton_steps"] >= 0
+        assert np.isfinite(X).all()
