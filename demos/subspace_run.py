@@ -2,9 +2,12 @@
 against the dense reference decomposition.
 
 The loop grows a basis one vector per iteration, solving the projected
-problem each time.  The table shows the leading Ritz value locking onto
-the true eigenvalue while the residual drops; the footer compares every
-converged pair against the dense solution of the same problem.
+problem each time.  At exact mode's default restart size of 20 vectors
+it thick-restarts: the basis is compressed to its 10 best coordinate
+vectors and keeps growing, so the ``dim`` column drops from 20 to 11.
+The table shows the leading Ritz value locking onto the true eigenvalue
+while the residual drops; the footer compares every converged pair
+against the dense solution of the same problem.
 """
 
 import numpy as np

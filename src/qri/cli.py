@@ -159,8 +159,11 @@ def build_parser():
     solve.add_argument("--inner-maxit", type=int, default=500,
                        help="GMRES iteration budget per expansion solve")
     solve.add_argument("--max-subspace", type=int, default=None,
-                       help="basis size limit (default min(n, 120)); "
-                            "iteration budget in newton mode")
+                       help="restart size of the basis (default "
+                            "min(n, max(20, 3*nev)) in exact mode, min(n, 120) "
+                            "in inexact mode; it doubles up to min(n, "
+                            "max(size, 120)) when a restart cycle gains no "
+                            "residual digit); iteration budget in newton mode")
     solve.add_argument("--seed", type=int, default=0,
                        help="seed for the starting vector")
     solve.add_argument("--out-csv", metavar="PATH",
@@ -281,6 +284,7 @@ def cmd_solve(args, parser):
                 "eigenvalues": [{"re": nres.lam.real, "im": nres.lam.imag}],
                 "relres": final.relres,
                 "outer_iters": len(nres.history) - 1,
+                "wall_ms_total": float(sum(rec.wall_ms for rec in nres.history)),
             })
         return EXIT_OK if nres.converged else EXIT_NO_CONVERGENCE
 

@@ -184,6 +184,20 @@ class OrthonormalBasis:
         self._V[:, self.k] = v
         self.k += 1
 
+    def compress(self, Z):
+        """Replace the basis ``V`` by ``V Z`` (a thick restart).
+
+        ``Z`` is ``k x q`` with orthonormal columns, ``q <= k``, so the new
+        columns are orthonormal to the same accuracy as the old ones.
+        """
+        Z = np.asarray(Z, dtype=complex)
+        if Z.ndim != 2 or Z.shape[0] != self.k or Z.shape[1] > self.k:
+            raise ValueError(f"expected a {self.k} x q matrix with q <= {self.k}, "
+                             f"got shape {Z.shape}")
+        q = Z.shape[1]
+        self._V[:, :q] = self._V[:, : self.k] @ Z
+        self.k = q
+
     def orthonormality_defect(self):
         """``max |V* V - I|`` over the current columns, for testing."""
         if self.k == 0:

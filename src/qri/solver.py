@@ -18,6 +18,7 @@ companion pencil, so infinite Ritz values (singular projected mass
 block) are detected and skipped rather than polluting the targets.
 """
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -32,7 +33,14 @@ from .errors import (
     SubspaceExhausted,
 )
 from .gmres import gmres
-from .linalg import OrthonormalBasis, dense_eig, smallest_singular_vector, spmv
+from .linalg import (
+    BREAKDOWN_RTOL,
+    OrthonormalBasis,
+    dense_eig,
+    project_out,
+    smallest_singular_vector,
+    spmv,
+)
 from .qep import (
     Eigentriplet,
     factor_q,
@@ -45,7 +53,11 @@ from .qep import (
     shifted_matrix,
 )
 
+# the basis capacity: the default restart size of inexact mode and the
+# size up to which the restart size doubles
 DEFAULT_MAX_SUBSPACE = 120
+# the smallest default restart size of exact mode
+EXACT_RESTART_SIZE = 20
 
 
 def check_shift(value, name):
@@ -67,8 +79,10 @@ def check_shift(value, name):
 class SolverConfig:
     """Everything that determines a solver run (given the problem).
 
-    ``max_subspace=None`` resolves to ``min(n, 120)`` at run time.
-    ``initial_vector`` overrides the seeded random start when provided.
+    ``max_subspace`` is the restart size of :func:`outer_loop`.
+    ``None`` resolves at run time to ``min(n, max(20, 3 * nev))`` in exact
+    mode and to ``min(n, 120)`` in inexact mode.  ``initial_vector``
+    overrides the seeded random start when provided.
     """
 
     sigma: complex
@@ -106,9 +120,11 @@ class SolverConfig:
                 raise ValueError(f"max_subspace must lie in [1, {n}]")
 
     def resolved_max_subspace(self, n):
-        if self.max_subspace is None:
-            return min(n, DEFAULT_MAX_SUBSPACE)
-        return self.max_subspace
+        if self.max_subspace is not None:
+            return self.max_subspace
+        if self.mode == "exact":
+            return min(n, max(EXACT_RESTART_SIZE, 3 * self.nev))
+        return min(n, DEFAULT_MAX_SUBSPACE)
 
 
 @dataclass
@@ -234,6 +250,15 @@ class ProjectionCache:
                 small[k, :k] = (mat.T @ vc) @ V[:, :k]
         self.k = k + 1
 
+    def compress(self, Z):
+        """Replace each block ``B`` by ``Z* B Z``, following the basis
+        compression ``V <- V Z``; no sparse products are needed."""
+        k, q = Z.shape
+        Zh = Z.conj().T
+        for small in self._small:
+            small[:q, :q] = Zh @ small[:k, :k] @ Z
+        self.k = q
+
     @property
     def blocks(self):
         k = self.k
@@ -356,6 +381,36 @@ def select_expansion_residual(pairs, nev):
     return 0
 
 
+def _residual_digits(pairs, nev, tol_outer):
+    """Progress of the first ``nev`` pairs: the sum of their residual
+    digits ``-log10 relres``, each capped at ``-log10 tol_outer`` and
+    clipped at 0; a missing pair counts 0."""
+    return sum(max(0.0, -math.log10(max(pr.relres, tol_outer))) for pr in pairs[:nev])
+
+
+def _restart_coordinates(pairs, proj_pairs, q):
+    """Orthonormal ``k x q'`` coordinates (``q' <= q``) of a thick restart.
+
+    The candidates are the extracted (Ritz or refined) coordinate vectors
+    of ``pairs``, then the Ritz vectors of the next-nearest projected
+    pairs.  They are orthonormalized in that order by Gram-Schmidt (a QR
+    of the candidates), and a candidate whose remainder is at most
+    ``BREAKDOWN_RTOL`` of its norm is dropped as rank-deficient.
+    """
+    candidates = [pr.z for pr in pairs] + [pp.z for pp in proj_pairs[len(pairs):]]
+    Z = np.empty((len(candidates[0]), q), dtype=complex)
+    j = 0
+    for z in candidates:
+        if j == q:
+            break
+        w = project_out(Z[:, :j], z)
+        nw = np.linalg.norm(w)
+        if nw > BREAKDOWN_RTOL * np.linalg.norm(z):
+            Z[:, j] = w / nw
+            j += 1
+    return Z[:, :j]
+
+
 class ExactExpansion:
     """Solve ``Q(sigma) u = r`` for the expansion with the dense LU of
     ``Q(sigma)``, factored once by :func:`~qri.qep.factor_q` (so ``n``
@@ -371,7 +426,9 @@ class ExactExpansion:
 @dataclass
 class StepView:
     """Snapshot handed to an outer-loop observer just before the basis
-    grows.  Arrays are live views; valid only during the callback."""
+    grows.  Arrays are live views; valid only during the callback.  In an
+    iteration that restarted, ``basis`` is already compressed while
+    ``pairs`` were scored on the basis before the restart."""
 
     k: int
     basis: OrthonormalBasis
@@ -424,6 +481,22 @@ def outer_loop(p, config, observer=None):
     Converged pairs are left soft-locked: they are re-extracted every
     iteration and only reported at the end.
 
+    Thick restart: when the basis reaches the restart size ``R``
+    (``config.resolved_max_subspace``: ``min(n, max(20, 3 nev))`` in
+    exact mode, ``min(n, 120)`` in inexact mode, unless ``max_subspace``
+    is set) with a target pair unconverged, ``V`` is compressed to
+    ``V Z`` for the ``R // 2`` orthonormalized coordinate vectors of the
+    target pairs and the next-nearest Ritz pairs, the projected blocks
+    to ``Z* B Z``, and the same iteration expands the compressed basis.
+    A restart is guarded by progress: the summed residual digits of the
+    first ``nev`` pairs (each ``-log10 relres``, capped at
+    ``-log10 tol_outer``) must have grown by at least one since the last
+    restart.  Otherwise ``R`` doubles, up to the basis capacity
+    ``min(n, max(R, 120))``; a full basis at the capacity, a basis that
+    spans the whole space, or ``R // 2 < nev`` ends the run as
+    exhausted.  Each restart gains a digit, so a run makes at most
+    ``nev * log10(1 / tol_outer)`` of them.
+
     ``observer``, when given, is called with a :class:`StepView` before
     each basis extension; returning a truthy value stops the run
     gracefully (``stop_reason="observer"``).
@@ -432,21 +505,23 @@ def outer_loop(p, config, observer=None):
     :class:`ConvergenceRecord` in ``history``.  ``phase_wall_ms`` times
     the inner solves with their one-time set-up, the small solve with
     pair extraction, and the projection update (orthogonalization, basis
-    append and :class:`ProjectionCache` append); the phases fall inside
-    the records' ``wall_ms``.
+    append, :class:`ProjectionCache` append and restart compression); the
+    phases fall inside the records' ``wall_ms``.
 
     Raises :class:`ValueError` before the first iteration when exact mode
     meets ``n`` above the dense cap, :class:`SubspaceExhausted` (partial
-    result attached) when the basis reaches ``max_subspace`` without
-    convergence, and :class:`BreakdownError` when no candidate residual
-    can extend the basis.
+    result attached) when the basis is exhausted as above, and
+    :class:`BreakdownError` when no candidate residual can extend the
+    basis.
     """
     t_iter = time.perf_counter()
     config.validate(p.n)
     n = p.n
     nev = config.nev
     sigma = complex(config.sigma)
-    max_sub = config.resolved_max_subspace(n)
+    restart_size = config.resolved_max_subspace(n)
+    capacity = min(n, max(restart_size, DEFAULT_MAX_SUBSPACE))
+    restart_digits = 0.0  # residual digits at the last restart
 
     phase = {"projection": 0.0, "small_solve": 0.0, "inner_solve": 0.0}
     with _timed(phase, "inner_solve"):
@@ -474,9 +549,9 @@ def outer_loop(p, config, observer=None):
         v1 = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
 
     with _timed(phase, "projection"):
-        basis = OrthonormalBasis(n, capacity=max_sub)
+        basis = OrthonormalBasis(n, capacity=capacity)
         basis.append(v1)
-        proj = ProjectionCache(p, capacity=max_sub)
+        proj = ProjectionCache(p, capacity=capacity)
         proj.append(basis.matrix, basis.matrix[:, 0])
 
     history = []
@@ -498,9 +573,21 @@ def outer_loop(p, config, observer=None):
         selected = select_expansion_residual(pairs, nev)
         if selected is None:
             stop_reason = "converged"
-        elif basis.k >= max_sub:
-            stop_reason = "exhausted"
-        else:
+        elif basis.k >= restart_size:
+            digits = _residual_digits(pairs, nev, config.tol_outer)
+            if restart_size // 2 < nev or basis.k == n:
+                stop_reason = "exhausted"
+            elif digits >= restart_digits + 1.0:
+                restart_digits = digits
+                with _timed(phase, "projection"):
+                    Z = _restart_coordinates(pairs, proj_pairs, restart_size // 2)
+                    basis.compress(Z)
+                    proj.compress(Z)
+            elif restart_size < capacity:
+                restart_size = min(2 * restart_size, capacity)
+            else:
+                stop_reason = "exhausted"
+        if stop_reason is None:
             # expansion, falling through to later residuals on breakdown
             candidates = [selected] + [i for i in range(len(pairs)) if i != selected]
             for idx in candidates:
@@ -544,6 +631,6 @@ def outer_loop(p, config, observer=None):
     )
     if stop_reason == "exhausted":
         raise SubspaceExhausted(
-            f"no convergence within max_subspace = {max_sub}", result=result
+            f"no convergence within a basis of {basis.k} vectors", result=result
         )
     return result

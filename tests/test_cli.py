@@ -164,6 +164,25 @@ def test_newton_csv_schema(tmp_path):
     assert walls and all(0.0 <= w < float("inf") for w in walls)
 
 
+def test_newton_json_schema(tmp_path):
+    csv_path = tmp_path / "newton.csv"
+    json_path = tmp_path / "newton.json"
+    code = run_cli(
+        "solve", "--gen", "example1", "--sigma", "0.45", "--mode", "newton",
+        "--seed", "1", "--out-csv", str(csv_path), "--out-json", str(json_path),
+    )
+    assert code == 0
+    payload = json.loads(json_path.read_text())
+    assert set(payload) == {
+        "mode", "problem_n", "sigma", "converged", "eigenvalues", "relres",
+        "outer_iters", "wall_ms_total",
+    }
+    # the JSON total is the sum of the CSV's per-step wall times
+    walls = [float(line.rsplit(",", 1)[1])
+             for line in csv_path.read_text().strip().splitlines()[1:]]
+    assert payload["wall_ms_total"] == pytest.approx(sum(walls), rel=1e-6)
+
+
 def test_csv_determinism_modulo_wall_clock(tmp_path):
     outputs = []
     for run in range(2):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qri import wave2d
 from qri.diagnostics import (
     pick_isolated_index,
     record_to_dict,
@@ -71,6 +72,15 @@ def test_angle_bound_driver(p_wave2d4):
         assert s.lhs <= s.rhs + 1e-12
         assert s.xi >= 0.0
         assert 0.0 <= s.sin_target <= 1.0 + 1e-13
+
+
+def test_angle_bound_driver_never_restarts():
+    # the bound compares consecutive expansions of one growing basis; this
+    # shift takes the run past exact mode's default restart size of 20
+    steps = run_angle_bound_check(wave2d(6), -0.5 + 4.0j, max_steps=25, seed=0)
+    ks = [s.k for s in steps]
+    assert len(ks) > 20
+    assert ks == list(range(ks[0], ks[0] + len(ks)))
 
 
 def test_resolvent_spot_check(p_wave2d4):

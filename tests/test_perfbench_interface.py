@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 import qri.solver as solver
+from qri import wave2d
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,8 +26,10 @@ def load_tracing():
     return load_module("perfbench_tracing", "tracing.py")
 
 
-def test_tracer_installs_and_restores(p_wave2d4):
+def test_tracer_installs_and_restores(monkeypatch, p_wave2d4):
     tracing = load_tracing()
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    worker = load_module("perfbench_worker", "worker.py")
     owners = [(owner, attr) for group, attr, _ in tracing.TARGETS for owner in group]
     before = [getattr(owner, attr) for owner, attr in owners]
     tracer = tracing.Tracer()
@@ -40,8 +43,18 @@ def test_tracer_installs_and_restores(p_wave2d4):
             results.append(solver.outer_loop(p_wave2d4, cfg))
         pair = results[-1].eigenpairs[0]
         nres = solver.newton_solve(p_wave2d4, pair.lam * (1 + 1e-6), pair.x, tol=1e-13)
+        # an exact solve that thick-restarts at 8 vectors, through the worker
+        restart_cap = 8
+        entry = {
+            "config": {"sigma": [0.1234, 0.4321], "nev": 3, "tol_outer": 1e-8,
+                       "mode": "exact", "max_subspace": restart_cap, "seed": 0},
+            "newton_tol": None,
+        }
+        _, _, meta = worker.solve_one(wave2d(8), entry)
     assert all(getattr(o, a) is b for (o, a), b in zip(owners, before))
     assert all(all(res.converged) for res in results)
+    assert meta["converged"] and meta["final_k"] <= restart_cap
+    assert meta["outer_iters"] > restart_cap  # so it must have restarted
     assert nres.converged and len(nres.history) > 1
     for name in (
         "solver.outer_loop",
@@ -59,11 +72,11 @@ def test_tracer_installs_and_restores(p_wave2d4):
     assert tracer.check_nesting()
     layers = tracer.layer_metrics()
     assert layers["linalg.orth_defect"][0] <= 1e-12
-    # the factorizations of Q stay visible to the tracer: the exact
-    # set-up and Newton's steps each open an LU span of their own
+    # the factorizations of Q stay visible to the tracer: each exact
+    # set-up (two solves) and Newton's steps open an LU span of their own
     names, _, _, parent = tracer.arrays()
     lu_parents = [names[i] for i in parent[names == "linalg.lu_factor"]]
-    assert lu_parents.count("solver.expansion_setup") == 1
+    assert lu_parents.count("solver.expansion_setup") == 2
     assert lu_parents.count("solver.newton") == layers["solver.newton_steps"][0]
 
 

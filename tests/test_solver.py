@@ -16,7 +16,7 @@ from qri import (
     spring_maxwell,
     wave2d,
 )
-from qri.linalg import sin_angle_vectors
+from qri.linalg import OrthonormalBasis, sin_angle_vectors
 from qri.solver import (
     ProjectionCache,
     RitzPair,
@@ -91,6 +91,23 @@ def test_projection_cache_matches_scratch(p_wave2d6, rng):
         for got, full in zip(cache.blocks, p.densify()):
             want = V.conj().T @ full @ V
             assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1.0)
+
+        # a thick restart compresses basis and blocks with the same Z,
+        # and then the blocks keep growing from the compressed basis
+        basis = OrthonormalBasis(n, capacity=6)
+        for k in range(6):
+            basis.append_orthonormal(V[:, k])
+        Z, _ = np.linalg.qr(rand_complex(rng, 6 * 4).reshape(6, 4))
+        basis.compress(Z)
+        cache.compress(Z)
+        v = basis.append(rand_complex(rng, n))
+        cache.append(basis.matrix, v)
+        Vc = basis.matrix
+        assert Vc.shape == (n, 5)
+        assert basis.orthonormality_defect() <= 1e-13
+        for got, full in zip(cache.blocks, p.densify()):
+            want = Vc.conj().T @ full @ Vc
+            assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
 def test_projected_solve_at_eigenvalue(p_example1):
@@ -264,6 +281,32 @@ def test_phases_fall_inside_iteration_wall():
         assert res.cumulative_inner_iters == sum(r.inner_iters for r in res.history)
         assert res.inner_failures == sum(r.inner_failures for r in res.history)
     assert res.cumulative_inner_iters > 0
+
+
+def test_restart_guard_stall_case():
+    # with restarts unguarded, spurious Ritz values near this shift keep
+    # displacing a nearly converged pair and the run never converges; the
+    # residual-progress guard must keep it close to the run that never
+    # restarts (max_subspace = 120 exceeds the k it converges at)
+    p = random_qep(300, density=0.02, seed=3)
+    for extraction in ("ritz", "refined"):
+        base = dict(sigma=0.3 + 0.2j, nev=3, mode="exact", extraction=extraction)
+        ref = outer_loop(p, SolverConfig(max_subspace=120, **base))
+        steps = [0]
+
+        def bounded(view):
+            steps[0] += 1
+            return steps[0] > 3 * len(ref.history)
+
+        res = outer_loop(p, SolverConfig(**base), observer=bounded)
+        ref_k = ref.history[-1].subspace_dim
+        assert all(ref.converged) and ref_k < 120
+        assert res.stop_reason == "converged", extraction
+        assert all(res.converged)
+        assert max(r.subspace_dim for r in res.history) < ref_k  # it restarted
+        assert len(res.history) <= 3 * len(ref.history)
+        for a, b in zip(res.eigenpairs, ref.eigenpairs):
+            assert abs(a.lam - b.lam) <= 1e-8
 
 
 def test_select_expansion_residual_cases():
