@@ -159,10 +159,10 @@ def build_parser():
     solve.add_argument("--inner-maxit", type=int, default=500,
                        help="GMRES iteration budget per expansion solve")
     solve.add_argument("--max-subspace", type=int, default=None,
-                       help="restart size of the basis (default "
+                       help="restart size and cap of the basis (default "
                             "min(n, max(20, 3*nev)) in exact mode, min(n, 120) "
-                            "in inexact mode; it doubles up to min(n, "
-                            "max(size, 120)) when a restart cycle gains no "
+                            "in inexact mode; only the default doubles, up to "
+                            "min(n, 120), when a restart cycle gains no "
                             "residual digit); iteration budget in newton mode")
     solve.add_argument("--seed", type=int, default=0,
                        help="seed for the starting vector")

@@ -33,14 +33,7 @@ from .errors import (
     SubspaceExhausted,
 )
 from .gmres import gmres
-from .linalg import (
-    BREAKDOWN_RTOL,
-    OrthonormalBasis,
-    dense_eig,
-    project_out,
-    smallest_singular_vector,
-    spmv,
-)
+from .linalg import OrthonormalBasis, dense_eig, smallest_singular_vector, spmv
 from .qep import (
     Eigentriplet,
     factor_q,
@@ -53,8 +46,8 @@ from .qep import (
     shifted_matrix,
 )
 
-# the basis capacity: the default restart size of inexact mode and the
-# size up to which the restart size doubles
+# the default restart size of inexact mode and the size up to which a
+# default restart size doubles
 DEFAULT_MAX_SUBSPACE = 120
 # the smallest default restart size of exact mode
 EXACT_RESTART_SIZE = 20
@@ -79,10 +72,11 @@ def check_shift(value, name):
 class SolverConfig:
     """Everything that determines a solver run (given the problem).
 
-    ``max_subspace`` is the restart size of :func:`outer_loop`.
-    ``None`` resolves at run time to ``min(n, max(20, 3 * nev))`` in exact
-    mode and to ``min(n, 120)`` in inexact mode.  ``initial_vector``
-    overrides the seeded random start when provided.
+    ``max_subspace`` is the restart size of :func:`outer_loop` and, when
+    set, the largest basis it builds.  ``None`` resolves at run time to
+    ``min(n, max(20, 3 * nev))`` in exact mode and to ``min(n, 120)`` in
+    inexact mode, a restart size that may double up to ``min(n, 120)``.
+    ``initial_vector`` overrides the seeded random start when provided.
     """
 
     sigma: complex
@@ -393,22 +387,19 @@ def _restart_coordinates(pairs, proj_pairs, q):
 
     The candidates are the extracted (Ritz or refined) coordinate vectors
     of ``pairs``, then the Ritz vectors of the next-nearest projected
-    pairs.  They are orthonormalized in that order by Gram-Schmidt (a QR
-    of the candidates), and a candidate whose remainder is at most
-    ``BREAKDOWN_RTOL`` of its norm is dropped as rank-deficient.
+    pairs.  They are appended in that order to an :class:`OrthonormalBasis`
+    of k-space, which drops a rank-deficient candidate as a breakdown.
     """
     candidates = [pr.z for pr in pairs] + [pp.z for pp in proj_pairs[len(pairs):]]
-    Z = np.empty((len(candidates[0]), q), dtype=complex)
-    j = 0
+    zb = OrthonormalBasis(len(candidates[0]), capacity=q)
     for z in candidates:
-        if j == q:
+        if zb.k == q:
             break
-        w = project_out(Z[:, :j], z)
-        nw = np.linalg.norm(w)
-        if nw > BREAKDOWN_RTOL * np.linalg.norm(z):
-            Z[:, j] = w / nw
-            j += 1
-    return Z[:, :j]
+        try:
+            zb.append(z)
+        except Breakdown:
+            pass
+    return zb.matrix
 
 
 class ExactExpansion:
@@ -491,11 +482,12 @@ def outer_loop(p, config, observer=None):
     A restart is guarded by progress: the summed residual digits of the
     first ``nev`` pairs (each ``-log10 relres``, capped at
     ``-log10 tol_outer``) must have grown by at least one since the last
-    restart.  Otherwise ``R`` doubles, up to the basis capacity
-    ``min(n, max(R, 120))``; a full basis at the capacity, a basis that
-    spans the whole space, or ``R // 2 < nev`` ends the run as
-    exhausted.  Each restart gains a digit, so a run makes at most
-    ``nev * log10(1 / tol_outer)`` of them.
+    restart.  Otherwise a default ``R`` doubles, up to the basis capacity
+    ``min(n, 120)`` (or ``R``, if larger), while an explicit
+    ``max_subspace`` is itself the capacity.  A full basis at the
+    capacity, a basis that spans the whole space, or ``R // 2 < nev``
+    ends the run as exhausted.  Each restart gains a digit, so a run
+    makes at most ``nev * log10(1 / tol_outer)`` of them.
 
     ``observer``, when given, is called with a :class:`StepView` before
     each basis extension; returning a truthy value stops the run
@@ -520,7 +512,11 @@ def outer_loop(p, config, observer=None):
     nev = config.nev
     sigma = complex(config.sigma)
     restart_size = config.resolved_max_subspace(n)
-    capacity = min(n, max(restart_size, DEFAULT_MAX_SUBSPACE))
+    # an explicit max_subspace caps the basis; a default one may double
+    if config.max_subspace is None:
+        capacity = max(restart_size, min(n, DEFAULT_MAX_SUBSPACE))
+    else:
+        capacity = restart_size
     restart_digits = 0.0  # residual digits at the last restart
 
     phase = {"projection": 0.0, "small_solve": 0.0, "inner_solve": 0.0}

@@ -309,6 +309,40 @@ def test_restart_guard_stall_case():
             assert abs(a.lam - b.lam) <= 1e-8
 
 
+def test_explicit_max_subspace_caps_the_basis():
+    # an explicit max_subspace is the basis capacity: the run restarts there
+    # under the guard, and where a cycle gains no digit it is exhausted
+    # instead of doubling past the cap (the default restart size would
+    # double and converge on this case, see test_restart_guard_stall_case)
+    p = random_qep(300, density=0.02, seed=3)
+    cfg = SolverConfig(sigma=0.3 + 0.2j, nev=3, mode="exact", max_subspace=20)
+    with pytest.raises(SubspaceExhausted) as exc:
+        outer_loop(p, cfg)
+    history = exc.value.result.history
+    assert max(rec.subspace_dim for rec in history) == 20
+    assert len(history) > 20  # it restarted before giving up
+
+
+def test_default_restart_size_above_six_targets():
+    # nev = 8 takes exact mode's default restart size to 3 * nev = 24, which
+    # keeps 12 vectors per restart; without restarts this run grows to 115
+    p = wave2d(12)
+    sigma = -0.5 + 4j
+    lams = full_eig(p, sigma).lams
+    nev_dist = np.sort(np.abs(lams - sigma))[7]
+    res = outer_loop(p, SolverConfig(sigma=sigma, nev=8, mode="exact"))
+    assert all(res.converged)
+    assert max(rec.subspace_dim for rec in res.history) == 24
+    assert len(res.history) > 24  # it restarted
+    matched = set()
+    for pair in res.eigenpairs:
+        i = int(np.argmin(np.abs(lams - pair.lam)))
+        assert abs(lams[i] - pair.lam) <= 1e-8 * max(1.0, abs(pair.lam))
+        assert abs(pair.lam - sigma) <= nev_dist * (1 + 1e-8)
+        matched.add(i)
+    assert len(matched) == 8
+
+
 def test_select_expansion_residual_cases():
     pairs = [make_pair(1e-14, True), make_pair(1e-2, False), make_pair(1e-1, False)]
     assert select_expansion_residual(pairs, 3) == 1
