@@ -1,4 +1,6 @@
-"""Restarted GMRES for the inner solves of the inexact expansion.
+"""Restarted GMRES for the inner solves of the inexact expansion, with an
+optional deflation space recycled across cycles and across solves with
+one operator (GCRO-DR).
 
 Arnoldi with one modified Gram-Schmidt pass, least squares by Givens
 rotations, always started from the zero guess.  The rotation recurrence
@@ -7,21 +9,40 @@ residual is recomputed at every cycle end, so the reported value is
 never an estimate.
 
 The Krylov vectors are stored as the rows of one C-ordered block that
-is allocated once per call and reused by every cycle.  Each vector is
-then contiguous in memory, so the Gram-Schmidt pass runs as in-place
-BLAS-1 (``zdotc``/``zaxpy``) on unit-stride data instead of on strided
-columns.
+is reused by every cycle: allocated once per call, or once per
+:class:`RecycleSpace`.  Each vector is then contiguous in memory, so
+the Gram-Schmidt pass runs as in-place BLAS-1 (``zdotc``/``zaxpy``) on
+unit-stride data instead of on strided columns.
+
+Recycling (Parks, de Sturler, Mackey, Johnson and Maiti, "Recycling
+Krylov subspaces for sequences of linear systems", SISC 28, 2006) keeps
+``k`` vectors ``U`` with ``C = A U`` orthonormal, ``C`` in the first
+``k`` rows of the block.  A cycle splits the ``C`` part off its
+residual, runs ``restart - k`` Arnoldi steps on ``(I - C C*) A`` and
+solves one least-squares problem over ``[U, V]``, whose matrix is
+upper Hessenberg with an identity in its first ``k`` columns, so the
+Givens recurrence is the plain one started at column ``k``.  Every
+cycle that ends short of ``tol`` replaces ``U`` and ``C`` by the ``k``
+harmonic Ritz vectors of ``A`` in that space with the smallest harmonic
+Ritz values: the directions ``A`` nearly annihilates, which restarted
+GMRES would otherwise lose at every cycle and every solve.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import dznrm2, zaxpy, zdotc
+from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zgemm
 
 from .errors import ZeroVector
 
 HAPPY_BREAKDOWN_RTOL = 1e-14
+# recycled harmonic Ritz vectors, at most restart // 2 so that half of
+# each cycle's Krylov vectors stay new Arnoldi directions
+RECYCLE_DIM = 10
+# the recycle update runs in place over column blocks this wide, so it
+# needs no k x n temporaries
+UPDATE_COLUMNS = 1024
 
 
 @dataclass
@@ -32,6 +53,22 @@ class GmresResult:
     converged: bool
     resnorms: list
     cycles: list
+
+
+class RecycleSpace:
+    """Deflation space carried across :func:`gmres` calls with one
+    operator and one ``restart``.
+
+    Holds the ``(restart + 1) x n`` Krylov block those calls share, whose
+    first ``k`` rows are ``C``, and ``U``, whose first ``k`` rows satisfy
+    ``A u_i = c_i``.  ``k`` is 0 until a cycle ends short of its
+    tolerance, and at most ``min(RECYCLE_DIM, restart // 2)``.
+    """
+
+    def __init__(self, n, restart):
+        self.block = np.empty((restart + 1, n), dtype=complex)
+        self.U = np.empty((min(RECYCLE_DIM, restart // 2), n), dtype=complex)
+        self.k = 0
 
 
 def _givens(h1, h2):
@@ -47,7 +84,7 @@ def _givens(h1, h2):
     return c, s
 
 
-def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500):
+def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None):
     """Solve ``A x = b`` where ``apply_op(v)`` returns ``A v``.
 
     Parameters
@@ -57,11 +94,15 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500):
     tol : float
         Target relative residual ``norm(b - A x) / norm(b)``.
     restart : int
-        Cycle length (Krylov dimension per restart).
+        Krylov vectors per cycle, recycled ones included.
     maxit : int
         Cap on the total number of Arnoldi steps across all cycles.  On
         hitting it the best iterate seen so far is returned with
         ``converged=False``; no exception is raised.
+    recycle : RecycleSpace, optional
+        Deflation space shared by a sequence of solves with this
+        ``apply_op`` and ``restart``; used and updated in place.  With
+        ``None`` (the default) the solve is plain restarted GMRES.
 
     Returns
     -------
@@ -77,20 +118,28 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500):
         raise ZeroVector("gmres needs a nonzero right-hand side")
     if restart < 1 or maxit < 1:
         raise ValueError("restart and maxit must be positive")
+    if recycle is None:
+        # Krylov vectors are rows, so each one is contiguous for BLAS-1;
+        # row j is always written before it is read
+        block = np.empty((min(restart, maxit) + 1, n), dtype=complex)
+    elif recycle.block.shape != (restart + 1, n):
+        raise ValueError(
+            f"recycle space holds a {recycle.block.shape} block, "
+            f"expected {(restart + 1, n)}"
+        )
+    else:
+        block = recycle.block
 
     x = np.zeros(n, dtype=complex)
     r = b.copy()
+    beta = nb
     best_x = x.copy()
     best_relres = 1.0
     total = 0
     resnorms = []
     cycles = []
-    # Krylov vectors are rows, so each one is contiguous for BLAS-1;
-    # row j is always written before it is read
-    block = np.empty((min(restart, maxit) + 1, n), dtype=complex)
 
     while True:
-        beta = np.linalg.norm(r)
         relres = beta / nb
         if relres < best_relres:
             best_relres = relres
@@ -101,51 +150,123 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500):
                 converged=best_relres <= tol, resnorms=resnorms, cycles=cycles,
             )
 
-        m = min(restart, maxit - total)
-        V = block[: m + 1]
-        H = np.zeros((m + 1, m), dtype=complex)
-        cs = np.zeros(m)
-        sn = np.zeros(m, dtype=complex)
-        g = np.zeros(m + 1, dtype=complex)
-        g[0] = beta
-        np.divide(r, beta, out=V[0])
+        k = recycle.k if recycle is not None else 0
+        m = min(restart - k, maxit - total)
+        V = block[: k + m + 1]
+        # G keeps the least-squares matrix as built, for the recycle
+        # update; H is rotated to triangular in place
+        G = np.zeros((k + m + 1, k + m), dtype=complex)
+        G[:k, :k] = np.eye(k)
+        H = G.copy()
+        cs = np.zeros(k + m)
+        sn = np.zeros(k + m, dtype=complex)
+        g = np.zeros(k + m + 1, dtype=complex)
+        # split the C part off the residual: it is solved by U alone
+        for i in range(k):
+            g[i] = zdotc(V[i], r)
+            r = zaxpy(V[i], r, a=-g[i])
+        gamma = np.linalg.norm(r) if k else beta
+        # a residual inside span(C) leaves no Krylov start vector
+        happy = k > 0 and gamma <= HAPPY_BREAKDOWN_RTOL * beta
+        j = k - 1
+        if not happy:
+            g[k] = gamma
+            np.multiply(r, 1.0 / gamma, out=V[k])
+            for j in range(k, k + m):
+                # always copy: apply_op may hand back a view of its input
+                # (identity-like operators), a strided or read-only array,
+                # and w is updated in place below
+                w = np.array(apply_op(V[j]), dtype=complex)
+                total += 1
+                wnorm = dznrm2(w)
+                # zaxpy updates w in place; taking its return value keeps
+                # the pass correct should it ever have to copy
+                for i in range(j + 1):
+                    h = zdotc(V[i], w)
+                    H[i, j] = h
+                    w = zaxpy(V[i], w, a=-h)
+                hnext = dznrm2(w)
+                happy = hnext <= HAPPY_BREAKDOWN_RTOL * max(wnorm, 1e-300)
+                H[j + 1, j] = hnext
+                G[: j + 2, j] = H[: j + 2, j]
+                if not happy:
+                    np.multiply(w, 1.0 / hnext, out=V[j + 1])
 
-        j = 0
-        for j in range(m):
-            # always copy: apply_op may hand back a view of its input
-            # (identity-like operators), a strided or read-only array,
-            # and w is updated in place below
-            w = np.array(apply_op(V[j]), dtype=complex)
-            total += 1
-            wnorm = dznrm2(w)
-            # zaxpy updates w in place; taking its return value keeps the
-            # pass correct should it ever have to copy
-            for i in range(j + 1):
-                h = zdotc(V[i], w)
-                H[i, j] = h
-                w = zaxpy(V[i], w, a=-h)
-            hnext = dznrm2(w)
-            happy = hnext <= HAPPY_BREAKDOWN_RTOL * max(wnorm, 1e-300)
-            H[j + 1, j] = hnext
-            if not happy:
-                np.divide(w, hnext, out=V[j + 1])
+                # columns before k have no subdiagonal: their rotations
+                # are the identity
+                for i in range(k, j):
+                    hi, hi1 = H[i, j], H[i + 1, j]
+                    H[i, j] = cs[i] * hi + sn[i] * hi1
+                    H[i + 1, j] = -np.conj(sn[i]) * hi + cs[i] * hi1
+                cs[j], sn[j] = _givens(H[j, j], H[j + 1, j].real)
+                H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
+                H[j + 1, j] = 0.0
+                g[j + 1] = -np.conj(sn[j]) * g[j]
+                g[j] = cs[j] * g[j]
 
-            for i in range(j):
-                hi, hi1 = H[i, j], H[i + 1, j]
-                H[i, j] = cs[i] * hi + sn[i] * hi1
-                H[i + 1, j] = -np.conj(sn[i]) * hi + cs[i] * hi1
-            cs[j], sn[j] = _givens(H[j, j], H[j + 1, j].real)
-            H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
-            H[j + 1, j] = 0.0
-            g[j + 1] = -np.conj(sn[j]) * g[j]
-            g[j] = cs[j] * g[j]
+                resnorms.append(float(abs(g[j + 1]) / nb))
+                if resnorms[-1] <= tol or happy:
+                    break
 
-            resnorms.append(float(abs(g[j + 1]) / nb))
-            if resnorms[-1] <= tol or happy:
-                break
-
-        k = j + 1
-        cycles.append(k)
-        y = sla.solve_triangular(H[:k, :k], g[:k], check_finite=False)
-        x = x + y @ V[:k]
+        q = j + 1
+        cycles.append(q - k)
+        y = sla.solve_triangular(H[:q, :q], g[:q], check_finite=False)
+        x = x + y[k:] @ V[k:q]
+        if k:
+            x += y[:k] @ recycle.U[:k]
         r = b - apply_op(x)
+        beta = np.linalg.norm(r)
+        if recycle is not None and beta > tol * nb:
+            if happy:
+                # the space failed to resolve the residual it spans, so
+                # A U = C no longer holds to working accuracy
+                recycle.k = 0
+            else:
+                _refresh(recycle, G[: q + 1, :q])
+
+
+def _refresh(space, G):
+    """Replace ``U`` and ``C`` by harmonic Ritz vectors of the cycle just
+    run.
+
+    ``G`` is the ``(q + 1) x q`` least-squares matrix of the cycle, with
+    ``A Vhat = W G`` for ``Vhat = [U, V_k..V_{q-1}]`` and
+    ``W = [C, V_k..V_q]`` in column terms.  The harmonic Ritz pairs of
+    ``A`` in ``span(Vhat)`` solve ``G* G z = theta G* W* Vhat z``.  With
+    ``G = Qg Rg`` this is the standard problem
+    ``(Qg* W* Vhat Rg^{-1}) y = y / theta`` for ``y = Rg z``; the ``k``
+    eigenvectors with the smallest ``|theta|``, orthonormalized to
+    ``Y``, give ``C <- W Qg Y`` and ``U <- Vhat Rg^{-1} Y``, so
+    ``A U = C`` still holds.  The space is kept as it was when ``Rg`` is
+    numerically singular.
+    """
+    block, U, k = space.block, space.U, space.k
+    q = G.shape[1]
+    Qg, Rg = np.linalg.qr(G)
+    d = np.abs(np.diag(Rg))
+    if d.min() <= 1e-12 * d.max():
+        return
+    W = block[: q + 1]
+    # W* Vhat: W* U for the recycled columns, [I; 0] for the Krylov ones;
+    # zgemm forms W* U without a conjugated copy of W
+    WV = np.zeros((q + 1, q), dtype=complex)
+    if k:
+        WV[:, :k] = zgemm(1.0, W.T, U[:k].T, trans_a=2)
+    WV[range(k, q), range(k, q)] = 1.0
+    # (Qg* WV Rg^{-1})^T, solved against Rg^T
+    Mt = sla.solve_triangular(Rg, (Qg.conj().T @ WV).T, trans="T", check_finite=False)
+    mu, Ym = sla.eig(Mt.T, check_finite=False)
+    Y, _ = np.linalg.qr(Ym[:, np.argsort(-np.abs(mu), kind="stable")[: U.shape[0]]])
+    # rows of the new C and U: (Qg Y)^T W and (Rg^{-1} Y)^T Vhat
+    Ct = (Qg @ Y).T
+    Ut = sla.solve_triangular(Rg, Y, check_finite=False).T
+    knew = Y.shape[1]
+    for s in range(0, block.shape[1], UPDATE_COLUMNS):
+        cols = slice(s, s + UPDATE_COLUMNS)
+        c_new = Ct @ W[:, cols]
+        u_new = Ut[:, k:] @ block[k:q, cols]
+        if k:
+            u_new += Ut[:, :k] @ U[:k, cols]
+        block[:knew, cols] = c_new
+        U[:knew, cols] = u_new
+    space.k = knew

@@ -84,7 +84,7 @@ def dense_eig(A):
         w, V = sla.eig(A, check_finite=False)
     except sla.LinAlgError as exc:
         raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
-    V = V / np.linalg.norm(V, axis=0)
+    V /= np.linalg.norm(V, axis=0)
     return w, V
 
 
@@ -165,7 +165,10 @@ class OrthonormalBasis:
                 "vector lies in the span of the basis "
                 f"(remainder {nrm:.2e} vs input {nrm_in:.2e})"
             )
-        return w / nrm
+        # multiplying by the reciprocal: a complex division of an
+        # n-vector costs several times as much
+        w *= 1.0 / nrm
+        return w
 
     def append(self, u):
         """Orthonormalize ``u`` against the basis, append, and return the

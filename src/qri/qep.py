@@ -191,15 +191,23 @@ def shift_invert(Md, Cd, Kd, sigma):
     :class:`SingularMatrix` when ``sigma`` is an eigenvalue of the pencil.
     """
     n = Md.shape[0]
-    A = np.zeros((2 * n, 2 * n), dtype=complex)
     B = np.zeros((2 * n, 2 * n), dtype=complex)
-    A[:n, :n] = -Cd
-    A[:n, n:] = -Kd
-    A[n:, :n] = np.eye(n)
     B[:n, :n] = Md
     B[n:, n:] = np.eye(n)
-    fsolve = LUSolver(A - sigma * B)
+    fsolve = LUSolver(_shifted_pencil(Md, Cd, Kd, sigma))
     return fsolve.solve(B), fsolve
+
+
+def _shifted_pencil(Md, Cd, Kd, sigma):
+    # A - sigma B block by block, without A or sigma B as order-2n
+    # temporaries (the same entries as forming both and subtracting)
+    n = Md.shape[0]
+    F = np.zeros((2 * n, 2 * n), dtype=complex)
+    F[:n, :n] = -Cd - sigma * Md
+    F[:n, n:] = -Kd
+    F[n:, :n] = np.eye(n)
+    np.fill_diagonal(F[n:, n:], -sigma)
+    return F
 
 
 def finite_order(theta, sigma):

@@ -10,8 +10,10 @@ a shift ``sigma``:
   first unconverged Ritz pair, orthonormalizing ``u`` into the basis.
 - ``mode="inexact"`` replaces that solve with restarted GMRES at a fixed
   inner tolerance, trading inner iterations for (slightly) more outer
-  steps.  It is the only mode above the dense cap of
-  :func:`~qri.qep.factor_q`.
+  steps.  Every inner solve of a run is with ``Q(sigma)``, so one
+  :class:`~qri.gmres.RecycleSpace` carries the near-singular directions
+  of ``Q(sigma)`` from each solve to the next.  It is the only mode
+  above the dense cap of :func:`~qri.qep.factor_q`.
 
 The projected small problem is always solved through its shift-inverted
 companion pencil, so infinite Ritz values (singular projected mass
@@ -32,7 +34,7 @@ from .errors import (
     Stagnation,
     SubspaceExhausted,
 )
-from .gmres import gmres
+from .gmres import RecycleSpace, gmres
 from .linalg import OrthonormalBasis, dense_eig, smallest_singular_vector, spmv
 from .qep import (
     Eigentriplet,
@@ -236,12 +238,17 @@ class ProjectionCache:
         it as its last column, and at most ``capacity`` columns fit."""
         k = self.k
         vc = v.conj()
-        for mat, small in zip((self.p.M, self.p.C, self.p.K), self._small):
-            # column V* (A v) and row v* A V = (A^T conj(v)) V, neither
-            # forming V*
-            small[: k + 1, k] = (spmv(mat, v).conj() @ V).conj()
-            if k:
-                small[k, :k] = (mat.T @ vc) @ V[:, :k]
+        # per matrix A, conj(A v) and A^T conj(v), stacked so that one
+        # product reads V once: conj(A v) V is the conjugated column
+        # V* (A v) and (A^T conj(v)) V the row v* A V, neither forming V*
+        S = np.empty((6, V.shape[0]), dtype=complex)
+        for i, mat in enumerate((self.p.M, self.p.C, self.p.K)):
+            np.conjugate(spmv(mat, v), out=S[i])
+            S[3 + i] = mat.T @ vc
+        SV = S @ V
+        for i, small in enumerate(self._small):
+            small[: k + 1, k] = SV[i].conj()
+            small[k, :k] = SV[3 + i, :k]
         self.k = k + 1
 
     def compress(self, Z):
@@ -278,11 +285,13 @@ def solve_projected_qep(Mk, Ck, Kk, sigma):
     off the nudged shift); a second failure propagates as
     :class:`SingularMatrix`.
     """
+    # the LU of the pencil is not kept: it would outlive its use into
+    # the eigensolve, the largest dense step of a run
     try:
-        S, _ = shift_invert(Mk, Ck, Kk, sigma)
+        S = shift_invert(Mk, Ck, Kk, sigma)[0]
     except SingularMatrix:
         sigma = sigma * (1.0 + 1e-8) + 1e-8j
-        S, _ = shift_invert(Mk, Ck, Kk, sigma)
+        S = shift_invert(Mk, Ck, Kk, sigma)[0]
     theta, W = dense_eig(S)
     k = Mk.shape[0]
     idx, omegas, _ = finite_order(theta, sigma)
@@ -318,36 +327,47 @@ def refined_vector(p, V, omega, products=None):
     coordinates in ``V``.
     """
     Vm = V.matrix if isinstance(V, OrthonormalBasis) else np.asarray(V, dtype=complex)
-    MV, CV, KV = products or (p.M @ Vm, p.C @ Vm, p.K @ Vm)
-    return _lift(Vm, smallest_singular_vector(omega * omega * MV + omega * CV + KV))
+    products = products or (p.M @ Vm, p.C @ Vm, p.K @ Vm)
+    X, Z = _lift(Vm, _refined_coordinates(products, omega)[:, None])
+    return X[0], Z[:, 0]
 
 
-def _lift(Vm, z):
-    """``(Vm z, z)`` scaled so that ``Vm z`` has unit norm."""
-    u = Vm @ z
-    nu = np.linalg.norm(u)
-    return u / nu, z / nu
+def _refined_coordinates(products, omega):
+    MV, CV, KV = products
+    return smallest_singular_vector(omega * omega * MV + omega * CV + KV)
+
+
+def _lift(Vm, Z):
+    """``(X, Z')``: the rows of ``X`` are the unit vectors ``Vm z`` for the
+    columns ``z`` of ``Z``, which ``Z'`` holds scaled alike.  One product
+    reads ``Vm`` once for all columns."""
+    X = Z.T @ Vm.T
+    scale = 1.0 / np.linalg.norm(X, axis=1)
+    X *= scale[:, None]
+    return X, Z * scale
 
 
 def _extract_pairs(p, Vm, proj_pairs, nev, tol_outer, extraction):
-    # refined extraction shares one set of sparse products per iteration
-    products = (p.M @ Vm, p.C @ Vm, p.K @ Vm) if extraction == "refined" else None
+    chosen = proj_pairs[:nev]
+    if extraction == "refined":
+        # one set of sparse products per iteration
+        products = (p.M @ Vm, p.C @ Vm, p.K @ Vm)
+        zs = [_refined_coordinates(products, pp.omega) for pp in chosen]
+    else:
+        zs = [pp.z for pp in chosen]
+    if not zs:
+        return []
+    X, Z = _lift(Vm, np.column_stack(zs))
     out = []
-    for pp in proj_pairs:
-        if len(out) == nev:
-            break
+    for i, pp in enumerate(chosen):
         omega = pp.omega
-        if products:
-            xtilde, z = refined_vector(p, Vm, omega, products)
-        else:
-            xtilde, z = _lift(Vm, pp.z)
-        resid = q_apply(p, omega, xtilde)
+        resid = q_apply(p, omega, X[i])
         relres = float(np.linalg.norm(resid) / residual_denominator(p, omega))
         out.append(
             RitzPair(
                 omega=omega,
-                z=z,
-                xtilde=xtilde,
+                z=Z[:, i],
+                xtilde=X[i],
                 resid=resid,
                 relres=relres,
                 converged=relres <= tol_outer,
@@ -468,7 +488,9 @@ def outer_loop(p, config, observer=None):
     with ``Q(sigma)^{-1} r`` for the residual ``r`` of the first
     unconverged target pair -- exactly (``mode="exact"``, a dense LU of
     ``Q(sigma)`` factored once, so ``n`` must fit under the dense cap) or
-    through restarted GMRES at ``tol_inner`` (``mode="inexact"``).
+    through restarted GMRES at ``tol_inner`` (``mode="inexact"``), whose
+    solves share one recycled deflation space of ``Q(sigma)`` per run;
+    each still stops on its recomputed true residual.
     Converged pairs are left soft-locked: they are re-extracted every
     iteration and only reported at the end.
 
@@ -529,10 +551,19 @@ def outer_loop(p, config, observer=None):
 
         else:
             op_matrix = shifted_matrix(p, sigma)
+            # every expansion solves with Q(sigma), so one deflation space
+            # serves the whole run.  It is made at the first solve, after
+            # the basis: made before it, about one wave100-inexact
+            # benchmark process in ten peaked 13-15 MB higher
+            recycle = None
 
             def expand(r, record):
+                nonlocal recycle
+                if recycle is None:
+                    recycle = RecycleSpace(n, config.restart)
                 res = gmres(lambda w: op_matrix @ w, r, tol=config.tol_inner,
-                            restart=config.restart, maxit=config.inner_maxit)
+                            restart=config.restart, maxit=config.inner_maxit,
+                            recycle=recycle)
                 record.inner_iters += res.iters
                 record.inner_relres = res.relres
                 record.inner_failures += not res.converged
@@ -612,6 +643,9 @@ def outer_loop(p, config, observer=None):
                 with _timed(phase, "projection"):
                     basis.append_orthonormal(v_next)
                     proj.append(basis.matrix, v_next)
+                # released here, the pairs' 2 nev n-vectors do not sit
+                # through the next small solve
+                pairs = u = v_next = None
         now = time.perf_counter()
         record.wall_ms, t_iter = (now - t_iter) * 1e3, now
 

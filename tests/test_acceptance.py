@@ -8,6 +8,11 @@ reproducibility of run artifacts.  These are deliberately heavier than
 the unit tests; together they run in well under two minutes.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -195,16 +200,18 @@ def test_11_tangent_ordering_statistics():
     assert summary.violation_rate <= 0.05
 
 
+TEST12_SOLVE = [
+    "solve", "--gen", "wave2d", "--m", "20",
+    "--sigma", "-0.5+4i", "--nev", "6", "--tol-outer", "1e-8",
+    "--mode", "inexact", "--tol-inner", "1e-3", "--seed", "0",
+]
+
+
 def test_12_history_determinism(tmp_path):
     csvs = []
     for run in range(2):
         path = tmp_path / f"run{run}.csv"
-        code = cli_main([
-            "solve", "--gen", "wave2d", "--m", "20",
-            "--sigma", "-0.5+4i", "--nev", "6", "--tol-outer", "1e-8",
-            "--mode", "inexact", "--tol-inner", "1e-3", "--seed", "0",
-            "--out-csv", str(path),
-        ])
+        code = cli_main(TEST12_SOLVE + ["--out-csv", str(path)])
         assert code == 0
         csvs.append(path.read_text().splitlines())
     a, b = csvs
@@ -213,3 +220,41 @@ def test_12_history_determinism(tmp_path):
     for la, lb in zip(a[1:], b[1:]):
         # identical up to the trailing wall-clock column
         assert la.rsplit(",", 1)[0] == lb.rsplit(",", 1)[0]
+
+
+def _cli_histories(tmp_path, threads, runs=2):
+    """test_12's solve in ``runs`` fresh interpreters with ``threads`` BLAS
+    threads each, as many at once as the cores allow: their history CSVs
+    without the wall-clock column."""
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    paths = [tmp_path / f"threads{threads}_run{run}.csv" for run in range(runs)]
+    # oversubscribed cores slow BLAS threads down several times
+    batch = max(1, (os.cpu_count() or 1) // threads)
+    for start in range(0, runs, batch):
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "qri", *TEST12_SOLVE, "--out-csv", str(path)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            )
+            for path in paths[start : start + batch]
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err.decode()
+    return [
+        [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+        for path in paths
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_12_history_determinism_across_processes(tmp_path, threads):
+    # bit-identical histories from separate processes at one BLAS thread
+    # count; across thread counts they need not match (see README)
+    a, b = _cli_histories(tmp_path, threads)
+    assert len(a) > 1
+    assert a == b

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 from conftest import rand_complex
 from qri import ZeroVector, gmres
-from qri.gmres import HAPPY_BREAKDOWN_RTOL, _givens
+from qri.gmres import HAPPY_BREAKDOWN_RTOL, RecycleSpace, _givens
 
 
 def op_from(A):
@@ -221,3 +221,106 @@ def test_bad_parameters_raise():
         gmres(lambda v: v, b, restart=0)
     with pytest.raises(ValueError):
         gmres(lambda v: v, b, maxit=0)
+
+
+def outlier_matrix(rng, n):
+    # a nonnormal matrix with the spectrum of the identity plus three small
+    # outlying eigenvalues: restarted GMRES loses the outliers' directions
+    # at every cycle, which a recycled space keeps
+    d = np.linspace(1.0, 3.0, n)
+    d[:3] = [1e-3, 2e-3, 4e-3]
+    X = np.eye(n) + 0.2 * rand_complex(rng, n * n).reshape(n, n) / np.sqrt(n)
+    return X @ np.diag(d) @ np.linalg.inv(X)
+
+
+def test_recycled_sequence_meets_tol(rng):
+    # one operator, a sequence of right-hand sides: every solve meets tol
+    # on its recomputed true residual, and the carried space keeps
+    # A U = C with orthonormal C
+    n = 150
+    A = outlier_matrix(rng, n)
+    space = RecycleSpace(n, restart=20)
+    for _ in range(6):
+        b = rand_complex(rng, n)
+        res = gmres(op_from(A), b, tol=1e-9, restart=20, recycle=space)
+        true_rel = np.linalg.norm(b - A @ res.x) / np.linalg.norm(b)
+        assert res.converged
+        assert true_rel <= 1e-9
+        assert true_rel == pytest.approx(res.relres, rel=1e-10, abs=1e-15)
+        assert sum(res.cycles) == res.iters
+    k = space.k
+    assert k == 10
+    U, C = space.U[:k], space.block[:k]
+    np.testing.assert_allclose(C.conj() @ C.T, np.eye(k), atol=1e-12)
+    assert np.linalg.norm(U @ A.T - C) <= 1e-8 * np.linalg.norm(U)
+
+
+def test_recycling_takes_fewer_steps_with_small_outliers(rng):
+    n = 150
+    A = outlier_matrix(rng, n)
+    bs = [rand_complex(rng, n) for _ in range(6)]
+    plain = [gmres(op_from(A), b, tol=1e-8, restart=20, maxit=2000) for b in bs]
+    space = RecycleSpace(n, restart=20)
+    recycled = [gmres(op_from(A), b, tol=1e-8, restart=20, maxit=2000,
+                      recycle=space) for b in bs]
+    assert all(res.converged for res in plain + recycled)
+    plain_steps = sum(res.iters for res in plain)
+    recycled_steps = sum(res.iters for res in recycled)
+    assert recycled_steps < 0.5 * plain_steps, (recycled_steps, plain_steps)
+    # the first solve gains within itself, from its second cycle on
+    assert recycled[0].iters <= plain[0].iters
+
+
+def test_recycle_after_happy_first_solve():
+    # a first solve that breaks down happily in its first cycle, in fewer
+    # than k + 1 steps, converges there and leaves no recycle space; the
+    # next solve starts from nothing and builds one
+    A = np.diag(np.arange(1.0, 41.0))
+    space = RecycleSpace(40, restart=8)
+    b = np.zeros(40)
+    b[[0, 5]] = [1.0, 2.0]
+    res = gmres(op_from(A), b, tol=1e-12, restart=8, recycle=space)
+    assert res.converged
+    assert res.cycles == [2]
+    assert space.k == 0
+    b = np.ones(40)
+    res = gmres(op_from(A), b, tol=1e-10, restart=8, recycle=space)
+    assert res.converged
+    assert len(res.cycles) > 1
+    assert space.k == 4
+    assert np.linalg.norm(b - A @ res.x) <= 1e-10 * np.linalg.norm(b)
+    # a right-hand side inside span(C) is solved by U alone, in a cycle
+    # of no Arnoldi steps
+    b = space.block[1].copy()
+    res = gmres(op_from(A), b, tol=1e-10, restart=8, recycle=space)
+    assert res.converged
+    assert res.iters == 0
+    assert res.cycles == [0]
+    assert np.linalg.norm(b - A @ res.x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_recycled_sequences_bit_identical(rng):
+    n = 120
+    A = outlier_matrix(rng, n)
+    bs = [rand_complex(rng, n) for _ in range(4)]
+    runs = []
+    for _ in range(2):
+        space = RecycleSpace(n, restart=15)
+        runs.append([gmres(op_from(A), b, tol=1e-9, restart=15, recycle=space)
+                     for b in bs])
+        runs[-1].append(space)
+    *first, space_a = runs[0]
+    *second, space_b = runs[1]
+    for a, c in zip(first, second):
+        assert np.array_equal(a.x, c.x)
+        assert a.resnorms == c.resnorms
+        assert a.cycles == c.cycles
+    assert space_a.k == space_b.k > 0
+    assert np.array_equal(space_a.U[: space_a.k], space_b.U[: space_b.k])
+    assert np.array_equal(space_a.block[: space_a.k], space_b.block[: space_b.k])
+
+
+def test_recycle_space_must_match_restart():
+    space = RecycleSpace(10, restart=6)
+    with pytest.raises(ValueError, match="recycle space"):
+        gmres(lambda v: v, np.ones(10), restart=5, recycle=space)
