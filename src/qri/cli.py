@@ -156,7 +156,7 @@ def build_parser():
                        default="ritz")
     solve.add_argument("--restart", type=int, default=30,
                        help="GMRES restart length: Krylov vectors per cycle, "
-                            "counting the min(10, restart // 2) recycled ones")
+                            "counting up to min(10, restart // 2) recycled ones")
     solve.add_argument("--inner-maxit", type=int, default=500,
                        help="GMRES iteration budget per expansion solve")
     solve.add_argument("--max-subspace", type=int, default=None,

@@ -242,9 +242,15 @@ def _cli_histories(tmp_path, threads, runs=2):
             )
             for path in paths[start : start + batch]
         ]
-        for proc in procs:
-            _, err = proc.communicate(timeout=300)
-            assert proc.returncode == 0, err.decode()
+        try:
+            for proc in procs:
+                _, err = proc.communicate(timeout=300)
+                assert proc.returncode == 0, err.decode()
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
     return [
         [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
         for path in paths
