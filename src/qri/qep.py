@@ -155,7 +155,7 @@ def factor_q(p, shift, name):
             f"cap {dense_cap()}; use mode=\"inexact\" or raise QRI_DENSE_CAP"
         )
     try:
-        return LUSolver(shifted_matrix(p, shift).toarray())
+        return LUSolver(shifted_matrix(p, shift))
     except SingularMatrix as exc:
         raise SingularMatrix(
             f"Q is singular at {name} = {shift}: the shift is an eigenvalue "

@@ -15,11 +15,16 @@ a shift ``sigma``:
   of ``Q(sigma)`` from each solve to the next.  It is the only mode
   above the dense cap of :func:`~qri.qep.factor_q`.
 
-The projected small problem is always solved through its shift-inverted
-companion pencil, so infinite Ritz values (singular projected mass
-block) are detected and skipped rather than polluting the targets.
+The projected small problem's eigenvalues always come from its
+shift-inverted companion matrix, so infinite Ritz values (singular
+projected mass block) are detected and skipped rather than polluting the
+targets.  Its eigenvectors are not computed there: a coordinate vector
+is the null vector of the k x k ``Q_k(omega)``, found by inverse
+iteration only for the pairs the loop reads (the first ``nev`` in Ritz
+extraction, the kept ones at a thick restart).
 """
 
+import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -35,7 +40,13 @@ from .errors import (
     SubspaceExhausted,
 )
 from .gmres import RecycleSpace, gmres
-from .linalg import OrthonormalBasis, dense_eig, smallest_singular_vector, spmv
+from .linalg import (
+    OrthonormalBasis,
+    dense_eig,
+    null_vector,
+    smallest_singular_vector,
+    spmv,
+)
 from .qep import (
     Eigentriplet,
     factor_q,
@@ -53,6 +64,10 @@ from .qep import (
 DEFAULT_MAX_SUBSPACE = 120
 # the smallest default restart size of exact mode
 EXACT_RESTART_SIZE = 20
+# projected eigenvalues whose theta = 1/(omega - sigma) differ by at most
+# this fraction of the largest |theta| form a cluster, whose coordinate
+# vectors are orthonormal (see solve_projected_qep)
+CLUSTER_RTOL = 1e-10
 
 
 def check_shift(value, name):
@@ -266,24 +281,69 @@ class ProjectionCache:
         return tuple(small[:k, :k] for small in self._small)
 
 
-@dataclass
 class ProjectedPair:
-    """One finite eigenpair of the projected problem."""
+    """One finite eigenvalue ``omega`` of the projected problem.  Its unit
+    coordinate vector ``z``, a null vector of
+    ``Q_k(omega) = omega^2 Mk + omega Ck + Kk``, is computed on first
+    read, so a pair whose vector the loop never reads costs only its
+    eigenvalue."""
 
-    omega: complex
-    z: np.ndarray
+    def __init__(self, omega, vectors, index):
+        self.omega = omega
+        self._vectors = vectors
+        self._index = index
+
+    @property
+    def z(self):
+        return self._vectors.vector(self._index)
+
+
+class _CoordinateVectors:
+    """The coordinate vectors of one projected solve, each computed once,
+    from a copy of the blocks: the cache's blocks are views that a restart
+    or an append overwrites.
+
+    Vector ``i`` is :func:`~qri.linalg.null_vector` of ``Q_k(omega_i)`` at
+    the scale ``|omega|^2 |Mk|_1 + |omega| |Ck|_1 + |Kk|_1``, orthogonal
+    to the vectors of the earlier pairs in its cluster, which are computed
+    first if not read yet.
+    """
+
+    def __init__(self, blocks, omegas, theta):
+        self._blocks = [np.array(b, order="F") for b in blocks]
+        self._norms = [np.abs(b).sum(axis=0).max(initial=0.0) for b in blocks]
+        self._omegas = omegas
+        self._theta = theta
+        self._near = CLUSTER_RTOL * np.abs(theta).max(initial=0.0)
+        self._cache = {}
+
+    def vector(self, i):
+        z = self._cache.get(i)
+        if z is None:
+            near = np.abs(self._theta[:i] - self._theta[i]) <= self._near
+            against = [self.vector(j) for j in np.flatnonzero(near)]
+            w = self._omegas[i]
+            Mk, Ck, Kk = self._blocks
+            nm, nc, nk = self._norms
+            scale = abs(w) ** 2 * nm + abs(w) * nc + nk
+            z = self._cache[i] = null_vector(w * w * Mk + w * Ck + Kk, scale, against)
+        return z
 
 
 def solve_projected_qep(Mk, Ck, Kk, sigma):
-    """The finite eigenpairs of the dense projected problem.
+    """The finite eigenpairs of the dense projected problem, as
+    :class:`ProjectedPair` whose vectors are computed only where read.
 
-    Solved through the shift-inverted companion pencil at ``sigma``;
-    returns the pairs in :func:`~qri.qep.finite_order` and skips the
-    infinite ones (singular projected mass block).  If ``sigma`` happens
-    to be an eigenvalue of the projected pencil the shift is nudged once
-    by a relative ``1e-8`` perturbation (the Ritz values are then read
-    off the nudged shift); a second failure propagates as
-    :class:`SingularMatrix`.
+    The eigenvalues ``theta`` of the shift-inverted companion matrix at
+    ``sigma`` come from :func:`~qri.linalg.dense_eig` without vectors.
+    The pairs are returned in :func:`~qri.qep.finite_order`, and the
+    infinite ones (singular projected mass block) are skipped.  Pairs
+    whose ``theta`` lie within ``CLUSTER_RTOL * max|theta|`` of each other
+    form a cluster and get orthonormal vectors, so a multiple Ritz value
+    still gets independent ones.  If ``sigma`` happens to be an eigenvalue
+    of the projected pencil the shift is nudged once by a relative
+    ``1e-8`` perturbation (the Ritz values are then read off the nudged
+    shift); a second failure propagates as :class:`SingularMatrix`.
     """
     # the LU of the pencil is not kept: it would outlive its use into
     # the eigensolve, the largest dense step of a run
@@ -292,18 +352,10 @@ def solve_projected_qep(Mk, Ck, Kk, sigma):
     except SingularMatrix:
         sigma = sigma * (1.0 + 1e-8) + 1e-8j
         S = shift_invert(Mk, Ck, Kk, sigma)[0]
-    theta, W = dense_eig(S)
-    k = Mk.shape[0]
+    theta = dense_eig(S, vectors=False)
     idx, omegas, _ = finite_order(theta, sigma)
-
-    pairs = []
-    for i, omega in zip(idx, omegas):
-        z = W[k:, i]
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            continue  # numerically empty lower block: treat as infinite-like
-        pairs.append(ProjectedPair(omega=complex(omega), z=z / nz))
-    return pairs
+    vectors = _CoordinateVectors((Mk, Ck, Kk), omegas, theta[idx])
+    return [ProjectedPair(complex(omega), vectors, i) for i, omega in enumerate(omegas)]
 
 
 @dataclass
@@ -407,18 +459,21 @@ def _restart_coordinates(pairs, proj_pairs, q):
 
     The candidates are the extracted (Ritz or refined) coordinate vectors
     of ``pairs``, then the Ritz vectors of the next-nearest projected
-    pairs.  They are appended in that order to an :class:`OrthonormalBasis`
-    of k-space, which drops a rank-deficient candidate as a breakdown.
+    pairs, each computed only when its turn comes.  They are appended in
+    that order to an :class:`OrthonormalBasis` of k-space, which drops a
+    rank-deficient candidate as a breakdown.
     """
-    candidates = [pr.z for pr in pairs] + [pp.z for pp in proj_pairs[len(pairs):]]
-    zb = OrthonormalBasis(len(candidates[0]), capacity=q)
+    candidates = itertools.chain(
+        (pr.z for pr in pairs), (pp.z for pp in proj_pairs[len(pairs):])
+    )
+    zb = OrthonormalBasis(len(pairs[0].z), capacity=q)
     for z in candidates:
-        if zb.k == q:
-            break
         try:
             zb.append(z)
         except Breakdown:
             pass
+        if zb.k == q:
+            break
     return zb.matrix
 
 

@@ -43,6 +43,21 @@ def test_lu_solver_reuse(rng):
         assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def test_lu_sparse_input_matches_dense(rng):
+    # a sparse matrix is densified inside and factored in place, with the
+    # pivot scale from its stored entries: the same factors as from the
+    # dense matrix, and the same singular-pivot decision
+    A = sp.random_array((40, 40), density=0.2, rng=rng, dtype=complex)
+    A = sp.csr_array(A + 4.0 * sp.eye_array(40))
+    data = A.data.copy()
+    sparse, dense = LUSolver(A), LUSolver(A.toarray())
+    assert np.array_equal(sparse._lu, dense._lu)
+    assert np.array_equal(sparse._piv, dense._piv)
+    assert np.array_equal(A.data, data)
+    with pytest.raises(SingularMatrix):
+        LUSolver(sp.csr_array(np.ones((3, 3), dtype=complex)))
+
+
 @pytest.mark.filterwarnings("error")
 def test_lu_singular_raises():
     A = np.zeros((3, 3), dtype=complex)
@@ -71,6 +86,7 @@ def test_dense_eig_companion_roots():
     C[:, -1] = -np.poly(roots)[1:][::-1]
     lam, V = dense_eig(C)
     assert np.allclose(sorted(lam.real), roots, atol=1e-8)
+    assert np.allclose(dense_eig(C, vectors=False), lam, rtol=1e-12, atol=0.0)
     assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-13)
     for i in range(6):
         assert np.linalg.norm(C @ V[:, i] - lam[i] * V[:, i]) <= 1e-8

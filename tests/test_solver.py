@@ -16,7 +16,9 @@ from qri import (
     spring_maxwell,
     wave2d,
 )
-from qri.linalg import OrthonormalBasis, sin_angle_vectors
+import qri.solver as solver
+from qri.linalg import OrthonormalBasis, dense_eig, sin_angle_vectors
+from qri.qep import finite_order, shift_invert
 from qri.solver import (
     ProjectionCache,
     RitzPair,
@@ -119,6 +121,101 @@ def test_projected_solve_at_eigenvalue(p_example1):
     assert len(pairs) == 5  # the infinite eigenvalue is skipped
     assert abs(pairs[0].omega - 1.0) <= 1e-12
     assert np.linalg.norm((Md + Cd + Kd) @ pairs[0].z) <= 1e-12
+
+
+def _null_residual(blocks, pair):
+    # ||Q_k(omega) z|| over |omega|^2 ||Mk|| + |omega| ||Ck|| + ||Kk||
+    Mk, Ck, Kk = blocks
+    w = pair.omega
+    scale = abs(w) ** 2 * np.linalg.norm(Mk, 2) + abs(w) * np.linalg.norm(Ck, 2)
+    scale += np.linalg.norm(Kk, 2)
+    return np.linalg.norm((w * w * Mk + w * Ck + Kk) @ pair.z) / scale
+
+
+def test_projected_solve_matches_eig_with_vectors(rng):
+    # the eigenvalues-only solve gives the values of eig with vectors, in
+    # the same order, and every vector read is a null vector of Q_k(omega)
+    sigma = 0.3 + 0.2j
+    for k in (5, 40, 100):
+        blocks = [rand_complex(rng, k * k).reshape(k, k) for _ in range(3)]
+        pairs = solve_projected_qep(*blocks, sigma)
+        theta, _ = dense_eig(shift_invert(*blocks, sigma)[0])
+        want = finite_order(theta, sigma)[1]
+        got = np.array([pp.omega for pp in pairs])
+        assert got.shape == want.shape == (2 * k,)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), k
+        for pp in pairs:
+            assert abs(np.linalg.norm(pp.z) - 1.0) <= 1e-13
+            assert _null_residual(blocks, pp) <= 1e-12, (k, pp.omega)
+
+
+def test_projected_solve_double_eigenvalue():
+    # +-i are double eigenvalues of lam^2 + diag(1, 1, 4, 9): their two
+    # Ritz values form a cluster and get two orthonormal null vectors
+    k = 4
+    blocks = (np.eye(k, dtype=complex), np.zeros((k, k), dtype=complex),
+              np.diag([1.0, 1.0, 4.0, 9.0]).astype(complex))
+    pairs = solve_projected_qep(*blocks, 0.1 + 0.9j)
+    double = [pp for pp in pairs if abs(pp.omega - 1j) <= 1e-12]
+    assert len(double) == 2
+    Z = np.column_stack([pp.z for pp in double])
+    assert np.linalg.norm(Z.conj().T @ Z - np.eye(2)) <= 1e-12
+    for pp in double:
+        assert _null_residual(blocks, pp) <= 1e-14
+
+
+def test_projected_solve_singular_mass_block(rng):
+    # a rank-deficient Mk: the infinite values are skipped and every
+    # finite one still gets a finite null vector
+    k = 12
+    F = rand_complex(rng, k * (k - 3)).reshape(k, k - 3)
+    blocks = (F @ F.conj().T, rand_complex(rng, k * k).reshape(k, k),
+              rand_complex(rng, k * k).reshape(k, k))
+    pairs = solve_projected_qep(*blocks, 0.2 + 0.1j)
+    assert len(pairs) == 2 * k - 3
+    for pp in pairs:
+        assert np.isfinite(pp.omega) and np.isfinite(pp.z).all()
+        assert _null_residual(blocks, pp) <= 1e-12
+
+
+def test_refined_extraction_reads_no_unused_vectors(monkeypatch):
+    # refined extraction computes its own vectors, so the projected
+    # solve's coordinate vectors are computed only for a thick restart,
+    # and there only as many as the restart keeps
+    calls = []
+    restarts = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return null_vector(*args, **kwargs)
+
+    def restart(*args, **kwargs):
+        before = len(calls)
+        out = restart_coordinates(*args, **kwargs)
+        restarts.append(len(calls) - before)
+        return out
+
+    null_vector, restart_coordinates = solver.null_vector, solver._restart_coordinates
+    monkeypatch.setattr(solver, "null_vector", counted)
+    monkeypatch.setattr(solver, "_restart_coordinates", restart)
+    base = dict(sigma=PROBE, nev=2, tol_outer=1e-10, mode="exact", extraction="refined")
+
+    p = wave2d(6)
+    res = outer_loop(p, SolverConfig(max_subspace=p.n, **base))
+    assert all(res.converged) and not restarts
+    assert not calls
+
+    res = outer_loop(wave2d(12), SolverConfig(max_subspace=10, **base))
+    assert all(res.converged) and len(restarts) >= 2
+    # no candidate is dropped here: the R // 2 - nev next Ritz vectors
+    assert restarts == [10 // 2 - 2] * len(restarts)
+    assert len(calls) == sum(restarts)
+
+    # Ritz extraction reads the first nev vectors and no more
+    calls.clear()
+    res = outer_loop(p, SolverConfig(max_subspace=p.n, **dict(base, extraction="ritz")))
+    assert all(res.converged)
+    assert len(calls) == sum(len(rec.ritz_values) for rec in res.history)
 
 
 def test_outer_loop_small_reference(p_example1):
