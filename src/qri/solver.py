@@ -21,7 +21,11 @@ projected mass block) are detected and skipped rather than polluting the
 targets.  Its eigenvectors are not computed there: a coordinate vector
 is the null vector of the k x k ``Q_k(omega)``, found by inverse
 iteration only for the pairs the loop reads (the first ``nev`` in Ritz
-extraction, the kept ones at a thick restart).
+extraction, the kept ones at a thick restart).  Refined extraction
+instead minimizes ``norm(Q(omega) V z)`` through the small triangular
+factor of ``[M V, C V, K V]`` (:class:`ResidualFactor`) that the
+:class:`ProjectionCache` keeps up to date from the sparse products it
+forms anyway, so extraction itself makes none.
 """
 
 import itertools
@@ -41,6 +45,7 @@ from .errors import (
 )
 from .gmres import RecycleSpace, gmres
 from .linalg import (
+    BREAKDOWN_RTOL,
     OrthonormalBasis,
     dense_eig,
     null_vector,
@@ -233,19 +238,105 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
 # Subspace machinery
 
 
-class ProjectionCache:
-    """Projected blocks ``V* M V, V* C V, V* K V`` maintained incrementally.
+class ResidualFactor:
+    """Thin QR factor ``W = Q_W R_W`` of the interleaved block
+    ``W = [M v1, C v1, K v1, M v2, ...]`` of the basis columns ``v_j``.
 
-    Only the k x k blocks are kept, so the basis is the only n-sized state
-    of the outer loop.  Appending a column costs, per matrix, one sparse
-    product for the new column, one transposed sparse product for the new
-    row and O(n k) dot products; the blocks are updated in place, never
-    recomputed.
+    Since ``Q(omega) V z = W (z kron [omega^2; omega; 1])`` and ``Q_W``
+    has orthonormal columns, ``norm(Q(omega) V z)`` equals the norm of
+    ``E(omega) z`` for the small ``E(omega) = omega^2 R_W[:, 0::3] +
+    omega R_W[:, 1::3] + R_W[:, 2::3]``, and the refined coordinates are
+    its smallest right singular vector.
+
+    A column of ``W`` whose remainder after orthogonalization is at most
+    ``BREAKDOWN_RTOL`` of its norm (a zero ``M v`` of a singular ``M``,
+    or any column once ``Q_W`` spans the whole space) adds a column to
+    ``R_W`` but no row, so ``Q_W`` keeps at most ``n`` orthonormal
+    columns and ``R_W`` stays upper triangular (trapezoidal).
     """
 
-    def __init__(self, p, capacity):
-        self.p = p
+    def __init__(self, n, capacity):
+        # never zero-filled and column-major, so that only the columns in
+        # use are ever touched
+        self._Q = np.empty((n, min(n, 3 * capacity)), dtype=complex, order="F")
+        self.R = np.zeros((0, 0), dtype=complex)
+
+    @property
+    def Q(self):
+        return self._Q[:, : self.R.shape[0]]
+
+    def append(self, AV):
+        """Extend the factor by the columns of the ``n x 3`` block
+        ``AV = [M v, C v, K v]`` for a new basis column ``v``, which is
+        overwritten.  Each column gets the two classical Gram-Schmidt
+        passes of :func:`~qri.linalg.project_out` against ``Q_W``, the
+        columns added for the block's earlier columns included."""
+        r, m = self.R.shape
+        R = np.zeros((r + 3, m + 3), dtype=complex, order="F")
+        R[:r, :m] = self.R
+        norms = np.linalg.norm(AV, axis=0)
+        a = 0
+        for j in range(3):
+            w = AV[:, j]
+            basis = self._Q[:, : r + a]
+            c = (w.conj() @ basis).conj()
+            w -= basis @ c
+            d = (w.conj() @ basis).conj()
+            w -= basis @ d
+            col = R[:, m + j]
+            col[: r + a] = c + d
+            nrm = np.linalg.norm(w)
+            if nrm > BREAKDOWN_RTOL * norms[j] and r + a < self._Q.shape[1]:
+                np.multiply(w, 1.0 / nrm, out=self._Q[:, r + a])
+                col[r + a] = nrm
+                a += 1
+        self.R = R[: r + a]
+
+    def compress(self, Z):
+        """Follow the basis compression ``V <- V Z``: factor
+        ``R_W (Z kron I_3) = Q' R'`` and set ``Q_W <- Q_W Q'``,
+        ``R_W <- R'``; no sparse products are needed."""
+        r = self.R.shape[0]
+        RZ = np.empty((r, 3 * Z.shape[1]), dtype=complex)
+        for t in range(3):
+            RZ[:, t::3] = self.R[:, t::3] @ Z
+        Q = self.Q
+        Qz, self.R = np.linalg.qr(RZ)
+        self._Q[:, : Qz.shape[1]] = Q @ Qz
+
+    def refined_coordinates(self, omega):
+        """Unit ``z`` minimizing ``norm(Q(omega) V z)``, with its first
+        entry within ``1e-8`` (relative) of the largest modulus real and
+        positive, so that two factors of one ``V`` give the same ``z``."""
+        R = self.R
+        z = smallest_singular_vector(
+            omega * omega * R[:, 0::3] + omega * R[:, 1::3] + R[:, 2::3]
+        )
+        mod = np.abs(z)
+        lead = z[np.argmax(mod >= (1.0 - 1e-8) * mod.max())]
+        return z * (abs(lead) / lead)
+
+
+class ProjectionCache:
+    """Projected blocks ``V* M V, V* C V, V* K V`` maintained incrementally,
+    and, for refined extraction (``refined=True``), the
+    :class:`ResidualFactor` of ``[M V, C V, K V]`` as ``factor``.
+
+    Only the k x k blocks are kept, so in Ritz extraction the basis is
+    the only n-sized state of the outer loop; in refined extraction the
+    factor's ``Q_W``, with up to ``3 k`` columns, is the other.  Appending
+    a column costs, per matrix, one sparse product for the new column,
+    one transposed sparse product for the new row and O(n k) dot
+    products; the factor reuses the three products of the new column.
+    The blocks are updated in place, never recomputed.
+    """
+
+    def __init__(self, p, capacity, refined=False):
+        # each matrix with its transpose, built once: scipy checks the
+        # format of every transposed view it makes, 28 us each at n = 380
+        self._mats = [(mat, mat.T) for mat in (p.M, p.C, p.K)]
         self._small = [np.zeros((capacity, capacity), dtype=complex) for _ in range(3)]
+        self.factor = ResidualFactor(p.n, capacity) if refined else None
         self.k = 0
 
     def append(self, V, v):
@@ -257,13 +348,15 @@ class ProjectionCache:
         # product reads V once: conj(A v) V is the conjugated column
         # V* (A v) and (A^T conj(v)) V the row v* A V, neither forming V*
         S = np.empty((6, V.shape[0]), dtype=complex)
-        for i, mat in enumerate((self.p.M, self.p.C, self.p.K)):
+        for i, (mat, mat_t) in enumerate(self._mats):
             np.conjugate(spmv(mat, v), out=S[i])
-            S[3 + i] = mat.T @ vc
+            S[3 + i] = mat_t @ vc
         SV = S @ V
         for i, small in enumerate(self._small):
             small[: k + 1, k] = SV[i].conj()
             small[k, :k] = SV[3 + i, :k]
+        if self.factor is not None:
+            self.factor.append(S[:3].conj().T)
         self.k = k + 1
 
     def compress(self, Z):
@@ -273,6 +366,8 @@ class ProjectionCache:
         Zh = Z.conj().T
         for small in self._small:
             small[:q, :q] = Zh @ small[:k, :k] @ Z
+        if self.factor is not None:
+            self.factor.compress(Z)
         self.k = q
 
     @property
@@ -368,25 +463,26 @@ class RitzPair:
     converged: bool
 
 
-def refined_vector(p, V, omega, products=None):
-    """Unit vector in ``span(V)`` minimizing ``norm(Q(omega) u)``.
-
-    Found as the smallest right singular vector of the tall matrix
-    ``omega^2 M V + omega C V + K V``.  Never worse than the Ritz vector
-    for the same ``omega`` (the Ritz coordinate vector is a candidate in
-    the same minimization).  ``products`` is ``(M V, C V, K V)`` when the
-    caller has already formed it.  Returns the vector and its
+def refined_vector(p, V, omega):
+    """Unit vector in ``span(V)`` minimizing ``norm(Q(omega) u)``, and its
     coordinates in ``V``.
+
+    The columns of ``V`` are appended one by one to a
+    :class:`ProjectionCache` with refined extraction on, the same route
+    as the outer loop's, and the coordinates are
+    :meth:`ResidualFactor.refined_coordinates`: the smallest right
+    singular vector of the small ``E(omega)``, which has the singular
+    values of the tall ``omega^2 M V + omega C V + K V``.  Never worse
+    than the Ritz vector for the same ``omega`` (the Ritz coordinate
+    vector is a candidate in the same minimization).
     """
     Vm = V.matrix if isinstance(V, OrthonormalBasis) else np.asarray(V, dtype=complex)
-    products = products or (p.M @ Vm, p.C @ Vm, p.K @ Vm)
-    X, Z = _lift(Vm, _refined_coordinates(products, omega)[:, None])
+    k = Vm.shape[1]
+    cache = ProjectionCache(p, capacity=k, refined=True)
+    for j in range(k):
+        cache.append(Vm[:, : j + 1], Vm[:, j])
+    X, Z = _lift(Vm, cache.factor.refined_coordinates(omega)[:, None])
     return X[0], Z[:, 0]
-
-
-def _refined_coordinates(products, omega):
-    MV, CV, KV = products
-    return smallest_singular_vector(omega * omega * MV + omega * CV + KV)
 
 
 def _lift(Vm, Z):
@@ -399,12 +495,13 @@ def _lift(Vm, Z):
     return X, Z * scale
 
 
-def _extract_pairs(p, Vm, proj_pairs, nev, tol_outer, extraction):
+def _extract_pairs(p, Vm, proj_pairs, nev, tol_outer, factor):
+    """The first ``nev`` pairs scored on the basis ``Vm``: with Ritz
+    vectors, or with refined ones from ``factor`` (a
+    :class:`ResidualFactor`) when it is not ``None``."""
     chosen = proj_pairs[:nev]
-    if extraction == "refined":
-        # one set of sparse products per iteration
-        products = (p.M @ Vm, p.C @ Vm, p.K @ Vm)
-        zs = [_refined_coordinates(products, pp.omega) for pp in chosen]
+    if factor is not None:
+        zs = [factor.refined_coordinates(pp.omega) for pp in chosen]
     else:
         zs = [pp.z for pp in chosen]
     if not zs:
@@ -633,7 +730,9 @@ def outer_loop(p, config, observer=None):
     with _timed(phase, "projection"):
         basis = OrthonormalBasis(n, capacity=capacity)
         basis.append(v1)
-        proj = ProjectionCache(p, capacity=capacity)
+        proj = ProjectionCache(
+            p, capacity=capacity, refined=config.extraction == "refined"
+        )
         proj.append(basis.matrix, basis.matrix[:, 0])
 
     history = []
@@ -642,7 +741,7 @@ def outer_loop(p, config, observer=None):
         with _timed(phase, "small_solve"):
             proj_pairs = solve_projected_qep(*proj.blocks, sigma)
             pairs = _extract_pairs(
-                p, basis.matrix, proj_pairs, nev, config.tol_outer, config.extraction
+                p, basis.matrix, proj_pairs, nev, config.tol_outer, proj.factor
             )
         record = ConvergenceRecord(
             outer_iter=len(history) + 1,

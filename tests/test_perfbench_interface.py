@@ -41,6 +41,10 @@ def test_tracer_installs_and_restores(monkeypatch, p_wave2d4):
                 sigma=0.1234 + 0.4321j, nev=2, tol_outer=1e-8, mode=mode
             )
             results.append(solver.outer_loop(p_wave2d4, cfg))
+        # refined extraction, whose SVDs the tracer counts
+        cfg = solver.SolverConfig(sigma=0.1234 + 0.4321j, nev=2, tol_outer=1e-8,
+                                  mode="exact", extraction="refined")
+        results.append(solver.outer_loop(p_wave2d4, cfg))
         pair = results[-1].eigenpairs[0]
         nres = solver.newton_solve(p_wave2d4, pair.lam * (1 + 1e-6), pair.x, tol=1e-13)
         # an exact solve that thick-restarts at 8 vectors, through the worker
@@ -73,11 +77,15 @@ def test_tracer_installs_and_restores(monkeypatch, p_wave2d4):
     layers = tracer.layer_metrics()
     assert layers["linalg.orth_defect"][0] <= 1e-12
     # the factorizations of Q stay visible to the tracer: each exact
-    # set-up (two solves) and Newton's steps open an LU span of their own
+    # set-up (three solves) and Newton's steps open an LU span of their own
     names, _, _, parent = tracer.arrays()
     lu_parents = [names[i] for i in parent[names == "linalg.lu_factor"]]
-    assert lu_parents.count("solver.expansion_setup") == 2
+    assert lu_parents.count("solver.expansion_setup") == 3
     assert lu_parents.count("solver.newton") == layers["solver.newton_steps"][0]
+    # each refined coordinate vector is one SVD inside pair extraction
+    svd_parents = [names[i] for i in parent[names == "linalg.svd"]]
+    assert svd_parents and set(svd_parents) == {"solver.extract"}
+    assert layers["linalg.svd_calls"][0] == len(svd_parents)
 
 
 def test_worker_solve_one(monkeypatch, p_wave2d4, oracle_wave2d4_probe):
