@@ -280,6 +280,7 @@ def cmd_solve(args, parser):
             write_json(args.out_json, {
                 "mode": "newton",
                 "problem_n": p.n,
+                "factorization": p.factorization,
                 "sigma": {"re": args.sigma.real, "im": args.sigma.imag},
                 "converged": [nres.converged],
                 "eigenvalues": [{"re": nres.lam.real, "im": nres.lam.imag}],
@@ -327,6 +328,8 @@ def cmd_solve(args, parser):
             "mode": args.mode,
             "extraction": args.extraction,
             "problem_n": p.n,
+            # inexact mode never factors Q
+            "factorization": p.factorization if args.mode == "exact" else None,
             "sigma": {"re": args.sigma.real, "im": args.sigma.imag},
             "nev": args.nev,
             "tol_outer": args.tol_outer,

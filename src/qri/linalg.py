@@ -50,16 +50,26 @@ def spmv(A, x):
 class LUSolver:
     """LU factorization computed once, applied to many right-hand sides.
 
-    A sparse ``A`` is densified here, in LAPACK's column order, and the
-    factorization overwrites that copy; ``max|A|`` is then read off the
-    stored entries.  A dense ``A`` is left intact.
+    With ``sparse=True`` the sparse ``A`` is factored by SuperLU
+    (``scipy.sparse.linalg.splu``, COLAMD column order), which keeps the
+    fill of a banded or mesh-like pattern far below ``n^2``.  Otherwise a
+    sparse ``A`` is densified here, in LAPACK's column order, and the
+    factorization overwrites that copy; a dense ``A`` is left intact.
+    Either way ``max|A|`` is read off the stored entries.
 
     Raises :class:`SingularMatrix` if a pivot is at most
-    ``LU_PIVOT_RTOL * max|A|`` in modulus, i.e. the matrix is singular to
-    machine precision.
+    ``LU_PIVOT_RTOL * max|A|`` in modulus, or SuperLU finds one exactly
+    zero, i.e. the matrix is singular to machine precision.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, sparse=False):
+        self._lu = self._piv = self._sparse = None
+        if sparse:
+            self._factor_sparse(A)
+        else:
+            self._factor_dense(A)
+
+    def _factor_dense(self, A):
         own_copy = sp.issparse(A)
         if own_copy:
             amax = np.abs(A.data).max(initial=0.0)
@@ -67,7 +77,6 @@ class LUSolver:
         else:
             A = np.asarray(A, dtype=complex)
             amax = np.abs(A).max()
-        self.shape = A.shape
         # scipy warns about an exactly zero pivot; _check_pivots raises
         # the named error for it instead
         with warnings.catch_warnings():
@@ -75,14 +84,30 @@ class LUSolver:
             self._lu, self._piv = sla.lu_factor(
                 A, overwrite_a=own_copy, check_finite=False
             )
-        _check_pivots(self._lu, amax)
+        _check_pivots(np.diag(self._lu), amax)
+
+    def _factor_sparse(self, A):
+        # imported on first use: the sparse solvers add about 2 MB to the
+        # resident set of a process that never factors sparsely
+        from scipy.sparse.linalg import splu
+
+        A = sp.csc_array(A).astype(complex, copy=False)
+        try:
+            self._sparse = splu(A)
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            if "singular" not in str(exc):
+                raise
+            raise SingularMatrix("zero pivot in sparse LU factorization") from exc
+        _check_pivots(self._sparse.U.diagonal(), np.abs(A.data).max(initial=0.0))
 
     def solve(self, b):
+        if self._sparse is not None:
+            return self._sparse.solve(np.asarray(b, dtype=complex))
         return sla.lu_solve((self._lu, self._piv), b, check_finite=False)
 
 
-def _check_pivots(lu, amax):
-    d = np.abs(np.diag(lu))
+def _check_pivots(pivots, amax):
+    d = np.abs(pivots)
     if amax == 0.0 or not np.isfinite(d).all() or d.min() <= LU_PIVOT_RTOL * amax:
         raise SingularMatrix("zero pivot in LU factorization")
 

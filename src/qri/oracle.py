@@ -89,7 +89,8 @@ class OracleDecomposition:
         return len(self.lams)
 
     def shifted_solver(self, mu):
-        """Dense LU solver for ``Q(mu)``, memoized per ``mu``."""
+        """LU solver for ``Q(mu)`` from :func:`~qri.qep.factor_q` (sparse
+        or dense as the problem's pattern says), memoized per ``mu``."""
         key = complex(mu)
         if key not in self._shift_lu:
             self._shift_lu[key] = factor_q(self.problem, key, "mu")

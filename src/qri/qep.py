@@ -26,6 +26,13 @@ from .linalg import LUSolver, spmv
 
 DEFAULT_DENSE_CAP = 2000
 
+# Q(shift) is factored sparsely when the envelope profile of its pattern
+# after reverse Cuthill-McKee is at most this fraction of n^2.  Measured:
+# 0.007 to 0.11 for wave2d(8 to 100) and spring_maxwell, where splu wins
+# or ties; 0.40 to 0.45 for random_qep, where splu fills in and dense LU
+# is 3x faster at n = 500
+SPARSE_PROFILE_RATIO = 0.2
+
 # theta below this fraction of the dominant |theta| is a zero of the
 # shift-inverted pencil, i.e. an infinite eigenvalue of the quadratic
 INF_THETA_RTOL = 1e-10
@@ -34,8 +41,10 @@ INF_THETA_RTOL = 1e-10
 def dense_cap():
     """Largest order of a dense matrix the package will form.
 
-    Guards :func:`factor_q` (``Q`` at a shift, order n) and the oracle's
-    companion pencil (order 2n).  Overridable through the
+    Guards :func:`factor_q` for the problems whose
+    :attr:`QepProblem.factorization` is ``"dense"`` (``Q`` at a shift,
+    order n) and the oracle's companion pencil (order 2n); a sparse
+    factorization of ``Q`` has no cap.  Overridable through the
     ``QRI_DENSE_CAP`` environment variable; the guard exists so that
     dense paths are not silently applied to problems that are too large
     for them.
@@ -58,6 +67,21 @@ def _as_canonical_csr(A):
     if A.data.size and not np.isfinite(A.data).all():
         raise ValueError("matrix entries must be finite")
     return A
+
+
+def _rcm_profile(p):
+    # imported on first use, like splu (see LUSolver)
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    pattern = abs(p.M) + abs(p.C) + abs(p.K)
+    pattern = sp.csr_matrix(pattern + pattern.T)
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    rank = np.empty(p.n, dtype=np.intp)
+    rank[perm] = np.arange(p.n)
+    rows, cols = pattern.nonzero()
+    first = np.arange(p.n)  # the diagonal bounds each row's envelope
+    np.minimum.at(first, rank[rows], rank[cols])
+    return int((np.arange(p.n) - first).sum())
 
 
 def _norm1(A):
@@ -88,6 +112,7 @@ class QepProblem:
             raise ValueError("matrices must be square")
         self.n = n_rows
         self._norms = None
+        self._factorization = None
 
     @property
     def norms1(self):
@@ -95,6 +120,22 @@ class QepProblem:
         if self._norms is None:
             self._norms = (_norm1(self.M), _norm1(self.C), _norm1(self.K))
         return self._norms
+
+    @property
+    def factorization(self):
+        """``"sparse"`` or ``"dense"``: how :func:`factor_q` factors ``Q``
+        at any shift, chosen once from the pattern alone.
+
+        The symmetrized union pattern of ``M``, ``C`` and ``K`` is
+        reordered by reverse Cuthill-McKee, and its envelope profile
+        ``sum_i (i - min{j : a_ij != 0 or j = i})`` predicts the fill of a
+        sparse LU.  Sparse when the profile is at most
+        ``SPARSE_PROFILE_RATIO * n^2``.
+        """
+        if self._factorization is None:
+            sparse = _rcm_profile(self) <= SPARSE_PROFILE_RATIO * self.n**2
+            self._factorization = "sparse" if sparse else "dense"
+        return self._factorization
 
     def densify(self):
         return self.M.toarray(), self.C.toarray(), self.K.toarray()
@@ -142,20 +183,23 @@ def shifted_matrix(p, sigma):
 
 
 def factor_q(p, shift, name):
-    """Dense LU of ``Q(shift)``, the one factorization of ``Q`` at a shift
-    (exact expansion, Newton, oracle).
+    """LU of ``Q(shift)``, the one factorization of ``Q`` at a shift
+    (exact expansion, Newton, oracle): sparse or dense as
+    :attr:`QepProblem.factorization` says.
 
-    Raises :class:`ValueError` when ``p.n`` exceeds the dense cap, and
-    :class:`SingularMatrix` naming ``name`` and its value when ``Q`` is
-    singular there, i.e. the shift is an eigenvalue to working precision.
+    Raises :class:`ValueError` when the factorization is dense and
+    ``p.n`` exceeds the dense cap, and :class:`SingularMatrix` naming
+    ``name`` and its value when ``Q`` is singular there, i.e. the shift is
+    an eigenvalue to working precision.
     """
-    if p.n > dense_cap():
+    sparse = p.factorization == "sparse"
+    if not sparse and p.n > dense_cap():
         raise ValueError(
             f"Q({name}) is factored densely, but n = {p.n} exceeds the dense "
             f"cap {dense_cap()}; use mode=\"inexact\" or raise QRI_DENSE_CAP"
         )
     try:
-        return LUSolver(shifted_matrix(p, shift))
+        return LUSolver(shifted_matrix(p, shift), sparse=sparse)
     except SingularMatrix as exc:
         raise SingularMatrix(
             f"Q is singular at {name} = {shift}: the shift is an eigenvalue "

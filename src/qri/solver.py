@@ -4,16 +4,21 @@ Three ways to chase eigenvalues of ``Q(lam) = lam^2 M + lam C + K`` near
 a shift ``sigma``:
 
 - :func:`newton_solve` refines a single pair with a Newton step on the
-  scalar normalization equation (one dense LU of ``Q`` per step).
+  scalar normalization equation (one LU of ``Q`` per step).
 - :func:`outer_loop` with ``mode="exact"`` grows a subspace by solving
-  ``Q(sigma) u = r`` with one dense LU for the residual ``r`` of the
-  first unconverged Ritz pair, orthonormalizing ``u`` into the basis.
+  ``Q(sigma) u = r`` with one LU for the residual ``r`` of the first
+  unconverged Ritz pair, orthonormalizing ``u`` into the basis.
 - ``mode="inexact"`` replaces that solve with restarted GMRES at a fixed
   inner tolerance, trading inner iterations for (slightly) more outer
   steps.  Every inner solve of a run is with ``Q(sigma)``, so one
   :class:`~qri.gmres.RecycleSpace` carries the near-singular directions
   of ``Q(sigma)`` from each solve to the next.  It is the only mode
-  above the dense cap of :func:`~qri.qep.factor_q`.
+  that runs above the dense cap on a problem factored densely.
+
+Newton and exact mode factor ``Q`` through :func:`~qri.qep.factor_q`:
+sparsely (SuperLU) when the problem's pattern keeps a narrow envelope,
+densely otherwise (:attr:`~qri.qep.QepProblem.factorization`), and only
+a dense factorization is bounded by the dense cap.
 
 The projected small problem's eigenvalues always come from its
 shift-inverted companion matrix, so infinite Ritz values (singular
@@ -177,8 +182,9 @@ class NewtonResult:
 def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     """Newton refinement of a single eigenpair from ``(lam0, x0)``.
 
-    Each step solves ``Q(lam_k) y = Q'(lam_k) x_k`` with a dense LU from
-    :func:`~qri.qep.factor_q` and updates
+    Each step solves ``Q(lam_k) y = Q'(lam_k) x_k`` with a fresh LU
+    from :func:`~qri.qep.factor_q` (sparse or dense as the problem's
+    pattern says) and updates
 
         x_{k+1} = y / (e* y),      lam_{k+1} = lam_k - 1 / (e* y)
 
@@ -191,9 +197,9 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     (``subspace_dim=1``, ``ritz_values=[lam_k]``); ``converged`` is False
     when ``maxit`` ran out.  Raises :class:`ValueError` for a non-finite
     ``lam0`` or ``x0`` and, from the first step, for ``n`` above the
-    dense cap; :class:`Stagnation` when the update scalar vanishes and
-    :class:`SingularMatrix` when ``lam_k`` lands on an eigenvalue without
-    the residual being converged already.
+    dense cap when ``Q`` is factored densely; :class:`Stagnation` when
+    the update scalar vanishes and :class:`SingularMatrix` when ``lam_k``
+    lands on an eigenvalue without the residual being converged already.
     """
     t_step = time.perf_counter()
     lam = check_shift(lam0, "lam0")
@@ -575,9 +581,10 @@ def _restart_coordinates(pairs, proj_pairs, q):
 
 
 class ExactExpansion:
-    """Solve ``Q(sigma) u = r`` for the expansion with the dense LU of
-    ``Q(sigma)``, factored once by :func:`~qri.qep.factor_q` (so ``n``
-    must fit under the dense cap)."""
+    """Solve ``Q(sigma) u = r`` for the expansion with the LU of
+    ``Q(sigma)``, factored once by :func:`~qri.qep.factor_q`: sparse or
+    dense as the problem's pattern says, and a dense one only with ``n``
+    under the dense cap."""
 
     def __init__(self, p, sigma):
         self._lu = factor_q(p, sigma, "sigma")
@@ -638,8 +645,9 @@ def outer_loop(p, config, observer=None):
     Grows an orthonormal basis one vector per outer iteration: project,
     solve the small problem, extract Ritz (or refined) pairs, and expand
     with ``Q(sigma)^{-1} r`` for the residual ``r`` of the first
-    unconverged target pair -- exactly (``mode="exact"``, a dense LU of
-    ``Q(sigma)`` factored once, so ``n`` must fit under the dense cap) or
+    unconverged target pair -- exactly (``mode="exact"``, an LU of
+    ``Q(sigma)`` factored once by :func:`~qri.qep.factor_q`, sparse or
+    dense as the problem's pattern says) or
     through restarted GMRES at ``tol_inner`` (``mode="inexact"``), whose
     solves share one recycled deflation space of ``Q(sigma)`` per run;
     each still stops on its recomputed true residual.
@@ -675,10 +683,10 @@ def outer_loop(p, config, observer=None):
     phases fall inside the records' ``wall_ms``.
 
     Raises :class:`ValueError` before the first iteration when exact mode
-    meets ``n`` above the dense cap, :class:`SubspaceExhausted` (partial
-    result attached) when the basis is exhausted as above, and
-    :class:`BreakdownError` when no candidate residual can extend the
-    basis.
+    must factor ``Q`` densely and ``n`` is above the dense cap,
+    :class:`SubspaceExhausted` (partial result attached) when the basis is
+    exhausted as above, and :class:`BreakdownError` when no candidate
+    residual can extend the basis.
     """
     t_iter = time.perf_counter()
     config.validate(p.n)

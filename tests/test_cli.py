@@ -63,7 +63,7 @@ def test_generate_then_solve_roundtrip(tmp_path, capsys):
         "mode", "extraction", "problem_n", "sigma", "nev", "tol_outer",
         "tol_inner", "stop_reason", "converged", "eigenvalues", "relres",
         "outer_iters", "cumulative_inner_iters", "inner_failures",
-        "phase_wall_ms", "wall_ms_total",
+        "phase_wall_ms", "wall_ms_total", "factorization",
     }
 
 
@@ -118,16 +118,38 @@ def test_eigenvalue_shift_is_named(capsys):
 
 
 def test_dense_factorization_above_cap(monkeypatch, capsys):
-    # wave2d(4) has n = 12: exact mode and Newton fail at set-up, before
-    # the first iteration, and point to inexact mode
+    # random(60) is factored densely and has n = 60: exact mode and Newton
+    # fail at set-up, before the first iteration, and point to inexact mode
     monkeypatch.setenv("QRI_DENSE_CAP", "10")
     for mode in ("exact", "newton"):
-        argv = ("solve", "--gen", "wave2d", "--m", "4", "--sigma", PROBE, "--mode", mode)
+        argv = ("solve", "--gen", "random", "--n", "60", "--density", "0.05",
+                "--sigma", PROBE, "--mode", mode)
         assert run_cli(*argv) == 4
         captured = capsys.readouterr()
         assert "exceeds the dense cap 10" in captured.err
         assert 'mode="inexact"' in captured.err
         assert "lam_1" not in captured.out
+
+
+def test_json_reports_factorization(tmp_path):
+    # exact mode and Newton report how Q was factored; inexact mode never
+    # factors it and reports null
+    wave = ("--gen", "wave2d", "--m", "8")
+    random = ("--gen", "random", "--n", "60", "--density", "0.05")
+    cases = (
+        (wave, "exact", "sparse"),
+        (wave, "newton", "sparse"),
+        (wave, "inexact", None),
+        (random, "exact", "dense"),
+        (random, "newton", "dense"),
+    )
+    for i, (source, mode, expected) in enumerate(cases):
+        path = tmp_path / f"run{i}.json"
+        code = run_cli("solve", *source, "--sigma", PROBE, "--mode", mode,
+                       "--out-json", str(path))
+        assert code == 0, (source, mode)
+        payload = json.loads(path.read_text())
+        assert payload["factorization"] == expected, (source, mode)
 
 
 def test_unknown_generator_is_usage_error():
@@ -174,8 +196,8 @@ def test_newton_json_schema(tmp_path):
     assert code == 0
     payload = json.loads(json_path.read_text())
     assert set(payload) == {
-        "mode", "problem_n", "sigma", "converged", "eigenvalues", "relres",
-        "outer_iters", "wall_ms_total",
+        "mode", "problem_n", "factorization", "sigma", "converged",
+        "eigenvalues", "relres", "outer_iters", "wall_ms_total",
     }
     # the JSON total is the sum of the CSV's per-step wall times
     walls = [float(line.rsplit(",", 1)[1])

@@ -58,6 +58,19 @@ def test_lu_sparse_input_matches_dense(rng):
         LUSolver(sp.csr_array(np.ones((3, 3), dtype=complex)))
 
 
+def test_lu_sparse_branch_singular_pivots():
+    # SuperLU's exactly singular factor and a pivot at most
+    # LU_PIVOT_RTOL * max|A| both raise, as in the dense branch
+    with pytest.raises(SingularMatrix):
+        LUSolver(sp.csr_array(np.ones((3, 3), dtype=complex)), sparse=True)
+    tiny = sp.csr_array(np.diag([1.0, 1e-301]).astype(complex))
+    for sparse in (True, False):
+        with pytest.raises(SingularMatrix):
+            LUSolver(tiny, sparse=sparse)
+    A = sp.csr_array(np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex))
+    assert np.allclose(LUSolver(A, sparse=True).solve([1.0, 2.0]), [0.2, 0.6])
+
+
 @pytest.mark.filterwarnings("error")
 def test_lu_singular_raises():
     A = np.zeros((3, 3), dtype=complex)

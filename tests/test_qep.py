@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qri import QepProblem, example1, full_eig, q_apply, q_prime_apply
+from qri import (
+    QepProblem,
+    SpringMaxwellParams,
+    example1,
+    full_eig,
+    q_apply,
+    q_prime_apply,
+    random_qep,
+    spring_maxwell,
+    wave2d,
+)
 from qri.errors import SingularMatrix
 from qri.linalg import LUSolver
 from qri.qep import (
     dense_cap,
+    factor_q,
     finite_order,
     read_problem,
     relative_residual,
@@ -83,6 +94,53 @@ def test_lu_column_of_inverse(p_example1):
     e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
     x = LUSolver(Q).solve(e3)
     assert np.allclose(x, [0.0, 0.0, 1.0 / 1.81], atol=1e-14)
+
+
+def test_factorization_rule_choices(tmp_path):
+    # meshes and chains keep a narrow envelope after reverse Cuthill-McKee
+    # and are factored sparsely; unstructured random patterns fill in and
+    # are factored densely.  The rule runs on first read, never when a
+    # problem is built or read from files
+    sparse = (
+        spring_maxwell(SpringMaxwellParams(25, 19, seed=0)),
+        wave2d(20),
+        wave2d(45),
+    )
+    dense = (
+        random_qep(500, density=0.01, seed=0),
+        random_qep(300, density=0.02, seed=0),
+    )
+    for p, choice in [(p, "sparse") for p in sparse] + [(p, "dense") for p in dense]:
+        assert p._factorization is None
+        assert p.factorization == choice, p
+    write_problem(str(tmp_path / "w"), wave2d(6))
+    assert read_problem(str(tmp_path / "w"))._factorization is None
+
+
+def test_sparse_and_dense_solves_agree():
+    for p, shift in (
+        (wave2d(20), -0.5 + 4j),
+        (spring_maxwell(SpringMaxwellParams(25, 19, seed=0)), 0.1 + 0.1j),
+    ):
+        Q = shifted_matrix(p, shift)
+        B = np.random.default_rng(3).standard_normal((p.n, 2)) + 1j
+        sparse, dense = LUSolver(Q, sparse=True).solve(B), LUSolver(Q).solve(B)
+        assert np.linalg.norm(sparse - dense) <= 1e-12 * np.linalg.norm(dense)
+        x = factor_q(p, shift, "sigma").solve(B[:, 0])
+        assert np.array_equal(x, LUSolver(Q, sparse=True).solve(B[:, 0]))
+
+
+def test_sparse_factorization_names_singular_shift():
+    # a zero column of K makes Q(0) = K exactly singular; the sparse
+    # factorization gives the same message as the dense one
+    p = wave2d(8)
+    K = p.K.tolil()
+    K[:, 0] = 0.0
+    q = QepProblem(p.M, p.C, K)
+    assert q.factorization == "sparse"
+    with pytest.raises(SingularMatrix, match=r"singular at sigma = 0j: the shift "
+                                             "is an eigenvalue to working precision"):
+        factor_q(q, 0j, "sigma")
 
 
 def test_q_apply_known_eigenpairs(p_example1):

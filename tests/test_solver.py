@@ -619,22 +619,87 @@ def test_solver_agrees_with_oracle(p_wave2d4, oracle_wave2d4_probe):
         assert abs(pair.lam - lam_true) <= 1e-9 * max(1.0, abs(lam_true))
 
 
-def test_dense_cap_boundary(monkeypatch, p_wave2d4, oracle_wave2d4_probe):
-    # n = 12 above a cap of 10: exact mode and Newton refuse the dense
+def test_dense_cap_boundary(monkeypatch):
+    # random_qep(60) is factored densely (its pattern fills in), and n = 60
+    # lies above a cap of 10: exact mode and Newton refuse the dense
     # factorization of Q up front, naming the cap and the way out, and
     # inexact mode at a tight inner tolerance still gets the spectrum
+    p = random_qep(60, density=0.05, seed=1)
+    assert p.factorization == "dense"
+    lams = full_eig(p, PROBE).lams
     monkeypatch.setenv("QRI_DENSE_CAP", "10")
-    cap_error = r'n = 12 exceeds the dense cap 10; use mode="inexact"'
+    cap_error = r'n = 60 exceeds the dense cap 10; use mode="inexact"'
     cfg = SolverConfig(sigma=PROBE, nev=3, tol_outer=1e-11, mode="exact")
     with pytest.raises(ValueError, match=cap_error):
-        outer_loop(p_wave2d4, cfg)
+        outer_loop(p, cfg)
     with pytest.raises(ValueError, match=cap_error):
-        newton_solve(p_wave2d4, PROBE, np.ones(12, dtype=complex))
-    cfg.mode, cfg.tol_inner = "inexact", 1e-14
-    res = outer_loop(p_wave2d4, cfg)
+        newton_solve(p, PROBE, np.ones(60, dtype=complex))
+    cfg.mode, cfg.tol_inner, cfg.restart = "inexact", 1e-14, p.n
+    res = outer_loop(p, cfg)
     assert all(res.converged)
-    for pair, lam_true in zip(res.eigenpairs, oracle_wave2d4_probe.lams[:3]):
+    for pair, lam_true in zip(res.eigenpairs, lams[:3]):
         assert abs(pair.lam - lam_true) <= 1e-9 * max(1.0, abs(lam_true))
+
+
+def test_sparse_factorization_ignores_dense_cap(monkeypatch):
+    # wave2d(8), n = 56, is factored sparsely, so a cap of 10 does not
+    # stop exact mode or Newton, and both still find the oracle's values
+    p = wave2d(8)
+    assert p.factorization == "sparse"
+    lams = full_eig(p, PROBE).lams
+    monkeypatch.setenv("QRI_DENSE_CAP", "10")
+    cfg = SolverConfig(sigma=PROBE, nev=3, tol_outer=1e-11, mode="exact")
+    res = outer_loop(p, cfg)
+    assert all(res.converged)
+    for pair, lam_true in zip(res.eigenpairs, lams[:3]):
+        assert abs(pair.lam - lam_true) <= 1e-9 * max(1.0, abs(lam_true))
+    first = res.eigenpairs[0]
+    nres = newton_solve(p, first.lam + 1e-3, first.x, tol=1e-12)
+    assert nres.converged
+    assert abs(nres.lam - lams[0]) <= 1e-9 * max(1.0, abs(lams[0]))
+
+
+def test_exact_and_newton_above_dense_cap():
+    # wave2d(50), n = 2450, lies above the default cap of 2000 but is
+    # factored sparsely: exact mode and Newton run and find the values of
+    # an inexact run.  As in the exact/inexact acceptance check, runs at
+    # tol_outer = 1e-10 agree to 1e-8: an eigenvalue's error is a few
+    # times its relative residual here
+    p = wave2d(50)
+    assert p.factorization == "sparse"
+    base = dict(sigma=-0.5 + 4j, nev=3, tol_outer=1e-10, seed=0)
+    exact = outer_loop(p, SolverConfig(mode="exact", **base))
+    inexact = outer_loop(p, SolverConfig(mode="inexact", **base))
+    assert all(exact.converged) and all(inexact.converged)
+    for xe, xi in zip(exact.eigenpairs, inexact.eigenpairs):
+        assert abs(xe.lam - xi.lam) <= 1e-8 * abs(xi.lam)
+        nres = newton_solve(p, xe.lam, xe.x, tol=1e-13)
+        assert nres.converged
+        assert abs(nres.lam - xi.lam) <= 1e-8 * abs(xi.lam)
+
+
+def test_exact_and_newton_bit_identical():
+    # the sparse factorization is deterministic, so two exact runs with
+    # Newton refinement on the singular-M chain repeat every bit
+    p = spring_maxwell(SpringMaxwellParams(25, 19, seed=0))
+    assert p.factorization == "sparse"
+    cfg = SolverConfig(sigma=-0.2 + 1j, nev=1, tol_outer=1e-10, mode="exact")
+    runs = []
+    for _ in range(2):
+        res = outer_loop(p, cfg)
+        first = res.eigenpairs[0]
+        runs.append((res, newton_solve(p, first.lam, first.x, tol=1e-13)))
+    (a, na), (b, nb) = runs
+    assert all(a.converged) and na.converged
+    for ha, hb in ((a.history, b.history), (na.history, nb.history)):
+        assert len(ha) == len(hb)
+        for ra, rb in zip(ha, hb):
+            assert ra.subspace_dim == rb.subspace_dim
+            assert ra.ritz_values == rb.ritz_values
+            assert ra.relres == rb.relres
+    assert a.eigenpairs[0].lam == b.eigenpairs[0].lam
+    assert np.array_equal(a.eigenpairs[0].x, b.eigenpairs[0].x)
+    assert na.lam == nb.lam and np.array_equal(na.x, nb.x)
 
 
 def test_oracle_property_sweep():
