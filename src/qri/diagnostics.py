@@ -28,15 +28,19 @@ from .oracle import (
 from .qep import shifted_matrix
 from .solver import SolverConfig, outer_loop
 
+ISOLATION_TIE_RTOL = 1e-10
+
 
 def pick_isolated_index(lams):
-    """Index of the eigenvalue farthest from its nearest neighbour."""
+    """Index of the eigenvalue farthest from its nearest neighbour: the
+    first within ``ISOLATION_TIE_RTOL`` of that gap, so mirror images tie."""
     lams = np.asarray(lams, dtype=complex)
     if lams.size < 2:
         raise ValueError("need at least two eigenvalues")
     dist = np.abs(lams[:, None] - lams[None, :])
     np.fill_diagonal(dist, np.inf)
-    return int(np.argmax(dist.min(axis=1)))
+    gaps = dist.min(axis=1)
+    return int(np.argmax(gaps >= (1.0 - ISOLATION_TIE_RTOL) * gaps.max()))
 
 
 def shift_at_distance(lams, index, distance):
@@ -108,8 +112,11 @@ def run_angle_identity_check(p, sigma, steps, seed=0, x_target=None):
 
     against the oracle eigenvector ``x`` nearest ``sigma`` (or a caller
     supplied ``x_target``), and accumulates the per-step factors whose
-    product must reproduce the final subspace angle.
+    product must reproduce the final subspace angle.  Raises
+    :class:`ValueError` unless ``steps >= 1``.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     if x_target is None:
         d = full_eig(p, sigma)
         x = d.X[:, 0]
@@ -171,8 +178,11 @@ def run_angle_bound_check(
 
     Stops once the target eigenvector is captured to ``sin_floor``
     (below which the measured angles are dominated by round-off) or the
-    pair converges at ``tol_outer``.
+    pair converges at ``tol_outer``.  Raises :class:`ValueError` unless
+    ``max_steps >= 1``.
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     d = full_eig(p, sigma)
     x1 = d.X[:, 0]
     records = []

@@ -100,10 +100,13 @@ class LUSolver:
             raise SingularMatrix("zero pivot in sparse LU factorization") from exc
         _check_pivots(self._sparse.U.diagonal(), np.abs(A.data).max(initial=0.0))
 
-    def solve(self, b):
+    def solve(self, b, adjoint=False):
+        """``A^{-1} b``, or ``A^{-*} b`` if ``adjoint``."""
         if self._sparse is not None:
-            return self._sparse.solve(np.asarray(b, dtype=complex))
-        return sla.lu_solve((self._lu, self._piv), b, check_finite=False)
+            b = np.asarray(b, dtype=complex)
+            return self._sparse.solve(b, trans="H" if adjoint else "N")
+        lu = (self._lu, self._piv)
+        return sla.lu_solve(lu, b, trans=2 if adjoint else 0, check_finite=False)
 
 
 def _check_pivots(pivots, amax):
@@ -113,8 +116,8 @@ def _check_pivots(pivots, amax):
 
 
 def dense_eig(A, vectors=True):
-    """Eigenvalues and, if ``vectors``, unit-norm right eigenvectors of a
-    dense matrix, by LAPACK ``geev``.
+    """Eigenvalues and, if ``vectors``, unit-norm left and right
+    eigenvectors of a dense matrix, by LAPACK ``geev``.
 
     Without vectors ``geev`` skips their accumulation and
     back-substitution, 20-40% of its time at orders 80 to 220; a caller
@@ -123,19 +126,18 @@ def dense_eig(A, vectors=True):
     Returns
     -------
     w : (n,) complex ndarray
-    V : (n, n) complex ndarray, only if ``vectors``
-        ``V[:, i]`` is the eigenvector for ``w[i]``, normalized to unit
-        2-norm.
+    VL, VR : (n, n) complex ndarrays, only if ``vectors``
+        ``VL[:, i]* A = w[i] VL[:, i]*`` and ``A VR[:, i] = w[i] VR[:, i]``,
+        each column of unit 2-norm (``geev`` normalizes them).
     """
     A = np.asarray(A, dtype=complex)
     try:
         if not vectors:
             return sla.eigvals(A, check_finite=False)
-        w, V = sla.eig(A, check_finite=False)
+        w, VL, VR = sla.eig(A, left=True, check_finite=False)
     except sla.LinAlgError as exc:
         raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
-    V /= np.linalg.norm(V, axis=0)
-    return w, V
+    return w, VL, VR
 
 
 def null_vector(A, scale, against=()):
@@ -192,18 +194,26 @@ def smallest_singular_vector(A):
     return Vh[-1].conj()
 
 
-def project_out(V, x):
-    """Return ``(I - V V*) x`` for orthonormal columns ``V``.
+def gram_schmidt(V, w):
+    """Orthogonalize ``w`` in place against orthonormal columns ``V`` and
+    return the summed coefficients ``c``, ``w_in = V c + w_out``.
 
     Two classical Gram-Schmidt passes (CGS2), each one BLAS-2 product
     against all columns at once; the second pass keeps the result
     accurate when the remainder is many orders of magnitude smaller than
-    ``x``.  ``V*`` is never formed: ``V* w`` is computed as
-    ``conj(conj(w) @ V)``.
+    ``w``.  ``V*`` is never formed: ``V* w`` is ``conj(conj(w) @ V)``.
     """
+    c = (w.conj() @ V).conj()
+    w -= V @ c
+    d = (w.conj() @ V).conj()
+    w -= V @ d
+    return c + d
+
+
+def project_out(V, x):
+    """``(I - V V*) x`` for orthonormal columns ``V``, by :func:`gram_schmidt`."""
     w = np.array(x, dtype=complex)
-    for _ in range(2):
-        w -= V @ (w.conj() @ V).conj()
+    gram_schmidt(V, w)
     return w
 
 

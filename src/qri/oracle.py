@@ -89,8 +89,9 @@ class OracleDecomposition:
         return len(self.lams)
 
     def shifted_solver(self, mu):
-        """LU solver for ``Q(mu)`` from :func:`~qri.qep.factor_q` (sparse
-        or dense as the problem's pattern says), memoized per ``mu``."""
+        """LU solver for ``Q(mu)``, memoized per ``mu``: the dense LU of
+        :func:`full_eig` at its shift, :func:`~qri.qep.factor_q` (sparse or
+        dense as the problem's pattern says) elsewhere."""
         key = complex(mu)
         if key not in self._shift_lu:
             self._shift_lu[key] = factor_q(self.problem, key, "mu")
@@ -100,15 +101,20 @@ class OracleDecomposition:
 def full_eig(p, sigma):
     """All 2n eigentriplets of ``p`` via the shift-inverted pencil.
 
-    The shifted pencil ``S = (A - sigma B)^{-1} B`` is formed densely and
-    fed to the QR eigensolver; eigenvalues come back as
-    ``lam = sigma + 1 / theta`` with ``theta ~ 0`` flagged infinite.
-    Left vectors are read off the rows of ``W^{-1} (A - sigma B)^{-1}``
-    (the inverse eigenvector matrix times the shifted resolvent), which
-    pairs them with the right vectors and fixes their scale in one step.
+    ``S = (A - sigma B)^{-1} B``, formed densely from one LU of
+    ``Q(sigma)`` (:func:`~qri.qep.shift_invert`), is fed to the QR
+    eigensolver for left and right vectors ``VL`` and ``W``; eigenvalues
+    come back as ``lam = sigma + 1 / theta`` with ``theta ~ 0`` flagged
+    infinite.  Left vectors are read off the rows of
+    ``W^{-1} (A - sigma B)^{-1}``, which pairs them with the right vectors
+    and fixes their scale in one step: row i of ``W^{-1}`` is
+    ``VL[:, i]* / (VL[:, i]* W[:, i])``, and the first n columns of
+    ``(A - sigma B)^{-1}`` are ``-[sigma I; I] Q(sigma)^{-1}``, one adjoint
+    solve with the LU that ``shifted_solver(sigma)`` then reuses.
 
     Raises :class:`SingularMatrix` if ``sigma`` is itself an eigenvalue
-    and ``ValueError`` if ``2 n`` exceeds the dense cap.
+    or some ``VL[:, i]* W[:, i]`` is zero (the shifted pencil is not
+    diagonalizable), and ``ValueError`` if ``2 n`` exceeds the dense cap.
     """
     n = p.n
     if 2 * n > dense_cap():
@@ -116,44 +122,32 @@ def full_eig(p, sigma):
             f"oracle needs 2n = {2 * n} <= dense cap {dense_cap()}; "
             "set QRI_DENSE_CAP to override"
         )
-    S, fsolve = shift_invert(*p.densify(), sigma)
-    theta, W = dense_eig(S)
-
-    Finv = fsolve.solve(np.eye(2 * n, dtype=complex))
-    try:
-        G = np.linalg.solve(W, Finv)
-    except np.linalg.LinAlgError as exc:
+    S, qsolve = shift_invert(*p.densify(), sigma)
+    theta, VL, W = dense_eig(S)
+    dots = np.einsum("ij,ij->j", VL.conj(), W)
+    if not dots.all():
         raise SingularMatrix(
             "eigenvector matrix is numerically singular; the oracle needs "
             "a diagonalizable shifted pencil"
-        ) from exc
+        )
+    # column i: row i of W^{-1} (A - sigma B)^{-1}, first n entries, conjugated
+    G = qsolve.solve(np.conj(sigma) * VL[:n] + VL[n:], adjoint=True)
+    G /= -dots.conj()
 
     idx, lams, inf_idx = finite_order(theta, sigma)
-    X = np.empty((n, idx.size), dtype=complex)
-    Y = np.empty((n, idx.size), dtype=complex)
-    triplets = []
-    for col, i in enumerate(idx):
-        xraw = W[n:, i]
-        c = np.linalg.norm(xraw)
-        if c == 0.0:
-            raise ZeroVector("pencil eigenvector has an empty lower block")
-        x = xraw / c
-        y = np.conj(c * (lams[col] - sigma)) * np.conj(G[i, :n])
-        X[:, col] = x
-        Y[:, col] = y
-        triplets.append(Eigentriplet(lam=complex(lams[col]), x=x, y=y))
-
+    # finite eigenvectors are [lam x; x], infinite ones [x; 0]
+    c = np.linalg.norm(W[n:, idx], axis=0)
+    X = W[n:, idx] / c
+    Y = G[:, idx] * np.conj(c * (lams - sigma))
+    triplets = [
+        Eigentriplet(lam=complex(lam), x=X[:, j], y=Y[:, j])
+        for j, lam in enumerate(lams)
+    ]
     for i in inf_idx:
-        xraw = W[:n, i]
-        c = np.linalg.norm(xraw)
-        if c == 0.0:
-            raise ZeroVector("pencil eigenvector has an empty upper block")
-        yraw = np.conj(G[i, :n])
-        ny = np.linalg.norm(yraw)
-        y = yraw / ny if ny > 0 else yraw
-        triplets.append(
-            Eigentriplet(lam=None, x=xraw / c, y=y, infinite=True)
-        )
+        x, y = W[:n, i], G[:, i]
+        ny = np.linalg.norm(y)
+        x, y = x / np.linalg.norm(x), (y / ny if ny > 0 else y)
+        triplets.append(Eigentriplet(lam=None, x=x, y=y, infinite=True))
 
     return OracleDecomposition(
         problem=p,
@@ -163,6 +157,7 @@ def full_eig(p, sigma):
         X=X,
         Y=Y,
         n_infinite=int(inf_idx.size),
+        _shift_lu={complex(sigma): qsolve},
     )
 
 

@@ -11,7 +11,9 @@ The companion form used everywhere is
          [ I,  0]]        [0, I]]
 
 with pencil eigenvectors ``[lam*x; x]`` for finite ``lam``, so right
-eigenvectors of the quadratic problem sit in the lower block.
+eigenvectors of the quadratic problem sit in the lower block.  The
+pencil is never formed: eliminating its identity block row turns a
+solve with ``A - sigma B`` into one with ``Q(sigma)`` (:func:`shift_invert`).
 """
 
 import os
@@ -43,8 +45,8 @@ def dense_cap():
 
     Guards :func:`factor_q` for the problems whose
     :attr:`QepProblem.factorization` is ``"dense"`` (``Q`` at a shift,
-    order n) and the oracle's companion pencil (order 2n); a sparse
-    factorization of ``Q`` has no cap.  Overridable through the
+    order n) and the oracle's shift-inverted companion matrix (order
+    2n); a sparse factorization of ``Q`` has no cap.  Overridable through the
     ``QRI_DENSE_CAP`` environment variable; the guard exists so that
     dense paths are not silently applied to problems that are too large
     for them.
@@ -225,33 +227,26 @@ def relative_residual(p, omega, xtilde):
 
 def shift_invert(Md, Cd, Kd, sigma):
     """Dense ``S = (A - sigma B)^{-1} B`` for the companion pencil of the
-    dense blocks ``Md, Cd, Kd``.
+    dense blocks ``Md, Cd, Kd``, from one LU of the order-n ``Q(sigma)``.
+    The second block row of a solve ``(A - sigma B) y = b`` gives
+    ``y1 = b2 + sigma y2``, and the first then
+    ``Q(sigma) y2 = -(b1 + (C + sigma M) b2)``, so
+
+        S = [[sigma X + [0, I]], [X]],   X = -Q(sigma)^{-1} [M, C + sigma M].
 
     Eigenvalues ``theta`` of ``S`` map to quadratic eigenvalues through
     ``lam = sigma + 1/theta`` (see :func:`finite_order`); ``theta = 0``
-    corresponds to an infinite eigenvalue.  Returns ``(S, fsolve)`` where
-    ``fsolve`` is the LU solver for ``A - sigma B``, for callers that need
-    further solves with the same shifted pencil.  Raises
-    :class:`SingularMatrix` when ``sigma`` is an eigenvalue of the pencil.
+    corresponds to an infinite eigenvalue.  Returns ``(S, qsolve)`` where
+    ``qsolve`` is the dense :class:`~qri.linalg.LUSolver` of ``Q(sigma)``.
+    Raises :class:`SingularMatrix` when ``Q(sigma)``, and with it
+    ``A - sigma B``, is singular: ``sigma`` is an eigenvalue.
     """
     n = Md.shape[0]
-    B = np.zeros((2 * n, 2 * n), dtype=complex)
-    B[:n, :n] = Md
-    B[n:, n:] = np.eye(n)
-    fsolve = LUSolver(_shifted_pencil(Md, Cd, Kd, sigma))
-    return fsolve.solve(B), fsolve
-
-
-def _shifted_pencil(Md, Cd, Kd, sigma):
-    # A - sigma B block by block, without A or sigma B as order-2n
-    # temporaries (the same entries as forming both and subtracting)
-    n = Md.shape[0]
-    F = np.zeros((2 * n, 2 * n), dtype=complex)
-    F[:n, :n] = -Cd - sigma * Md
-    F[:n, n:] = -Kd
-    F[n:, :n] = np.eye(n)
-    np.fill_diagonal(F[n:, n:], -sigma)
-    return F
+    qsolve = LUSolver((sigma * sigma) * Md + sigma * Cd + Kd)
+    X = qsolve.solve(np.hstack([-Md, -Cd - sigma * Md]))
+    S = np.vstack([sigma * X, X])
+    S[:n, n:][np.diag_indices(n)] += 1.0
+    return S, qsolve
 
 
 def finite_order(theta, sigma):

@@ -21,12 +21,11 @@ densely otherwise (:attr:`~qri.qep.QepProblem.factorization`), and only
 a dense factorization is bounded by the dense cap.
 
 The projected small problem's eigenvalues always come from its
-shift-inverted companion matrix, so infinite Ritz values (singular
-projected mass block) are detected and skipped rather than polluting the
-targets.  Its eigenvectors are not computed there: a coordinate vector
-is the null vector of the k x k ``Q_k(omega)``, found by inverse
-iteration only for the pairs the loop reads (the first ``nev`` in Ritz
-extraction, the kept ones at a thick restart).  Refined extraction
+shift-inverted companion matrix, built from one LU of the k x k
+``Q_k(sigma)``, so infinite Ritz values (singular projected mass block)
+are skipped rather than polluting the targets.  A coordinate vector is
+the null vector of ``Q_k(omega)``, found by inverse iteration only where
+the loop reads it (:class:`ProjectedSolve`).  Refined extraction
 instead minimizes ``norm(Q(omega) V z)`` through the small triangular
 factor of ``[M V, C V, K V]`` (:class:`ResidualFactor`) that the
 :class:`ProjectionCache` keeps up to date from the sparse products it
@@ -53,6 +52,7 @@ from .linalg import (
     BREAKDOWN_RTOL,
     OrthonormalBasis,
     dense_eig,
+    gram_schmidt,
     null_vector,
     smallest_singular_vector,
     spmv,
@@ -195,13 +195,16 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     Returns a :class:`NewtonResult` whose ``history`` holds one
     :class:`ConvergenceRecord` per iterate, the start included
     (``subspace_dim=1``, ``ritz_values=[lam_k]``); ``converged`` is False
-    when ``maxit`` ran out.  Raises :class:`ValueError` for a non-finite
-    ``lam0`` or ``x0`` and, from the first step, for ``n`` above the
-    dense cap when ``Q`` is factored densely; :class:`Stagnation` when
-    the update scalar vanishes and :class:`SingularMatrix` when ``lam_k``
-    lands on an eigenvalue without the residual being converged already.
+    when ``maxit`` ran out.  Raises :class:`ValueError` for a negative
+    ``maxit``, a non-finite ``lam0`` or ``x0`` and, from the first step,
+    for ``n`` above the dense cap when ``Q`` is factored densely;
+    :class:`Stagnation` when the update scalar vanishes and
+    :class:`SingularMatrix` when ``lam_k`` lands on an eigenvalue without
+    the residual being converged already.
     """
     t_step = time.perf_counter()
+    if maxit < 0:
+        raise ValueError(f"maxit must be at least 0, got {maxit}")
     lam = check_shift(lam0, "lam0")
     x0 = np.asarray(x0, dtype=complex)
     if not np.isfinite(x0).all():
@@ -274,9 +277,9 @@ class ResidualFactor:
     def append(self, AV):
         """Extend the factor by the columns of the ``n x 3`` block
         ``AV = [M v, C v, K v]`` for a new basis column ``v``, which is
-        overwritten.  Each column gets the two classical Gram-Schmidt
-        passes of :func:`~qri.linalg.project_out` against ``Q_W``, the
-        columns added for the block's earlier columns included."""
+        overwritten.  Each column is orthogonalized by
+        :func:`~qri.linalg.gram_schmidt` against ``Q_W``, the columns
+        added for the block's earlier columns included."""
         r, m = self.R.shape
         R = np.zeros((r + 3, m + 3), dtype=complex, order="F")
         R[:r, :m] = self.R
@@ -284,13 +287,8 @@ class ResidualFactor:
         a = 0
         for j in range(3):
             w = AV[:, j]
-            basis = self._Q[:, : r + a]
-            c = (w.conj() @ basis).conj()
-            w -= basis @ c
-            d = (w.conj() @ basis).conj()
-            w -= basis @ d
             col = R[:, m + j]
-            col[: r + a] = c + d
+            col[: r + a] = gram_schmidt(self._Q[:, : r + a], w)
             nrm = np.linalg.norm(w)
             if nrm > BREAKDOWN_RTOL * norms[j] and r + a < self._Q.shape[1]:
                 np.multiply(w, 1.0 / nrm, out=self._Q[:, r + a])
@@ -382,72 +380,60 @@ class ProjectionCache:
         return tuple(small[:k, :k] for small in self._small)
 
 
-class ProjectedPair:
-    """One finite eigenvalue ``omega`` of the projected problem.  Its unit
-    coordinate vector ``z``, a null vector of
-    ``Q_k(omega) = omega^2 Mk + omega Ck + Kk``, is computed on first
-    read, so a pair whose vector the loop never reads costs only its
-    eigenvalue."""
+class ProjectedSolve:
+    """The finite eigenvalues ``omegas`` of one projected problem, in
+    :func:`~qri.qep.finite_order`, and their unit coordinate vectors
+    ``z(i)``, each computed once, on first read, from a copy of the
+    blocks: the cache's blocks are views that a restart or an append
+    overwrites.
 
-    def __init__(self, omega, vectors, index):
-        self.omega = omega
-        self._vectors = vectors
-        self._index = index
-
-    @property
-    def z(self):
-        return self._vectors.vector(self._index)
-
-
-class _CoordinateVectors:
-    """The coordinate vectors of one projected solve, each computed once,
-    from a copy of the blocks: the cache's blocks are views that a restart
-    or an append overwrites.
-
-    Vector ``i`` is :func:`~qri.linalg.null_vector` of ``Q_k(omega_i)`` at
-    the scale ``|omega|^2 |Mk|_1 + |omega| |Ck|_1 + |Kk|_1``, orthogonal
-    to the vectors of the earlier pairs in its cluster, which are computed
-    first if not read yet.
+    ``z(i)`` is :func:`~qri.linalg.null_vector` of ``Q_k(omegas[i]) =
+    omega^2 Mk + omega Ck + Kk`` at the scale ``|omega|^2 |Mk|_1 + |omega|
+    |Ck|_1 + |Kk|_1``, orthogonal to the vectors of the earlier values in
+    its cluster, which are computed first if not read yet.
     """
 
     def __init__(self, blocks, omegas, theta):
+        self.omegas = omegas
         self._blocks = [np.array(b, order="F") for b in blocks]
         self._norms = [np.abs(b).sum(axis=0).max(initial=0.0) for b in blocks]
-        self._omegas = omegas
         self._theta = theta
         self._near = CLUSTER_RTOL * np.abs(theta).max(initial=0.0)
-        self._cache = {}
+        self._z = {}
 
-    def vector(self, i):
-        z = self._cache.get(i)
+    def __len__(self):
+        return len(self.omegas)
+
+    def z(self, i):
+        z = self._z.get(i)
         if z is None:
             near = np.abs(self._theta[:i] - self._theta[i]) <= self._near
-            against = [self.vector(j) for j in np.flatnonzero(near)]
-            w = self._omegas[i]
+            against = [self.z(j) for j in np.flatnonzero(near)]
+            w = self.omegas[i]
             Mk, Ck, Kk = self._blocks
             nm, nc, nk = self._norms
             scale = abs(w) ** 2 * nm + abs(w) * nc + nk
-            z = self._cache[i] = null_vector(w * w * Mk + w * Ck + Kk, scale, against)
+            z = self._z[i] = null_vector(w * w * Mk + w * Ck + Kk, scale, against)
         return z
 
 
 def solve_projected_qep(Mk, Ck, Kk, sigma):
-    """The finite eigenpairs of the dense projected problem, as
-    :class:`ProjectedPair` whose vectors are computed only where read.
+    """The finite eigenpairs of the dense projected problem, as one
+    :class:`ProjectedSolve` whose vectors are computed only where read.
 
-    The eigenvalues ``theta`` of the shift-inverted companion matrix at
-    ``sigma`` come from :func:`~qri.linalg.dense_eig` without vectors.
-    The pairs are returned in :func:`~qri.qep.finite_order`, and the
-    infinite ones (singular projected mass block) are skipped.  Pairs
-    whose ``theta`` lie within ``CLUSTER_RTOL * max|theta|`` of each other
-    form a cluster and get orthonormal vectors, so a multiple Ritz value
-    still gets independent ones.  If ``sigma`` happens to be an eigenvalue
-    of the projected pencil the shift is nudged once by a relative
-    ``1e-8`` perturbation (the Ritz values are then read off the nudged
-    shift); a second failure propagates as :class:`SingularMatrix`.
+    The eigenvalues ``theta`` of the shift-inverted companion matrix, from
+    one LU of the k x k ``Q_k(sigma)`` (:func:`~qri.qep.shift_invert`),
+    come from :func:`~qri.linalg.dense_eig` without vectors; infinite
+    ones (singular projected mass block) are skipped.  Values whose
+    ``theta`` lie within ``CLUSTER_RTOL * max|theta|`` of each other form
+    a cluster and get orthonormal vectors, so a multiple Ritz value still
+    gets independent ones.  If ``Q_k(sigma)`` is singular the shift is
+    nudged once by a relative ``1e-8`` perturbation (the Ritz values are
+    then read off the nudged shift); a second failure propagates as
+    :class:`SingularMatrix`.
     """
-    # the LU of the pencil is not kept: it would outlive its use into
-    # the eigensolve, the largest dense step of a run
+    # the LU of Q_k(sigma) is not kept: it would outlive its use into the
+    # eigensolve, the largest dense step of a run
     try:
         S = shift_invert(Mk, Ck, Kk, sigma)[0]
     except SingularMatrix:
@@ -455,8 +441,7 @@ def solve_projected_qep(Mk, Ck, Kk, sigma):
         S = shift_invert(Mk, Ck, Kk, sigma)[0]
     theta = dense_eig(S, vectors=False)
     idx, omegas, _ = finite_order(theta, sigma)
-    vectors = _CoordinateVectors((Mk, Ck, Kk), omegas, theta[idx])
-    return [ProjectedPair(complex(omega), vectors, i) for i, omega in enumerate(omegas)]
+    return ProjectedSolve((Mk, Ck, Kk), omegas, theta[idx])
 
 
 @dataclass
@@ -501,21 +486,20 @@ def _lift(Vm, Z):
     return X, Z * scale
 
 
-def _extract_pairs(p, Vm, proj_pairs, nev, tol_outer, factor):
-    """The first ``nev`` pairs scored on the basis ``Vm``: with Ritz
-    vectors, or with refined ones from ``factor`` (a
+def _extract_pairs(p, Vm, projected, nev, tol_outer, factor):
+    """The first ``nev`` pairs of ``projected`` scored on the basis
+    ``Vm``: with Ritz vectors, or with refined ones from ``factor`` (a
     :class:`ResidualFactor`) when it is not ``None``."""
-    chosen = proj_pairs[:nev]
-    if factor is not None:
-        zs = [factor.refined_coordinates(pp.omega) for pp in chosen]
-    else:
-        zs = [pp.z for pp in chosen]
-    if not zs:
+    omegas = [complex(w) for w in projected.omegas[:nev]]
+    if not omegas:
         return []
+    if factor is not None:
+        zs = [factor.refined_coordinates(w) for w in omegas]
+    else:
+        zs = [projected.z(i) for i in range(len(omegas))]
     X, Z = _lift(Vm, np.column_stack(zs))
     out = []
-    for i, pp in enumerate(chosen):
-        omega = pp.omega
+    for i, omega in enumerate(omegas):
         resid = q_apply(p, omega, X[i])
         relres = float(np.linalg.norm(resid) / residual_denominator(p, omega))
         out.append(
@@ -557,17 +541,17 @@ def _residual_digits(pairs, nev, tol_outer):
     return sum(max(0.0, -math.log10(max(pr.relres, tol_outer))) for pr in pairs[:nev])
 
 
-def _restart_coordinates(pairs, proj_pairs, q):
+def _restart_coordinates(pairs, projected, q):
     """Orthonormal ``k x q'`` coordinates (``q' <= q``) of a thick restart.
 
     The candidates are the extracted (Ritz or refined) coordinate vectors
-    of ``pairs``, then the Ritz vectors of the next-nearest projected
-    pairs, each computed only when its turn comes.  They are appended in
-    that order to an :class:`OrthonormalBasis` of k-space, which drops a
-    rank-deficient candidate as a breakdown.
+    of ``pairs``, then the Ritz vectors of the next-nearest values of
+    ``projected``, each computed only when its turn comes.  They are
+    appended in that order to an :class:`OrthonormalBasis` of k-space,
+    which drops a rank-deficient candidate as a breakdown.
     """
     candidates = itertools.chain(
-        (pr.z for pr in pairs), (pp.z for pp in proj_pairs[len(pairs):])
+        (pr.z for pr in pairs), map(projected.z, range(len(pairs), len(projected)))
     )
     zb = OrthonormalBasis(len(pairs[0].z), capacity=q)
     for z in candidates:
@@ -747,9 +731,9 @@ def outer_loop(p, config, observer=None):
     stop_reason = None
     while stop_reason is None:
         with _timed(phase, "small_solve"):
-            proj_pairs = solve_projected_qep(*proj.blocks, sigma)
+            projected = solve_projected_qep(*proj.blocks, sigma)
             pairs = _extract_pairs(
-                p, basis.matrix, proj_pairs, nev, config.tol_outer, proj.factor
+                p, basis.matrix, projected, nev, config.tol_outer, proj.factor
             )
         record = ConvergenceRecord(
             outer_iter=len(history) + 1,
@@ -769,7 +753,7 @@ def outer_loop(p, config, observer=None):
             elif digits >= restart_digits + 1.0:
                 restart_digits = digits
                 with _timed(phase, "projection"):
-                    Z = _restart_coordinates(pairs, proj_pairs, restart_size // 2)
+                    Z = _restart_coordinates(pairs, projected, restart_size // 2)
                     basis.compress(Z)
                     proj.compress(Z)
             elif restart_size < capacity:

@@ -11,6 +11,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from qri import example1, full_eig, wave2d  # noqa: E402
+from qri.linalg import LUSolver  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,17 @@ def rand_complex(rng, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def lu_builds(monkeypatch):
+    """The shapes of the LUSolvers built while the test runs, in order."""
+    shapes = []
+    init = LUSolver.__init__
+
+    def counted(self, A, *args, **kwargs):
+        shapes.append(A.shape)
+        init(self, A, *args, **kwargs)
+
+    monkeypatch.setattr(LUSolver, "__init__", counted)
+    return shapes

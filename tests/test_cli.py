@@ -167,6 +167,27 @@ def test_newton_rejects_multiple_pairs():
     assert excinfo.value.code == 4
 
 
+def test_newton_negative_step_count(capsys):
+    # newton mode reads --max-subspace as its step limit
+    code = run_cli(
+        "solve", "--gen", "example1", "--sigma", "0.9",
+        "--mode", "newton", "--max-subspace", "-1",
+    )
+    assert code == 4
+    assert "maxit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["angle-identity", "angle-bound"])
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_diagnose_angle_checks_reject_step_count(check, steps, capsys):
+    code = run_cli(
+        "diagnose", "--check", check, "--gen", "wave2d", "--m", "4",
+        "--sigma", PROBE, "--steps", steps,
+    )
+    assert code == 4
+    assert f"steps must be at least 1, got {steps}" in capsys.readouterr().err
+
+
 def test_missing_matrix_files(tmp_path):
     prefix = str(tmp_path / "nothing")
     assert run_cli("solve", "--mtx-prefix", prefix, "--sigma", "0.9") == 3

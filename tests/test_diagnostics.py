@@ -26,6 +26,24 @@ def test_pick_isolated_index():
     assert pick_isolated_index(np.array([1.0j, 1.1j, -4.0])) == 2
 
 
+def test_pick_isolated_index_rounding_tie():
+    # the outer two values are mirror images, as in a spectrum symmetric
+    # about the imaginary axis; a few ulps of rounding must not decide
+    # which of them is picked
+    lams = np.array([3.0 + 1.0j, 1.0, -1.0, -(3.0 + 1e-15) + 1.0j])
+    assert pick_isolated_index(lams) == 0
+    assert pick_isolated_index(lams[::-1]) == 0
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_angle_checks_reject_step_count(steps):
+    p = wave2d(4)
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        run_angle_identity_check(p, PROBE, steps=steps)
+    with pytest.raises(ValueError, match="max_steps must be at least 1"):
+        run_angle_bound_check(p, PROBE, max_steps=steps)
+
+
 def test_shift_at_distance():
     lams = np.array([0.0, 1.0, 10.0], dtype=complex)
     sigma = shift_at_distance(lams, 2, 2.0)

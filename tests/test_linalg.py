@@ -97,12 +97,14 @@ def test_dense_eig_companion_roots():
     C = np.zeros((6, 6), dtype=complex)
     C[1:, :-1] = np.eye(5)
     C[:, -1] = -np.poly(roots)[1:][::-1]
-    lam, V = dense_eig(C)
+    lam, VL, V = dense_eig(C)
     assert np.allclose(sorted(lam.real), roots, atol=1e-8)
     assert np.allclose(dense_eig(C, vectors=False), lam, rtol=1e-12, atol=0.0)
     assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-13)
+    assert np.allclose(np.linalg.norm(VL, axis=0), 1.0, atol=1e-13)
     for i in range(6):
         assert np.linalg.norm(C @ V[:, i] - lam[i] * V[:, i]) <= 1e-8
+        assert np.linalg.norm(VL[:, i].conj() @ C - lam[i] * VL[:, i].conj()) <= 1e-8
 
 
 def test_smallest_singular_vector_recovers(rng):

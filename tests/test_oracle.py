@@ -8,6 +8,7 @@ from qri import (
     InfiniteEigenvaluePresent,
     OrthogonalToTarget,
     QepProblem,
+    SpringMaxwellParams,
     ZeroVector,
     angle_sandwich,
     decompose_along,
@@ -15,10 +16,15 @@ from qri import (
     expansion_angle_identity,
     expansion_perturbation_diagnostics,
     full_eig,
+    q_prime_apply,
+    random_qep,
     resolvent_check,
     select_target_pair,
+    spring_maxwell,
+    wave2d,
 )
 from qri.oracle import sin_angle
+from qri.qep import residual_denominator, shifted_matrix
 
 PROBE = 0.1234 + 0.4321j
 
@@ -61,6 +67,46 @@ def test_scalar_left_vector_scaling():
     assert np.allclose(d.lams, [2.0, -2.0], atol=1e-13)
     assert np.allclose(np.abs(d.Y), 0.25, atol=1e-13)
     assert np.allclose(np.abs(d.X), 1.0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "make, sigma, nearest, left_tol, scale_tol",
+    [
+        # non-normal: left vectors through an inverse of the order-2n
+        # pencil lost 4 to 5 digits here
+        (lambda: random_qep(200, density=0.02, seed=3), 0.3 + 0.2j, 20, 1e-12, 1e-10),
+        (lambda: wave2d(12), PROBE, None, 1e-13, 1e-12),
+        (lambda: spring_maxwell(SpringMaxwellParams(10, 4, seed=2)), PROBE, None,
+         1e-13, 1e-12),
+    ],
+)
+def test_left_vectors_accurate(make, sigma, nearest, left_tol, scale_tol):
+    # y* Q(lam) = 0 relative to the residual denominator, and the
+    # resolvent scaling y* Q'(lam) x = 1, for the nearest finite values
+    p = make()
+    d = full_eig(p, sigma)
+    for i in range(d.finite_count if nearest is None else nearest):
+        lam, x, y = d.lams[i], d.X[:, i], d.Y[:, i]
+        left = np.linalg.norm(y.conj() @ shifted_matrix(p, lam))
+        assert left <= left_tol * np.linalg.norm(y) * residual_denominator(p, lam)
+        assert abs(y.conj() @ q_prime_apply(p, lam, x) - 1.0) <= scale_tol
+
+
+def test_full_eig_factors_q_once(p_wave2d4, lu_builds):
+    # one LU of the order-n Q(sigma), which shifted_solver(sigma) reuses
+    sigma = PROBE
+    d = full_eig(p_wave2d4, sigma)
+    n = p_wave2d4.n
+    assert lu_builds == [(n, n)]
+    lu = d.shifted_solver(d.sigma)
+    assert lu_builds == [(n, n)]
+    b = np.arange(n, dtype=complex)
+    assert np.linalg.norm(shifted_matrix(p_wave2d4, sigma) @ lu.solve(b) - b) <= (
+        1e-12 * np.linalg.norm(b)
+    )
+    # another shift gets a factorization of its own
+    d.shifted_solver(2.0)
+    assert lu_builds == [(n, n), (n, n)]
 
 
 def test_resolvent_expansion_exact(oracle_wave2d4_probe):

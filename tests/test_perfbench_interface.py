@@ -82,6 +82,12 @@ def test_tracer_installs_and_restores(monkeypatch, p_wave2d4):
     lu_parents = [names[i] for i in parent[names == "linalg.lu_factor"]]
     assert lu_parents.count("solver.expansion_setup") == 3
     assert lu_parents.count("solver.newton") == layers["solver.newton_steps"][0]
+    # each small solve is one LU of Q_k(sigma) and one companion eig
+    small = np.flatnonzero(names == "solver.small_solve")
+    assert small.size
+    for kind in ("linalg.lu_factor", "linalg.dense_eig"):
+        children = parent[names == kind]
+        assert all(np.count_nonzero(children == i) == 1 for i in small), kind
     # each refined coordinate vector is one SVD inside pair extraction
     svd_parents = [names[i] for i in parent[names == "linalg.svd"]]
     assert svd_parents and set(svd_parents) == {"solver.extract"}

@@ -191,17 +191,44 @@ def test_linearize_scalar_closed_form():
 
 def test_shift_invert_identity(p_example1):
     # (A - sigma B) S = B for the companion pencil A = [-C -K; I 0],
-    # B = [M 0; 0 I] of the module docstring
+    # B = [M 0; 0 I] of the module docstring; the solver returned with S
+    # is the LU of Q(sigma)
     Md, Cd, Kd = p_example1.densify()
     n = p_example1.n
     I, Z = np.eye(n), np.zeros((n, n))
     A = np.block([[-Cd, -Kd], [I, Z]])
     B = np.block([[Md, Z], [Z, I]])
     sigma = 0.9
-    S, fsolve = shift_invert(Md, Cd, Kd, sigma)
+    S, qsolve = shift_invert(Md, Cd, Kd, sigma)
     assert np.linalg.norm((A - sigma * B) @ S - B) <= 1e-10
-    b = np.arange(2 * n, dtype=complex)
-    assert np.linalg.norm((A - sigma * B) @ fsolve.solve(b) - b) <= 1e-12
+    b = np.arange(n, dtype=complex)
+    Q = sigma * sigma * Md + sigma * Cd + Kd
+    assert np.linalg.norm(Q @ qsolve.solve(b) - b) <= 1e-12
+
+
+def test_shift_invert_factors_q_once(lu_builds, rng):
+    # one LU, of the order-n Q(sigma), and none of the order-2n pencil
+    k = 7
+    blocks = [rand_complex(rng, k * k).reshape(k, k) for _ in range(3)]
+    shift_invert(*blocks, 0.3 + 0.2j)
+    assert lu_builds == [(k, k)]
+
+
+@pytest.mark.parametrize("sigma", [0.3 + 0.2j, -12.0 + 5.0j])
+@pytest.mark.parametrize("k", [None, 5, 40, 100])
+def test_shift_invert_matches_explicit_pencil(k, sigma, rng):
+    # k = None is example1, whose M is singular
+    if k is None:
+        Md, Cd, Kd = example1().densify()
+    else:
+        Md, Cd, Kd = [rand_complex(rng, k * k).reshape(k, k) for _ in range(3)]
+    n = Md.shape[0]
+    I, Z = np.eye(n), np.zeros((n, n))
+    A = np.block([[-Cd, -Kd], [I, Z]])
+    B = np.block([[Md, Z], [Z, I]])
+    want = np.linalg.solve(A - sigma * B, B)
+    S, _ = shift_invert(Md, Cd, Kd, sigma)
+    assert np.linalg.norm(S - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_shift_invert_theta_contains_ten(p_example1):

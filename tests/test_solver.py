@@ -80,6 +80,12 @@ def test_newton_respects_maxit(p_example1):
     assert res.history[-1].outer_iter == 2
 
 
+def test_newton_rejects_negative_maxit(p_example1):
+    x0 = np.ones(3, dtype=complex)
+    with pytest.raises(ValueError, match="maxit"):
+        newton_solve(p_example1, 0.9, x0, maxit=-1)
+
+
 def test_projection_cache_matches_scratch(p_wave2d6, rng):
     # wave2d's matrices are real symmetric, so a missing conjugate or
     # transpose in the cache's new row shows only on the complex,
@@ -169,19 +175,19 @@ def test_projected_solve_at_eigenvalue(p_example1):
     # the values must be read off the nudged shift, or the nearest one
     # is off by that much
     Md, Cd, Kd = p_example1.densify()
-    pairs = solve_projected_qep(Md, Cd, Kd, 1.0 + 0.0j)
-    assert len(pairs) == 5  # the infinite eigenvalue is skipped
-    assert abs(pairs[0].omega - 1.0) <= 1e-12
-    assert np.linalg.norm((Md + Cd + Kd) @ pairs[0].z) <= 1e-12
+    projected = solve_projected_qep(Md, Cd, Kd, 1.0 + 0.0j)
+    assert len(projected) == 5  # the infinite eigenvalue is skipped
+    assert abs(projected.omegas[0] - 1.0) <= 1e-12
+    assert np.linalg.norm((Md + Cd + Kd) @ projected.z(0)) <= 1e-12
 
 
-def _null_residual(blocks, pair):
+def _null_residual(blocks, projected, i):
     # ||Q_k(omega) z|| over |omega|^2 ||Mk|| + |omega| ||Ck|| + ||Kk||
     Mk, Ck, Kk = blocks
-    w = pair.omega
+    w = projected.omegas[i]
     scale = abs(w) ** 2 * np.linalg.norm(Mk, 2) + abs(w) * np.linalg.norm(Ck, 2)
     scale += np.linalg.norm(Kk, 2)
-    return np.linalg.norm((w * w * Mk + w * Ck + Kk) @ pair.z) / scale
+    return np.linalg.norm((w * w * Mk + w * Ck + Kk) @ projected.z(i)) / scale
 
 
 def test_projected_solve_matches_eig_with_vectors(rng):
@@ -190,15 +196,15 @@ def test_projected_solve_matches_eig_with_vectors(rng):
     sigma = 0.3 + 0.2j
     for k in (5, 40, 100):
         blocks = [rand_complex(rng, k * k).reshape(k, k) for _ in range(3)]
-        pairs = solve_projected_qep(*blocks, sigma)
-        theta, _ = dense_eig(shift_invert(*blocks, sigma)[0])
+        projected = solve_projected_qep(*blocks, sigma)
+        theta, _, _ = dense_eig(shift_invert(*blocks, sigma)[0])
         want = finite_order(theta, sigma)[1]
-        got = np.array([pp.omega for pp in pairs])
+        got = projected.omegas
         assert got.shape == want.shape == (2 * k,)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), k
-        for pp in pairs:
-            assert abs(np.linalg.norm(pp.z) - 1.0) <= 1e-13
-            assert _null_residual(blocks, pp) <= 1e-12, (k, pp.omega)
+        for i in range(len(projected)):
+            assert abs(np.linalg.norm(projected.z(i)) - 1.0) <= 1e-13
+            assert _null_residual(blocks, projected, i) <= 1e-12, (k, got[i])
 
 
 def test_projected_solve_double_eigenvalue():
@@ -207,13 +213,13 @@ def test_projected_solve_double_eigenvalue():
     k = 4
     blocks = (np.eye(k, dtype=complex), np.zeros((k, k), dtype=complex),
               np.diag([1.0, 1.0, 4.0, 9.0]).astype(complex))
-    pairs = solve_projected_qep(*blocks, 0.1 + 0.9j)
-    double = [pp for pp in pairs if abs(pp.omega - 1j) <= 1e-12]
+    projected = solve_projected_qep(*blocks, 0.1 + 0.9j)
+    double = np.flatnonzero(np.abs(projected.omegas - 1j) <= 1e-12)
     assert len(double) == 2
-    Z = np.column_stack([pp.z for pp in double])
+    Z = np.column_stack([projected.z(i) for i in double])
     assert np.linalg.norm(Z.conj().T @ Z - np.eye(2)) <= 1e-12
-    for pp in double:
-        assert _null_residual(blocks, pp) <= 1e-14
+    for i in double:
+        assert _null_residual(blocks, projected, i) <= 1e-14
 
 
 def test_projected_solve_singular_mass_block(rng):
@@ -223,11 +229,11 @@ def test_projected_solve_singular_mass_block(rng):
     F = rand_complex(rng, k * (k - 3)).reshape(k, k - 3)
     blocks = (F @ F.conj().T, rand_complex(rng, k * k).reshape(k, k),
               rand_complex(rng, k * k).reshape(k, k))
-    pairs = solve_projected_qep(*blocks, 0.2 + 0.1j)
-    assert len(pairs) == 2 * k - 3
-    for pp in pairs:
-        assert np.isfinite(pp.omega) and np.isfinite(pp.z).all()
-        assert _null_residual(blocks, pp) <= 1e-12
+    projected = solve_projected_qep(*blocks, 0.2 + 0.1j)
+    assert len(projected) == 2 * k - 3
+    for i in range(len(projected)):
+        assert np.isfinite(projected.omegas[i]) and np.isfinite(projected.z(i)).all()
+        assert _null_residual(blocks, projected, i) <= 1e-12
 
 
 def test_refined_extraction_reads_no_unused_vectors(monkeypatch):
