@@ -3,8 +3,9 @@
 Solves ``Q(lam) x = (lam^2 M + lam C + K) x = 0`` for the eigenvalues
 nearest a shift, by Newton refinement of a single pair or by a growing
 subspace driven by exact or GMRES-approximated solves with ``Q(sigma)``.
-A dense companion-pencil oracle provides reference eigentriplets and the
-angle/resolvent checks used to validate the iteration's behaviour.
+A dense companion-pencil oracle provides reference eigenpairs with left
+vectors and the angle/resolvent checks used to validate the iteration's
+behaviour.
 """
 
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     ZeroVector,
 )
 from .gmres import GmresResult, gmres
-from .linalg import OrthonormalBasis, sin_angle_vectors
+from .linalg import OrthonormalBasis
 from .oracle import (
     OracleDecomposition,
     angle_sandwich,
@@ -103,7 +104,6 @@ __all__ = [
     "resolvent_check",
     "select_target_pair",
     "sin_angle",
-    "sin_angle_vectors",
     "spring_maxwell",
     "wave2d",
     "write_problem",

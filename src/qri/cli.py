@@ -82,6 +82,17 @@ def complex_literal(text):
         )
 
 
+def count(least):
+    """argparse type for a count flag: an integer of at least ``least``,
+    so that a bad value fails before any work, naming its flag."""
+    def integer(text):  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
 def add_problem_args(sp, for_generate=False):
     src = sp.add_argument_group("problem source")
     src.add_argument("--gen", choices=GENERATORS,
@@ -144,7 +155,7 @@ def build_parser():
     add_problem_args(solve)
     solve.add_argument("--sigma", type=complex_literal, required=True,
                        help="target shift, a+bi literal")
-    solve.add_argument("--nev", type=int, default=1,
+    solve.add_argument("--nev", type=count(1), default=1,
                        help="number of eigenpairs to converge")
     solve.add_argument("--tol-outer", type=float, default=1e-10,
                        help="relative residual tolerance for eigenpairs")
@@ -154,12 +165,12 @@ def build_parser():
                        default="exact")
     solve.add_argument("--extraction", choices=("ritz", "refined"),
                        default="ritz")
-    solve.add_argument("--restart", type=int, default=30,
+    solve.add_argument("--restart", type=count(1), default=30,
                        help="GMRES restart length: Krylov vectors per cycle, "
                             "counting up to min(10, restart // 2) recycled ones")
-    solve.add_argument("--inner-maxit", type=int, default=500,
+    solve.add_argument("--inner-maxit", type=count(1), default=500,
                        help="GMRES iteration budget per expansion solve")
-    solve.add_argument("--max-subspace", type=int, default=None,
+    solve.add_argument("--max-subspace", type=count(0), default=None,
                        help="restart size and cap of the basis (default "
                             "min(n, max(20, 3*nev)) in exact mode, min(n, 120) "
                             "in inexact mode; only the default doubles, up to "
@@ -180,17 +191,17 @@ def build_parser():
     diag.add_argument("--sigma", type=complex_literal,
                       help="shift (required by all checks except "
                            "perturbation; auto-placed for sandwich)")
-    diag.add_argument("--steps", type=int, default=15,
+    diag.add_argument("--steps", type=count(1), default=15,
                       help="expansion steps to check (angle checks)")
-    diag.add_argument("--points", type=int, default=3,
+    diag.add_argument("--points", type=count(1), default=3,
                       help="probe points (resolvent)")
-    diag.add_argument("--trials", type=int, default=100,
+    diag.add_argument("--trials", type=count(1), default=100,
                       help="random trials (perturbation, sandwich)")
     diag.add_argument("--ratio", type=float, default=0.01,
                       help="target distance ratio for auto-placed shift (sandwich)")
     diag.add_argument("--gmres-tol", type=float, default=1e-2,
                       help="inexact solve tolerance (sandwich)")
-    diag.add_argument("--subspace-dim", type=int, default=8,
+    diag.add_argument("--subspace-dim", type=count(1), default=8,
                       help="subspace dimension (perturbation)")
     diag.add_argument("--seed", type=int, default=0)
     diag.add_argument("--out-json", metavar="PATH",

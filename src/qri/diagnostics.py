@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SubspaceExhausted
 from .gmres import gmres
-from .linalg import OrthonormalBasis, project_out, sin_angle_vectors
+from .linalg import OrthonormalBasis, project_out, sin_angle
 from .oracle import (
     angle_sandwich,
     expansion_angle_bound,
@@ -23,12 +23,31 @@ from .oracle import (
     full_eig,
     resolvent_check,
     select_target_pair,
-    sin_angle,
 )
 from .qep import shifted_matrix
 from .solver import SolverConfig, outer_loop
 
 ISOLATION_TIE_RTOL = 1e-10
+
+# far below any attainable residual: the identity's run expands until the
+# observer has its steps
+IDENTITY_TOL_OUTER = 1e-200
+# the bound's run stops at this tolerance, or once the target vector is
+# captured to BOUND_SIN_FLOOR, below which round-off dominates the angles
+BOUND_TOL_OUTER = 1e-9
+BOUND_SIN_FLOOR = 1e-8
+# resolvent probes nearer an eigenvalue than this fraction of the sampling
+# radius are redrawn: the expansion's terms blow up there
+RESOLVENT_MARGIN_RTOL = 1e-2
+# perturbation sizes, log-uniform from near round-off to a tenth of |u|
+PERTURBATION_EPS_RANGE = (1e-8, 1e-1)
+# the sandwich trials' GMRES restart length and step budget, ample for
+# gmres_tol = 1e-2 at desk scale
+SANDWICH_RESTART = 30
+SANDWICH_MAXIT = 2000
+# a shift off the built-in problems' spectra, where the sandwich trials
+# scan the spectrum to place their own shift
+PROBE_SIGMA = 0.1234 + 0.4321j
 
 
 def pick_isolated_index(lams):
@@ -74,16 +93,21 @@ def shift_with_ratio(lams, index, ratio):
     return sigma
 
 
-def _exact_config(sigma, seed, max_subspace, tol_outer=1e-200):
-    # tol_outer far below any attainable residual keeps the run expanding
-    return SolverConfig(
+def _run_exact(p, sigma, seed, steps, observer, tol_outer):
+    """Exact-mode ``outer_loop`` with ``observer`` on at most ``steps + 1``
+    basis vectors, until the observer, convergence or the cap stops it."""
+    config = SolverConfig(
         sigma=sigma,
         nev=1,
         tol_outer=tol_outer,
         mode="exact",
-        max_subspace=max_subspace,
+        max_subspace=min(p.n, steps + 1),
         seed=seed,
     )
+    try:
+        outer_loop(p, config, observer=observer)
+    except SubspaceExhausted:
+        pass
 
 
 @dataclass
@@ -103,49 +127,32 @@ class IdentityReport:
     final_sin: float
 
 
-def run_angle_identity_check(p, sigma, steps, seed=0, x_target=None):
+def run_angle_identity_check(p, sigma, steps, seed=0):
     """Exact-mode run verifying the one-step angle factorization.
 
     At each of ``steps`` expansions, evaluates both sides of
 
         sin([V, v], x) = sin(V, x) * sin(v, (I - P_V) x)
 
-    against the oracle eigenvector ``x`` nearest ``sigma`` (or a caller
-    supplied ``x_target``), and accumulates the per-step factors whose
-    product must reproduce the final subspace angle.  Raises
-    :class:`ValueError` unless ``steps >= 1``.
+    against the oracle eigenvector ``x`` nearest ``sigma``, and
+    accumulates the per-step factors whose product must reproduce the
+    final subspace angle.  Raises :class:`ValueError` unless
+    ``steps >= 1``.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    if x_target is None:
-        d = full_eig(p, sigma)
-        x = d.X[:, 0]
-    else:
-        x = np.asarray(x_target, dtype=complex)
-
+    x = full_eig(p, sigma).X[:, 0]
     records = []
 
     def observer(view):
-        x_perp = project_out(view.basis.matrix, x)
-        factor = float(sin_angle_vectors(x_perp, view.v_next))
-        lhs, rhs, gap = expansion_angle_identity(view.basis.matrix, view.v_next, x)
-        records.append(
-            IdentityStep(
-                k=view.k,
-                lhs=lhs,
-                rhs=rhs,
-                gap=gap,
-                sin_before=sin_angle(view.basis.matrix, x),
-                factor=factor,
-            )
-        )
+        V = view.basis.matrix
+        lhs, rhs, gap = expansion_angle_identity(V, view.v_next, x)
+        factor = sin_angle(view.v_next, project_out(V, x))
+        records.append(IdentityStep(k=view.k, lhs=lhs, rhs=rhs, gap=gap,
+                                    sin_before=sin_angle(V, x), factor=factor))
         return len(records) >= steps
 
-    config = _exact_config(sigma, seed, max_subspace=min(p.n, steps + 1))
-    try:
-        outer_loop(p, config, observer=observer)
-    except SubspaceExhausted:
-        pass
+    _run_exact(p, sigma, seed, steps, observer, IDENTITY_TOL_OUTER)
     if len(records) < steps:
         raise RuntimeError(
             f"run stopped after {len(records)} of {steps} expansion steps"
@@ -171,14 +178,12 @@ class BoundStep:
     sin_target: float
 
 
-def run_angle_bound_check(
-    p, sigma, max_steps=25, seed=0, tol_outer=1e-9, sin_floor=1e-8
-):
+def run_angle_bound_check(p, sigma, max_steps=25, seed=0):
     """Exact-mode run comparing each expansion angle to its spectral bound.
 
-    Stops once the target eigenvector is captured to ``sin_floor``
-    (below which the measured angles are dominated by round-off) or the
-    pair converges at ``tol_outer``.  Raises :class:`ValueError` unless
+    Stops after ``max_steps`` records, once the target eigenvector is
+    captured to ``BOUND_SIN_FLOOR`` or once the pair converges at
+    ``BOUND_TOL_OUTER``.  Raises :class:`ValueError` unless
     ``max_steps >= 1``.
     """
     if max_steps < 1:
@@ -189,18 +194,14 @@ def run_angle_bound_check(
 
     def observer(view):
         s = sin_angle(view.basis.matrix, x1)
-        if s <= sin_floor:
+        if s <= BOUND_SIN_FLOOR:
             return True
         r = view.pairs[view.selected].resid
         lhs, rhs, xi = expansion_angle_bound(d, view.basis.matrix, r, sigma)
         records.append(BoundStep(k=view.k, lhs=lhs, rhs=rhs, xi=xi, sin_target=s))
         return len(records) >= max_steps
 
-    config = _exact_config(sigma, seed, min(p.n, max_steps + 1), tol_outer)
-    try:
-        outer_loop(p, config, observer=observer)
-    except SubspaceExhausted:
-        pass
+    _run_exact(p, sigma, seed, max_steps, observer, BOUND_TOL_OUTER)
     return records
 
 
@@ -210,14 +211,17 @@ class ResolventPoint:
     error: float
 
 
-def run_resolvent_spot_check(p, sigma, n_points=3, seed=0, margin_rtol=1e-2):
+def run_resolvent_spot_check(p, sigma, n_points=3, seed=0):
     """Relative error of the rank-one expansion of ``Q(mu)^{-1}`` at
-    random probe points placed safely away from the spectrum."""
+    ``n_points`` random probe points, ``RESOLVENT_MARGIN_RTOL`` away from
+    the spectrum.  Raises :class:`ValueError` unless ``n_points >= 1``."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     d = full_eig(p, sigma)
     rng = np.random.default_rng(seed)
     centre = d.lams.mean()
     radius = 2.0 * max(np.abs(d.lams - centre).max(), 1.0)
-    margin = margin_rtol * radius
+    margin = RESOLVENT_MARGIN_RTOL * radius
     points = []
     while len(points) < n_points:
         mu = centre + radius * (
@@ -238,17 +242,21 @@ class PerturbationTrial:
     gap_direction: float
 
 
-def run_perturbation_trials(
-    n=40, k=8, trials=100, eps_range=(1e-8, 1e-1), seed=0
-):
+def run_perturbation_trials(n=40, k=8, trials=100, seed=0):
     """Randomized verification of the two inexact-expansion identities.
 
-    Each trial draws an orthonormal subspace, an exact vector ``u``, and
-    a perturbation ``utilde = u + eps * norm(u) * f`` with log-uniform
-    ``eps``, then measures both identity gaps.
+    Each trial draws a ``k``-dimensional orthonormal subspace of ``C^n``,
+    an exact vector ``u``, and a perturbation
+    ``utilde = u + eps * norm(u) * f`` with ``eps`` log-uniform over
+    ``PERTURBATION_EPS_RANGE``, then measures both identity gaps.  Raises :class:`ValueError` unless
+    ``trials >= 1`` and ``k >= 0``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
     rng = np.random.default_rng(seed)
-    lo, hi = np.log10(eps_range[0]), np.log10(eps_range[1])
+    lo, hi = np.log10(PERTURBATION_EPS_RANGE[0]), np.log10(PERTURBATION_EPS_RANGE[1])
 
     def rand_vec():
         return rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
@@ -292,28 +300,22 @@ class SandwichSummary:
         return self.violation_count / self.hypothesis_count
 
 
-def run_sandwich_trials(
-    p,
-    sigma=None,
-    ratio=0.01,
-    trials=100,
-    gmres_tol=1e-2,
-    restart=30,
-    maxit=2000,
-    seed=0,
-    probe_sigma=0.1234 + 0.4321j,
-):
+def run_sandwich_trials(p, sigma=None, ratio=0.01, trials=100, gmres_tol=1e-2, seed=0):
     """Tangent-ordering statistics for inexact solves near an eigenvalue.
 
     When ``sigma`` is not given, one is placed next to the most isolated
-    eigenvalue at distance ratio ``ratio``.  Each trial solves
-    ``Q(sigma) u = r`` for a random ``r`` exactly and with GMRES at
-    ``gmres_tol``, then records whether the tangent ordering holds.
-    Violations are counted only among trials where the hypothesis
-    (exact direction strictly closer than the error direction) holds.
+    eigenvalue (of the spectrum at ``PROBE_SIGMA``) at distance ratio
+    ``ratio``.  Each trial solves ``Q(sigma) u = r`` for a random ``r``
+    exactly and with GMRES at ``gmres_tol`` (``SANDWICH_RESTART``,
+    ``SANDWICH_MAXIT``), then records whether the tangent ordering holds.
+    Violations are counted only among trials where the hypothesis (exact
+    direction strictly closer than the error direction) holds.  Raises
+    :class:`ValueError` unless ``trials >= 1``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if sigma is None:
-        probe = full_eig(p, probe_sigma)
+        probe = full_eig(p, PROBE_SIGMA)
         idx = pick_isolated_index(probe.lams)
         sigma = shift_with_ratio(probe.lams, idx, ratio)
     d = full_eig(p, sigma)
@@ -326,27 +328,21 @@ def run_sandwich_trials(
     rng = np.random.default_rng(seed)
 
     results = []
-    hyp = 0
-    vio = 0
     for _ in range(trials):
         r = rng.uniform(-1, 1, p.n) + 1j * rng.uniform(-1, 1, p.n)
         r /= np.linalg.norm(r)
         u = exact.solve(r)
         res = gmres(lambda w: op_matrix @ w, r, tol=gmres_tol,
-                    restart=restart, maxit=maxit)
-        outcome = angle_sandwich(d, u, res.x, x1)
-        results.append(outcome)
-        if outcome.hypothesis_holds:
-            hyp += 1
-            if not outcome.sandwich_holds:
-                vio += 1
+                    restart=SANDWICH_RESTART, maxit=SANDWICH_MAXIT)
+        results.append(angle_sandwich(d, u, res.x, x1))
 
+    held = [outcome for outcome in results if outcome.hypothesis_holds]
     return SandwichSummary(
         sigma=complex(sigma),
         ratio=float(actual_ratio),
         trials=trials,
-        hypothesis_count=hyp,
-        violation_count=vio,
+        hypothesis_count=len(held),
+        violation_count=sum(not outcome.sandwich_holds for outcome in held),
         results=results,
     )
 

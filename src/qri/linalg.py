@@ -36,14 +36,8 @@ def spmv(A, x):
 
     The summation order within each row follows the stored (ascending
     column) order, so repeated calls with the same data are bitwise
-    reproducible.
+    reproducible.  scipy raises ``ValueError`` on a shape mismatch.
     """
-    n_rows, n_cols = A.shape
-    x = np.asarray(x)
-    if x.shape != (n_cols,):
-        raise ValueError(
-            f"dimension mismatch: matrix is {n_rows}x{n_cols}, vector has shape {x.shape}"
-        )
     return A @ x
 
 
@@ -312,17 +306,30 @@ class OrthonormalBasis:
         return float(np.abs(G).max())
 
 
-def sin_angle_vectors(a, b):
-    """Sine of the angle between the directions of two vectors.
+def as_columns(V):
+    """The columns of an :class:`OrthonormalBasis`, or a plain array of
+    columns, a single vector as one column."""
+    if isinstance(V, OrthonormalBasis):
+        return V.matrix
+    V = np.asarray(V, dtype=complex)
+    return V[:, None] if V.ndim == 1 else V
 
-    Computed as ``norm((I - P_b) a) / norm(a)`` with :func:`project_out`,
-    whose second pass keeps it accurate when the angle is tiny.  Phases
-    are ignored (the angle is between one-dimensional subspaces).
+
+def sin_angle(V, x):
+    """Sine of the angle between ``span(V)`` and the vector ``x``,
+    ``norm((I - V V*) x) / norm(x)``.
+
+    ``V`` is an :class:`OrthonormalBasis`, an array of orthonormal
+    columns, or one nonzero vector, which is normalized here, so phases
+    and scale never matter.  :func:`project_out`'s second pass keeps the
+    sine accurate when the angle is tiny.  An empty basis gives 1.
+    Raises :class:`ZeroVector` for a zero ``x`` or a zero vector ``V``.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    one = not isinstance(V, OrthonormalBasis) and np.ndim(V) == 1
+    V, x = as_columns(V), np.asarray(x, dtype=complex)
+    nv, nx = (np.linalg.norm(V) if one else 1.0), np.linalg.norm(x)
+    if nv == 0.0 or nx == 0.0:
         raise ZeroVector("angle with a zero vector is undefined")
-    return np.linalg.norm(project_out((b / nb)[:, None], a)) / na
+    if one:
+        V = V / nv
+    return float(np.linalg.norm(project_out(V, x)) / nx)

@@ -16,7 +16,7 @@ matter.  The tangent of a vector against a unit reference ``x1`` is
 ``norm((I - x1 x1*) w) / |x1* w|``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,76 +30,54 @@ from .errors import (
     SingularMatrix,
     ZeroVector,
 )
-from .linalg import OrthonormalBasis, dense_eig, project_out, sin_angle_vectors
-from .qep import Eigentriplet, dense_cap, factor_q, finite_order, shift_invert
+from .linalg import LUSolver, as_columns, dense_eig, project_out, sin_angle
+from .qep import dense_cap, factor_q, finite_order, shift_invert
 
 # a target direction whose component outside the subspace falls below
 # this fraction of its norm makes the angle quantities meaningless
 PERP_FLOOR_RTOL = 1e-13
 
 
-def _columns(V):
-    """Accept an OrthonormalBasis or a plain array of orthonormal columns."""
-    if isinstance(V, OrthonormalBasis):
-        return V.matrix
-    V = np.asarray(V, dtype=complex)
-    if V.ndim == 1:
-        V = V[:, None]
-    return V
-
-
-def sin_angle(V, x):
-    """Sine of the angle between ``span(V)`` and the vector ``x``.
-
-    An empty basis gives 1.  Raises :class:`ZeroVector` for ``x = 0``.
-    """
-    x = np.asarray(x, dtype=complex)
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        raise ZeroVector("angle of a zero vector is undefined")
-    return float(np.linalg.norm(project_out(_columns(V), x)) / nx)
-
-
 @dataclass
 class OracleDecomposition:
     """Complete eigendata of one problem around one shift.
 
-    ``triplets`` holds all 2n eigenvalues, finite ones first in
-    ascending ``|lam - sigma|`` order (ties by phase of ``lam - sigma``,
-    then by position), infinite ones last.  ``lams``, ``X`` and ``Y``
-    cover the finite part only; right vectors have unit norm and left
-    vectors are scaled so that
+    ``lams`` holds the finite eigenvalues in ascending ``|lam - sigma|``
+    order (ties by phase of ``lam - sigma``, then by position), ``X`` and
+    ``Y`` their right and left vectors, and ``n_infinite`` counts the
+    infinite eigenvalues of the 2n.  Right vectors have unit norm and
+    left vectors are scaled so that
 
         Q(mu)^{-1} = sum_i  x_i y_i* / (mu - lam_i)
 
-    holds exactly whenever every eigenvalue is finite.
+    holds exactly whenever every eigenvalue is finite.  ``sigma_lu`` is
+    the dense LU of ``Q(sigma)`` that :func:`full_eig` factored.
     """
 
     problem: object
     sigma: complex
-    triplets: list
     lams: np.ndarray
     X: np.ndarray
     Y: np.ndarray
     n_infinite: int
-    _shift_lu: dict = field(default_factory=dict, repr=False)
+    sigma_lu: LUSolver
 
     @property
     def finite_count(self):
         return len(self.lams)
 
     def shifted_solver(self, mu):
-        """LU solver for ``Q(mu)``, memoized per ``mu``: the dense LU of
-        :func:`full_eig` at its shift, :func:`~qri.qep.factor_q` (sparse or
-        dense as the problem's pattern says) elsewhere."""
-        key = complex(mu)
-        if key not in self._shift_lu:
-            self._shift_lu[key] = factor_q(self.problem, key, "mu")
-        return self._shift_lu[key]
+        """LU solver for ``Q(mu)``: ``sigma_lu`` at the shift, a new
+        :func:`~qri.qep.factor_q` (sparse or dense as the problem's pattern
+        says) at every call elsewhere."""
+        if complex(mu) == self.sigma:
+            return self.sigma_lu
+        return factor_q(self.problem, complex(mu), "mu")
 
 
 def full_eig(p, sigma):
-    """All 2n eigentriplets of ``p`` via the shift-inverted pencil.
+    """All finite eigenpairs of ``p`` with their left vectors, and the
+    count of infinite eigenvalues, via the shift-inverted pencil.
 
     ``S = (A - sigma B)^{-1} B``, formed densely from one LU of
     ``Q(sigma)`` (:func:`~qri.qep.shift_invert`), is fed to the QR
@@ -135,30 +113,12 @@ def full_eig(p, sigma):
     G /= -dots.conj()
 
     idx, lams, inf_idx = finite_order(theta, sigma)
-    # finite eigenvectors are [lam x; x], infinite ones [x; 0]
+    # finite eigenvectors are [lam x; x]
     c = np.linalg.norm(W[n:, idx], axis=0)
     X = W[n:, idx] / c
     Y = G[:, idx] * np.conj(c * (lams - sigma))
-    triplets = [
-        Eigentriplet(lam=complex(lam), x=X[:, j], y=Y[:, j])
-        for j, lam in enumerate(lams)
-    ]
-    for i in inf_idx:
-        x, y = W[:n, i], G[:, i]
-        ny = np.linalg.norm(y)
-        x, y = x / np.linalg.norm(x), (y / ny if ny > 0 else y)
-        triplets.append(Eigentriplet(lam=None, x=x, y=y, infinite=True))
-
-    return OracleDecomposition(
-        problem=p,
-        sigma=complex(sigma),
-        triplets=triplets,
-        lams=lams,
-        X=X,
-        Y=Y,
-        n_infinite=int(inf_idx.size),
-        _shift_lu={complex(sigma): qsolve},
-    )
+    return OracleDecomposition(problem=p, sigma=complex(sigma), lams=lams, X=X, Y=Y,
+                               n_infinite=int(inf_idx.size), sigma_lu=qsolve)
 
 
 def select_target_pair(lams, sigma):
@@ -216,7 +176,7 @@ def expansion_angle_identity(V, v_next, x):
     working precision, and ``ValueError`` when ``v_next`` is not
     orthonormal to ``V``.
     """
-    Vm = _columns(V)
+    Vm = as_columns(V)
     v = np.asarray(v_next, dtype=complex)
     if Vm.shape[1] and float(np.abs(v.conj() @ Vm).max()) > 1e-12:
         raise ValueError("v_next is not orthogonal to the basis")
@@ -233,7 +193,7 @@ def expansion_angle_identity(V, v_next, x):
 
     extended = np.hstack([Vm, v[:, None]])
     lhs = sin_angle(extended, x)
-    rhs = sin_angle(Vm, x) * sin_angle_vectors(v, x_perp)
+    rhs = sin_angle(Vm, x) * sin_angle(x_perp, v)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -266,7 +226,7 @@ def expansion_angle_bound(d, V, r, sigma):
     xi = float(rest / abs(coeffs[i1]))
     rhs = abs(d.lams[i1] - sigma) / abs(d.lams[i2] - sigma) * xi
 
-    V = _columns(V)
+    V = as_columns(V)
     x1 = d.X[:, i1]
     x1_perp = project_out(V, x1)
     if np.linalg.norm(x1_perp) <= PERP_FLOOR_RTOL:
@@ -277,7 +237,7 @@ def expansion_angle_bound(d, V, r, sigma):
     nu = np.linalg.norm(u_perp)
     if nu <= 1e-300:
         raise Breakdown("exact expansion direction lies in span(V)")
-    lhs = sin_angle_vectors(u_perp / nu, x1_perp)
+    lhs = sin_angle(x1_perp, u_perp / nu)
     return float(lhs), float(rhs), xi
 
 
@@ -318,7 +278,7 @@ def expansion_perturbation_diagnostics(V, u, utilde):
     component outside the subspace, since no expansion direction exists
     then.
     """
-    V = _columns(V)
+    V = as_columns(V)
     u = np.asarray(u, dtype=complex)
     utilde = np.asarray(utilde, dtype=complex)
     nu = np.linalg.norm(u)
@@ -354,11 +314,10 @@ def expansion_perturbation_diagnostics(V, u, utilde):
 
     gap_scale = abs(eps_tilde * sin_angle(V, u) - eps * sin_angle(V, f))
     if np.linalg.norm(f_perp) == 0.0:
-        gap_direction = abs(sin_angle_vectors(vtilde, v))
+        gap_direction = abs(sin_angle(v, vtilde))
     else:
-        gap_direction = abs(
-            sin_angle_vectors(vtilde, v) - eps_tilde * sin_angle_vectors(vtilde, f_perp)
-        )
+        gap_direction = abs(sin_angle(v, vtilde)
+                            - eps_tilde * sin_angle(f_perp, vtilde))
 
     return ExpansionDiag(
         u=u, utilde=utilde, eps=eps, f=f, f_perp=f_perp,

@@ -149,18 +149,11 @@ class QepProblem:
 
 @dataclass
 class Eigentriplet:
-    """One computed eigenvalue with its right (and optionally left) vector.
+    """One computed eigenvalue ``lam`` with its right vector ``x`` of unit
+    2-norm."""
 
-    ``lam`` is ``None`` exactly when ``infinite`` is set.  ``x`` has unit
-    2-norm.  When ``y`` is present its scaling is chosen by the producer
-    (the dense oracle scales left vectors so that the rank-one resolvent
-    expansion holds with unit right vectors).
-    """
-
-    lam: complex | None
+    lam: complex
     x: np.ndarray
-    y: np.ndarray | None = None
-    infinite: bool = False
 
 
 def q_apply(p, lam, x):

@@ -36,7 +36,7 @@ from qri.diagnostics import (
     run_sandwich_trials,
     shift_at_distance,
 )
-from qri.linalg import sin_angle_vectors
+from qri.linalg import sin_angle
 
 PROBE = 0.1234 + 0.4321j
 WAVE20_SIGMA = -0.5 + 4.0j
@@ -83,7 +83,7 @@ def test_02_reference_solve():
     res = outer_loop(example1(), cfg)
     assert abs(res.eigenpairs[0].lam - 1.0) <= 1e-12
     e2 = np.array([0.0, 1.0, 0.0])
-    assert sin_angle_vectors(res.eigenpairs[0].x, e2) <= 1e-10
+    assert sin_angle(e2, res.eigenpairs[0].x) <= 1e-10
     assert len(res.history) <= 3
 
 
@@ -116,7 +116,7 @@ def test_05_resolvent_reconstruction():
 
 def test_06_perturbation_identities():
     trials = run_perturbation_trials(
-        n=40, k=8, trials=100, eps_range=(1e-8, 1e-1), seed=0
+        n=40, k=8, trials=100, seed=0
     )
     assert len(trials) == 100
     for t in trials:

@@ -169,23 +169,60 @@ def test_newton_rejects_multiple_pairs():
 
 def test_newton_negative_step_count(capsys):
     # newton mode reads --max-subspace as its step limit
-    code = run_cli(
-        "solve", "--gen", "example1", "--sigma", "0.9",
-        "--mode", "newton", "--max-subspace", "-1",
-    )
-    assert code == 4
-    assert "maxit" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(
+            "solve", "--gen", "example1", "--sigma", "0.9",
+            "--mode", "newton", "--max-subspace", "-1",
+        )
+    assert excinfo.value.code == 4
+    assert "--max-subspace: must be at least 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("check", ["angle-identity", "angle-bound"])
 @pytest.mark.parametrize("steps", ["0", "-1"])
 def test_diagnose_angle_checks_reject_step_count(check, steps, capsys):
-    code = run_cli(
-        "diagnose", "--check", check, "--gen", "wave2d", "--m", "4",
-        "--sigma", PROBE, "--steps", steps,
-    )
-    assert code == 4
-    assert f"steps must be at least 1, got {steps}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(
+            "diagnose", "--check", check, "--gen", "wave2d", "--m", "4",
+            "--sigma", PROBE, "--steps", steps,
+        )
+    assert excinfo.value.code == 4
+    assert f"--steps: must be at least 1, got {steps}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--gen", "example1", "--sigma", "0.9", "--mode", "newton",
+          "--max-subspace", "-1"], "--max-subspace: must be at least 0, got -1"),
+        (["diagnose", "--check", "angle-bound", "--gen", "wave2d", "--m", "4",
+          "--sigma", PROBE, "--steps", "0"], "--steps: must be at least 1, got 0"),
+        (["diagnose", "--check", "perturbation", "--trials", "0"],
+         "--trials: must be at least 1, got 0"),
+        (["diagnose", "--check", "sandwich", "--gen", "wave2d", "--m", "4",
+          "--trials", "-1"], "--trials: must be at least 1, got -1"),
+        (["diagnose", "--check", "resolvent", "--gen", "wave2d", "--m", "4",
+          "--sigma", PROBE, "--points", "-2"], "--points: must be at least 1, got -2"),
+        (["diagnose", "--check", "perturbation", "--subspace-dim", "-3",
+          "--trials", "2"], "--subspace-dim: must be at least 1, got -3"),
+        (["diagnose", "--check", "perturbation", "--trials", "x"],
+         "--trials: invalid integer value: 'x'"),
+        (["solve", "--gen", "example1", "--sigma", "0.9", "--nev", "0"],
+         "--nev: must be at least 1, got 0"),
+        (["solve", "--gen", "example1", "--sigma", "0.9", "--mode", "inexact",
+          "--restart", "0"], "--restart: must be at least 1, got 0"),
+        (["solve", "--gen", "example1", "--sigma", "0.9", "--mode", "inexact",
+          "--inner-maxit", "-5"], "--inner-maxit: must be at least 1, got -5"),
+    ],
+    ids=["newton-max-subspace", "steps", "perturbation-trials", "sandwich-trials",
+         "points", "subspace-dim", "not-an-integer", "nev", "restart", "inner-maxit"],
+)
+def test_count_flags_fail_early_naming_the_flag(argv, message, capsys):
+    # a bad count stops before any work, and the error names the flag
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv)
+    assert excinfo.value.code == 4
+    assert message in capsys.readouterr().err
 
 
 def test_missing_matrix_files(tmp_path):

@@ -44,6 +44,18 @@ def test_angle_checks_reject_step_count(steps):
         run_angle_bound_check(p, PROBE, max_steps=steps)
 
 
+def test_trial_drivers_reject_counts():
+    p = wave2d(4)
+    with pytest.raises(ValueError, match="n_points must be at least 1, got 0"):
+        run_resolvent_spot_check(p, PROBE, n_points=0)
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        run_perturbation_trials(trials=0)
+    with pytest.raises(ValueError, match="k must be at least 0, got -1"):
+        run_perturbation_trials(k=-1, trials=2)
+    with pytest.raises(ValueError, match="trials must be at least 1, got -1"):
+        run_sandwich_trials(p, trials=-1)
+
+
 def test_shift_at_distance():
     lams = np.array([0.0, 1.0, 10.0], dtype=complex)
     sigma = shift_at_distance(lams, 2, 2.0)

@@ -8,7 +8,7 @@ from qri.linalg import (
     OrthonormalBasis,
     dense_eig,
     project_out,
-    sin_angle_vectors,
+    sin_angle,
     smallest_singular_vector,
     spmv,
 )
@@ -116,7 +116,7 @@ def test_smallest_singular_vector_recovers(rng):
     A = U @ np.diag(s) @ Vh.conj().T
     v = smallest_singular_vector(A)
     target = Vh[:, -1]
-    assert sin_angle_vectors(v, target) <= 1e-9
+    assert sin_angle(target, v) <= 1e-9
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-13
 
 
@@ -199,7 +199,7 @@ def test_basis_append_returns_unit_column(rng):
     assert basis.k == 1
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-13
     assert np.array_equal(basis.matrix[:, 0], v)
-    assert sin_angle_vectors(v, u) <= 1e-14
+    assert sin_angle(u, v) <= 1e-14
 
 
 def test_basis_append_columns_in_order(rng):
@@ -216,19 +216,42 @@ def test_basis_append_columns_in_order(rng):
         assert np.linalg.norm(r) <= 1e-13 * np.linalg.norm(cols[:, j])
 
 
-def test_sin_angle_vectors_phase_invariant(rng):
+def test_sin_angle_vector_phase_invariant(rng):
     a = rand_complex(rng, 25)
     b = rand_complex(rng, 25)
-    s0 = sin_angle_vectors(a, b)
-    s1 = sin_angle_vectors(a * np.exp(1j * 0.7), b * 3.0)
+    s0 = sin_angle(b, a)
+    s1 = sin_angle(b * 3.0, a * np.exp(1j * 0.7))
     assert abs(s0 - s1) <= 1e-13
 
 
-def test_sin_angle_vectors_extremes(rng):
+def test_sin_angle_vector_extremes(rng):
     a = rand_complex(rng, 8)
-    assert sin_angle_vectors(a, 2j * a) <= 1e-13
+    assert sin_angle(2j * a, a) <= 1e-13
     e1 = np.zeros(8, dtype=complex)
     e2 = np.zeros(8, dtype=complex)
     e1[0] = 1.0
     e2[1] = 1.0
-    assert abs(sin_angle_vectors(e1, e2) - 1.0) <= 1e-13
+    assert abs(sin_angle(e2, e1) - 1.0) <= 1e-13
+
+
+def test_sin_angle_basis_matrix_and_vector_agree(rng):
+    u = rand_complex(rng, 25)
+    x = rand_complex(rng, 25)
+    basis = OrthonormalBasis(25)
+    basis.append(u)
+    s = sin_angle(basis, x)
+    assert sin_angle(basis.matrix, x) == s
+    # a single vector is normalized, whatever its length
+    assert sin_angle(7.0j * u, x) == pytest.approx(s, rel=1e-14)
+    assert 0.0 < s < 1.0
+
+
+def test_sin_angle_rejects_zero_vectors(rng):
+    x = rand_complex(rng, 6)
+    zero = np.zeros(6, dtype=complex)
+    with pytest.raises(ZeroVector):
+        sin_angle(zero, x)
+    with pytest.raises(ZeroVector):
+        sin_angle(x, zero)
+    with pytest.raises(ZeroVector):
+        sin_angle(OrthonormalBasis(6), zero)

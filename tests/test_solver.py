@@ -17,7 +17,7 @@ from qri import (
     wave2d,
 )
 import qri.solver as solver
-from qri.linalg import OrthonormalBasis, dense_eig, sin_angle_vectors
+from qri.linalg import OrthonormalBasis, dense_eig, sin_angle
 from qri.qep import finite_order, residual_denominator, shift_invert
 from qri.solver import (
     ProjectionCache,
@@ -42,7 +42,7 @@ def test_newton_converges_to_nearest(p_example1):
     res = newton_solve(p_example1, 0.9, E2, tol=1e-12)
     assert res.converged
     assert abs(res.lam - 1.0) <= 1e-10
-    assert sin_angle_vectors(res.x, E2) <= 1e-8
+    assert sin_angle(E2, res.x) <= 1e-8
     assert len(res.history) <= 10
 
 
@@ -282,7 +282,7 @@ def test_outer_loop_small_reference(p_example1):
     assert res.stop_reason == "converged"
     assert res.converged == [True]
     assert abs(res.eigenpairs[0].lam - 1.0) <= 1e-10
-    assert sin_angle_vectors(res.eigenpairs[0].x, E2) <= 1e-8
+    assert sin_angle(E2, res.eigenpairs[0].x) <= 1e-8
     assert len(res.history) <= 3
 
 
