@@ -19,12 +19,12 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import (
-    record_to_dict,
     run_angle_bound_check,
     run_angle_identity_check,
     run_perturbation_trials,
@@ -120,10 +120,7 @@ def build_problem(args, parser):
     if prefix is not None and args.gen is not None:
         parser.error("--gen and --mtx-prefix are mutually exclusive")
     if prefix is not None:
-        try:
-            return read_problem(prefix)
-        except FileNotFoundError as exc:
-            raise CliError(str(exc), EXIT_IO)
+        return read_problem(prefix)
     if args.gen is None:
         parser.error("a problem source is required (--gen or --mtx-prefix)")
     if args.gen == "example1":
@@ -170,12 +167,12 @@ def build_parser():
                             "counting up to min(10, restart // 2) recycled ones")
     solve.add_argument("--inner-maxit", type=count(1), default=500,
                        help="GMRES iteration budget per expansion solve")
-    solve.add_argument("--max-subspace", type=count(0), default=None,
+    solve.add_argument("--max-subspace", type=count(1), default=None,
                        help="restart size and cap of the basis (default "
                             "min(n, max(20, 3*nev)) in exact mode, min(n, 120) "
                             "in inexact mode; only the default doubles, up to "
                             "min(n, 120), when a restart cycle gains no "
-                            "residual digit); iteration budget in newton mode")
+                            "residual digit); not used in newton mode")
     solve.add_argument("--seed", type=int, default=0,
                        help="seed for the starting vector")
     solve.add_argument("--out-csv", metavar="PATH",
@@ -250,8 +247,20 @@ def write_text(path, text):
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO)
 
 
+def _json_value(value):
+    """``json.dumps`` default: complex values as ``{"re", "im"}``, numpy
+    scalars as Python numbers and dataclass records as their fields."""
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, np.generic):
+        return value.item()
+    if is_dataclass(value):
+        return asdict(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def write_json(path, payload):
-    write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_text(path, json.dumps(payload, indent=2, default=_json_value) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -276,118 +285,101 @@ def cmd_solve(args, parser):
     if args.mode == "newton":
         if args.nev != 1:
             parser.error("newton mode refines a single pair (--nev 1)")
+        if args.max_subspace is not None:
+            parser.error("argument --max-subspace: not allowed with --mode newton")
         rng = np.random.default_rng(args.seed)
         x0 = rng.uniform(-1.0, 1.0, p.n) + 1j * rng.uniform(-1.0, 1.0, p.n)
-        maxit = args.max_subspace if args.max_subspace is not None else 50
-        nres = newton_solve(p, args.sigma, x0, tol=args.tol_outer, maxit=maxit)
-        final = nres.history[-1]
-        print(f"newton: lam = {_fmt_complex(nres.lam)}  relres = {final.relres[0]:.3e}  "
-              f"steps = {len(nres.history) - 1}  "
+        nres = newton_solve(p, args.sigma, x0, tol=args.tol_outer)
+        history, converged = nres.history, [nres.converged]
+        code = EXIT_OK if nres.converged else EXIT_NO_CONVERGENCE
+        print(f"newton: lam = {_fmt_complex(nres.lam)}  "
+              f"relres = {history[-1].relres[0]:.3e}  steps = {len(history) - 1}  "
               f"{'converged' if nres.converged else 'not converged'}")
-        if args.out_csv:
-            lines = history_csv_lines(nres.history, nev=1)
-            write_text(args.out_csv, "\n".join(lines) + "\n")
-        if args.out_json:
-            write_json(args.out_json, {
-                "mode": "newton",
-                "problem_n": p.n,
-                "factorization": p.factorization,
-                "sigma": {"re": args.sigma.real, "im": args.sigma.imag},
-                "converged": [nres.converged],
-                "eigenvalues": [{"re": nres.lam.real, "im": nres.lam.imag}],
-                "relres": final.relres,
-                "outer_iters": len(nres.history) - 1,
-                "wall_ms_total": float(sum(rec.wall_ms for rec in nres.history)),
-            })
-        return EXIT_OK if nres.converged else EXIT_NO_CONVERGENCE
-
-    config = SolverConfig(
-        sigma=args.sigma,
-        nev=args.nev,
-        tol_outer=args.tol_outer,
-        tol_inner=args.tol_inner,
-        mode=args.mode,
-        extraction=args.extraction,
-        restart=args.restart,
-        inner_maxit=args.inner_maxit,
-        max_subspace=args.max_subspace,
-        seed=args.seed,
-    )
-    try:
-        result = outer_loop(p, config)
-        code = EXIT_OK if all(result.converged) else EXIT_NO_CONVERGENCE
-    except SubspaceExhausted as exc:
-        result = exc.result
-        code = EXIT_NO_CONVERGENCE
-    except BreakdownError as exc:
-        print(f"solver breakdown: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-
-    for i, (trip, rr, ok) in enumerate(
-        zip(result.eigenpairs, result.relres, result.converged), start=1
-    ):
-        mark = "ok " if ok else "..."
-        print(f"[{mark}] lam_{i} = {_fmt_complex(trip.lam)}  relres = {rr:.3e}")
-    print(f"stop = {result.stop_reason}, outer iterations = {len(result.history)}, "
-          f"inner iterations = {result.cumulative_inner_iters}")
-
-    if args.out_csv:
-        lines = history_csv_lines(result.history, args.nev)
-        write_text(args.out_csv, "\n".join(lines) + "\n")
-    if args.out_json:
-        write_json(args.out_json, {
-            "mode": args.mode,
+        summary = {"outer_iters": len(history) - 1}
+    else:
+        config = SolverConfig(
+            sigma=args.sigma,
+            nev=args.nev,
+            tol_outer=args.tol_outer,
+            tol_inner=args.tol_inner,
+            mode=args.mode,
+            extraction=args.extraction,
+            restart=args.restart,
+            inner_maxit=args.inner_maxit,
+            max_subspace=args.max_subspace,
+            seed=args.seed,
+        )
+        try:
+            result = outer_loop(p, config)
+            code = EXIT_OK if all(result.converged) else EXIT_NO_CONVERGENCE
+        except SubspaceExhausted as exc:
+            result = exc.result
+            code = EXIT_NO_CONVERGENCE
+        except BreakdownError as exc:
+            print(f"solver breakdown: {exc}", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
+        history, converged = result.history, result.converged
+        for i, (trip, rr, ok) in enumerate(
+            zip(result.eigenpairs, result.relres, converged), start=1
+        ):
+            mark = "ok " if ok else "..."
+            print(f"[{mark}] lam_{i} = {_fmt_complex(trip.lam)}  relres = {rr:.3e}")
+        print(f"stop = {result.stop_reason}, outer iterations = {len(history)}, "
+              f"inner iterations = {result.cumulative_inner_iters}")
+        summary = {
             "extraction": args.extraction,
-            "problem_n": p.n,
-            # inexact mode never factors Q
-            "factorization": p.factorization if args.mode == "exact" else None,
-            "sigma": {"re": args.sigma.real, "im": args.sigma.imag},
             "nev": args.nev,
             "tol_outer": args.tol_outer,
             "tol_inner": args.tol_inner,
             "stop_reason": result.stop_reason,
-            "converged": result.converged,
-            "eigenvalues": [{"re": t.lam.real, "im": t.lam.imag}
-                            for t in result.eigenpairs],
-            "relres": result.relres,
-            "outer_iters": len(result.history),
+            "outer_iters": len(history),
             "cumulative_inner_iters": result.cumulative_inner_iters,
             "inner_failures": result.inner_failures,
             "phase_wall_ms": result.phase_wall_ms,
-            "wall_ms_total": float(sum(rec.wall_ms for rec in result.history)),
+        }
+
+    if args.out_csv:
+        write_text(args.out_csv, "\n".join(history_csv_lines(history, args.nev)) + "\n")
+    if args.out_json:
+        # the last record holds the reported pairs: the run's first nev,
+        # or Newton's last iterate
+        final = history[-1]
+        write_json(args.out_json, {
+            "mode": args.mode,
+            "problem_n": p.n,
+            # inexact mode never factors Q
+            "factorization": None if args.mode == "inexact" else p.factorization,
+            "sigma": args.sigma,
+            "converged": converged,
+            "eigenvalues": final.ritz_values[:args.nev],
+            "relres": final.relres[:args.nev],
+            **summary,
+            "wall_ms_total": float(sum(rec.wall_ms for rec in history)),
         })
     return code
 
 
-def _require_sigma(args, parser):
-    if args.sigma is None:
-        parser.error(f"--check {args.check} requires --sigma")
-    return args.sigma
-
-
 def cmd_diagnose(args, parser):
+    if args.sigma is None and args.check in ("angle-identity", "angle-bound",
+                                             "resolvent"):
+        parser.error(f"--check {args.check} requires --sigma")
     needs_problem = args.check != "perturbation" or args.gen or args.mtx_prefix
     p = build_problem(args, parser) if needs_problem else None
 
     if args.check == "angle-identity":
         report = run_angle_identity_check(
-            p, _require_sigma(args, parser), steps=args.steps, seed=args.seed
+            p, args.sigma, steps=args.steps, seed=args.seed
         )
         for rec in report.steps:
             print(f"step {rec.k:3d}: sin = {rec.lhs:.6e}  "
                   f"factored = {rec.rhs:.6e}  gap = {rec.gap:.3e}")
         print(f"product of per-step factors matches final angle to "
               f"{report.product_gap:.3e}")
-        payload = {
-            "check": args.check,
-            "steps": [record_to_dict(r) for r in report.steps],
-            "product_gap": report.product_gap,
-            "final_sin": report.final_sin,
-        }
+        payload = {"check": args.check, **asdict(report)}
 
     elif args.check == "angle-bound":
         records = run_angle_bound_check(
-            p, _require_sigma(args, parser), max_steps=args.steps, seed=args.seed
+            p, args.sigma, max_steps=args.steps, seed=args.seed
         )
         worst = 0.0
         for rec in records:
@@ -396,22 +388,15 @@ def cmd_diagnose(args, parser):
                   f"bound = {rec.rhs:.6e}  xi = {rec.xi:.3e}")
         status = "holds" if worst <= 1e-12 else f"VIOLATED by {worst:.3e}"
         print(f"bound {status} over {len(records)} steps")
-        payload = {
-            "check": args.check,
-            "steps": [record_to_dict(r) for r in records],
-            "max_violation": worst,
-        }
+        payload = {"check": args.check, "steps": records, "max_violation": worst}
 
     elif args.check == "resolvent":
         points = run_resolvent_spot_check(
-            p, _require_sigma(args, parser), n_points=args.points, seed=args.seed
+            p, args.sigma, n_points=args.points, seed=args.seed
         )
         for pt in points:
             print(f"mu = {_fmt_complex(pt.mu)}  relative error = {pt.error:.3e}")
-        payload = {
-            "check": args.check,
-            "points": [record_to_dict(pt) for pt in points],
-        }
+        payload = {"check": args.check, "points": points}
 
     elif args.check == "perturbation":
         n = p.n if p is not None else 40
@@ -427,7 +412,7 @@ def cmd_diagnose(args, parser):
             "n": n,
             "k": k,
             "worst_gap": worst,
-            "trials": [record_to_dict(t) for t in trials],
+            "trials": trials,
         }
 
     else:  # sandwich
@@ -444,8 +429,7 @@ def cmd_diagnose(args, parser):
         print(f"hypothesis held in {summary.hypothesis_count}/{summary.trials} "
               f"trials; ordering violated in {summary.violation_count} "
               f"({100.0 * summary.violation_rate:.1f}%)")
-        payload = record_to_dict(summary)
-        payload["check"] = args.check
+        payload = {**asdict(summary), "check": args.check}
 
     if args.out_json:
         write_json(args.out_json, payload)

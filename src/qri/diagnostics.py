@@ -8,7 +8,7 @@ place a shift at a controlled distance or distance ratio from an
 isolated eigenvalue, which several of the checks need to be meaningful.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -346,22 +346,3 @@ def run_sandwich_trials(p, sigma=None, ratio=0.01, trials=100, gmres_tol=1e-2, s
         results=results,
     )
 
-
-def record_to_dict(record):
-    """JSON-friendly dict for any of the step/trial records."""
-    def convert(value):
-        if isinstance(value, complex):
-            return {"re": value.real, "im": value.imag}
-        if isinstance(value, np.ndarray):
-            return None
-        if isinstance(value, list):
-            return [convert(v) for v in value]
-        if isinstance(value, dict):
-            return {k: convert(v) for k, v in value.items()}
-        if isinstance(value, (np.floating, np.integer)):
-            return value.item()
-        return value
-
-    if hasattr(record, "__dataclass_fields__"):
-        return {k: convert(v) for k, v in asdict(record).items() if convert(v) is not None or v is None}
-    return convert(record)

@@ -230,9 +230,6 @@ class OrthonormalBasis:
         view.flags.writeable = False
         return view
 
-    def __len__(self):
-        return self.k
-
     def orthonormalize(self, u):
         """Orthogonalize ``u`` against the basis and normalize, without
         appending.

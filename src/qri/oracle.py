@@ -62,10 +62,6 @@ class OracleDecomposition:
     n_infinite: int
     sigma_lu: LUSolver
 
-    @property
-    def finite_count(self):
-        return len(self.lams)
-
     def shifted_solver(self, mu):
         """LU solver for ``Q(mu)``: ``sigma_lu`` at the shift, a new
         :func:`~qri.qep.factor_q` (sparse or dense as the problem's pattern

@@ -109,11 +109,17 @@ def _chain_matrices(p):
 def spring_maxwell(params):
     """Viscoelastic ladder: one elastic block coupled to damped chains.
 
-    The mass matrix carries only the first block (``rho * Mass``), so it
-    is rank deficient by construction; the damping matrix is block
-    diagonal over the chains; the stiffness matrix has an arrowhead block
-    structure coupling the first block to every chain and is exactly
-    symmetric.  Block size is ``element_count``; total dimension is
+    With the chain's stiffness ``S`` and mass ``Mass``, each matrix is a
+    small coefficient matrix kron one chain block:
+
+    - ``M = diag(1, 0, ..., 0) (x) rho Mass``, rank deficient by
+      construction;
+    - ``C = diag(0, eta) (x) S``, block diagonal over the chains;
+    - ``K = A (x) S`` for the arrowhead ``A`` with ``alpha_rho, e`` on
+      its diagonal and ``-xi`` in its first row and column, coupling the
+      first block to every chain; ``K`` is exactly symmetric.
+
+    Block size is ``element_count``; total dimension is
     ``element_count * (chain_count + 1)``.
     """
     p_el = params.element_count
@@ -132,36 +138,12 @@ def spring_maxwell(params):
         raise ValueError("all coefficients must be positive")
 
     stiff, mass = _chain_matrices(p_el)
-    blocks = m + 1
-
-    def block_grid():
-        return [[None] * blocks for _ in range(blocks)]
-
-    Mb = block_grid()
-    Mb[0][0] = rho * mass
-
-    Cb = block_grid()
-    for i in range(m):
-        Cb[i + 1][i + 1] = eta[i] * stiff
-
-    Kb = block_grid()
-    Kb[0][0] = alpha_rho * stiff
-    for i in range(m):
-        Kb[i + 1][i + 1] = e[i] * stiff
-        Kb[0][i + 1] = -xi[i] * stiff
-        Kb[i + 1][0] = -xi[i] * stiff
-
-    # block_array needs every block row/column to fix its size, so pad
-    # all-None diagonals with explicit zero blocks
-    zero = sp.csr_array((p_el, p_el), dtype=complex)
-    for grid in (Mb, Cb, Kb):
-        for i in range(blocks):
-            if all(grid[i][j] is None for j in range(blocks)):
-                grid[i][i] = zero
-
-    M = sp.block_array(Mb, format="csr")
-    C = sp.block_array(Cb, format="csr")
-    K = sp.block_array(Kb, format="csr")
+    arrow = np.diag(np.r_[alpha_rho, e])
+    arrow[0, 1:] = arrow[1:, 0] = -xi
+    # kron stores no entries for the zeros of a dense coefficient matrix
+    M = sp.kron(np.diag(np.r_[1.0, np.zeros(m)]), rho * mass, format="csr")
+    C = sp.kron(np.diag(np.r_[0.0, eta]), stiff, format="csr")
+    K = sp.kron(arrow, stiff, format="csr")
     return QepProblem(M, C, K, name=f"spring_maxwell(p={p_el},m={m})")
 
 

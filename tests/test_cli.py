@@ -1,13 +1,19 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qri.cli import complex_literal, main
+from qri.cli import complex_literal, main, write_json
+from qri.errors import BreakdownError
+from qri.solver import ConvergenceRecord
 
 PROBE = "0.1234+0.4321i"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*argv):
@@ -24,11 +30,41 @@ def test_complex_literal_forms():
 
 
 def test_module_entry_point():
+    # the child interpreter imports qri from this checkout, as pytest does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-m", "qri", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "qri", "--version"], env=env,
+        capture_output=True, text=True,
     )
     assert out.returncode == 0
     assert "0.1.0" in out.stdout
+
+
+def test_write_json_encodes_complex_numpy_and_records(tmp_path):
+    # complex values (numpy's too) as {"re", "im"}, numpy scalars as
+    # Python numbers, dataclass records as their fields
+    rec = ConvergenceRecord(
+        outer_iter=3,
+        subspace_dim=4,
+        ritz_values=[1.0 + 2.0j],
+        relres=[1e-5],
+        inner_iters=7,
+        inner_relres=1e-4,
+    )
+    path = tmp_path / "out.json"
+    write_json(path, {"record": rec, "val": np.float64(2.0), "count": np.int64(5),
+                      "flag": np.bool_(True), "z": np.complex64(0.5 - 1.0j)})
+    d = json.loads(path.read_text())
+    assert d["record"]["ritz_values"] == [{"re": 1.0, "im": 2.0}]
+    assert d["record"]["outer_iter"] == 3
+    assert d["val"] == 2.0
+    assert d["count"] == 5
+    assert d["flag"] is True
+    assert d["z"] == {"re": 0.5, "im": -1.0}
+    # an array is an error, not a silently dropped field
+    with pytest.raises(TypeError, match="ndarray"):
+        write_json(path, {"x": np.ones(3)})
 
 
 def test_generate_then_solve_roundtrip(tmp_path, capsys):
@@ -167,15 +203,27 @@ def test_newton_rejects_multiple_pairs():
     assert excinfo.value.code == 4
 
 
-def test_newton_negative_step_count(capsys):
-    # newton mode reads --max-subspace as its step limit
+def test_newton_rejects_max_subspace(capsys):
+    # --max-subspace only sizes the basis; newton mode runs with
+    # newton_solve's own step budget
     with pytest.raises(SystemExit) as excinfo:
         run_cli(
             "solve", "--gen", "example1", "--sigma", "0.9",
-            "--mode", "newton", "--max-subspace", "-1",
+            "--mode", "newton", "--max-subspace", "5",
         )
     assert excinfo.value.code == 4
-    assert "--max-subspace: must be at least 0, got -1" in capsys.readouterr().err
+    assert "--max-subspace: not allowed with --mode newton" in capsys.readouterr().err
+
+
+def test_solver_breakdown_exit_code(monkeypatch, capsys):
+    def broken(p, config):
+        raise BreakdownError("all 1 candidate residuals broke down in orthogonalization")
+
+    monkeypatch.setattr("qri.cli.outer_loop", broken)
+    assert run_cli("solve", "--gen", "example1", "--sigma", "0.9") == 2
+    captured = capsys.readouterr()
+    assert "solver breakdown: all 1 candidate residuals broke down" in captured.err
+    assert "lam_1" not in captured.out
 
 
 @pytest.mark.parametrize("check", ["angle-identity", "angle-bound"])
@@ -193,8 +241,10 @@ def test_diagnose_angle_checks_reject_step_count(check, steps, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve", "--gen", "example1", "--sigma", "0.9", "--mode", "newton",
-          "--max-subspace", "-1"], "--max-subspace: must be at least 0, got -1"),
+        (["solve", "--gen", "example1", "--sigma", "0.9", "--max-subspace", "0"],
+         "--max-subspace: must be at least 1, got 0"),
+        (["solve", "--gen", "example1", "--sigma", "0.9", "--mode", "inexact",
+          "--max-subspace", "0"], "--max-subspace: must be at least 1, got 0"),
         (["diagnose", "--check", "angle-bound", "--gen", "wave2d", "--m", "4",
           "--sigma", PROBE, "--steps", "0"], "--steps: must be at least 1, got 0"),
         (["diagnose", "--check", "perturbation", "--trials", "0"],
@@ -214,7 +264,7 @@ def test_diagnose_angle_checks_reject_step_count(check, steps, capsys):
         (["solve", "--gen", "example1", "--sigma", "0.9", "--mode", "inexact",
           "--inner-maxit", "-5"], "--inner-maxit: must be at least 1, got -5"),
     ],
-    ids=["newton-max-subspace", "steps", "perturbation-trials", "sandwich-trials",
+    ids=["exact-max-subspace", "inexact-max-subspace", "steps", "perturbation-trials", "sandwich-trials",
          "points", "subspace-dim", "not-an-integer", "nev", "restart", "inner-maxit"],
 )
 def test_count_flags_fail_early_naming_the_flag(argv, message, capsys):

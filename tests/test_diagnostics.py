@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from qri import wave2d
 from qri.diagnostics import (
     pick_isolated_index,
-    record_to_dict,
     run_angle_bound_check,
     run_angle_identity_check,
     run_perturbation_trials,
@@ -16,7 +13,6 @@ from qri.diagnostics import (
     shift_with_ratio,
 )
 from qri.oracle import select_target_pair
-from qri.solver import ConvergenceRecord
 
 PROBE = 0.1234 + 0.4321j
 
@@ -140,24 +136,3 @@ def test_sandwich_trials_summary(p_wave2d4):
     achieved = abs(summary.ratio)
     assert achieved <= 0.01 + 1e-12
 
-
-def test_record_to_dict_json_safe():
-    rec = ConvergenceRecord(
-        outer_iter=3,
-        subspace_dim=4,
-        ritz_values=[1.0 + 2.0j],
-        relres=[1e-5],
-        inner_iters=7,
-        inner_relres=1e-4,
-    )
-    d = record_to_dict(rec)
-    assert d["ritz_values"] == [{"re": 1.0, "im": 2.0}]
-    assert d["outer_iter"] == 3
-    json.dumps(d)
-
-
-def test_record_to_dict_drops_arrays():
-    d = record_to_dict({"x": np.ones(3), "val": np.float64(2.0)})
-    assert d["x"] is None
-    assert d["val"] == 2.0
-    json.dumps(d)

@@ -38,7 +38,7 @@ def orthonormal_cols(rng, n, k):
 def test_example1_spectrum(oracle_example1):
     d = oracle_example1
     assert d.n_infinite == 1
-    assert d.finite_count == 5
+    assert len(d.lams) == 5
     expected = np.array([1.0, 0.5, 1.0 / 3.0, -1.0j, 1.0j])
     assert np.allclose(d.lams, expected, atol=1e-12)
     # the eigendata is held once: no triplet list beside lams, X and Y
@@ -84,7 +84,7 @@ def test_left_vectors_accurate(make, sigma, nearest, left_tol, scale_tol):
     # resolvent scaling y* Q'(lam) x = 1, for the nearest finite values
     p = make()
     d = full_eig(p, sigma)
-    for i in range(d.finite_count if nearest is None else nearest):
+    for i in range(len(d.lams) if nearest is None else nearest):
         lam, x, y = d.lams[i], d.X[:, i], d.Y[:, i]
         left = np.linalg.norm(y.conj() @ shifted_matrix(p, lam))
         assert left <= left_tol * np.linalg.norm(y) * residual_denominator(p, lam)

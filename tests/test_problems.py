@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qri import SpringMaxwellParams, example1, random_qep, spring_maxwell, wave2d
+from qri.problems import _chain_matrices
 
 
 def wave2d_dense(m, zeta=1.0):
@@ -127,6 +128,25 @@ def test_spring_maxwell_explicit_parameters():
     p = spring_maxwell(params)
     assert p.n == 9
     assert (p.K != p.K.T).nnz == 0
+    # every 3 x 3 block against its coefficient times one chain block
+    stiff, mass = (A.toarray() for A in _chain_matrices(3))
+    zero = np.zeros((3, 3))
+    expected = {
+        "M": [[2.0 * mass, zero, zero], [zero, zero, zero], [zero, zero, zero]],
+        "C": [[zero, zero, zero], [zero, 0.5 * stiff, zero],
+              [zero, zero, 0.25 * stiff]],
+        "K": [[1.0 * stiff, -1.5 * stiff, -2.5 * stiff],
+              [-1.5 * stiff, 1.0 * stiff, zero],
+              [-2.5 * stiff, zero, 2.0 * stiff]],
+    }
+    for name, blocks in expected.items():
+        actual = getattr(p, name).toarray()
+        for i in range(3):
+            for j in range(3):
+                np.testing.assert_allclose(
+                    actual[3 * i:3 * i + 3, 3 * j:3 * j + 3], blocks[i][j],
+                    rtol=1e-14, atol=0.0, err_msg=f"{name} block ({i}, {j})",
+                )
 
 
 def test_random_qep_deterministic():

@@ -4,6 +4,7 @@ import pytest
 from conftest import rand_complex
 from qri import (
     BreakdownError,
+    QepProblem,
     SolverConfig,
     SpringMaxwellParams,
     SubspaceExhausted,
@@ -578,6 +579,22 @@ def test_select_expansion_residual_cases():
         select_expansion_residual([], 1)
     # all present pairs pass but too few of them: keep growing
     assert select_expansion_residual([make_pair(1e-14, True)], 2) == 0
+
+
+@pytest.mark.parametrize("nev", [1, 2])
+def test_expansion_breakdown_after_every_candidate(nev):
+    # span(e1, e2) is invariant, so from v1 = e1 + e2 every expansion
+    # Q(sigma)^{-1} r stays in it.  A tolerance below round-off keeps its
+    # exact pairs unconverged, and at k = 2 every candidate residual
+    # orthogonalizes to nothing
+    p = QepProblem(np.eye(4), np.zeros((4, 4)), np.diag([1.0, 2.0, 3.0, 4.0]))
+    config = SolverConfig(sigma=0.9j, nev=nev, mode="exact", tol_outer=1e-17,
+                          initial_vector=[1.0, 1.0, 0.0, 0.0])
+    steps = []
+    with pytest.raises(BreakdownError,
+                       match=f"all {nev} candidate residuals broke down"):
+        outer_loop(p, config, observer=lambda view: steps.append(view.k))
+    assert steps == [1]
 
 
 def test_config_validation(p_example1):
