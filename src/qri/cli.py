@@ -143,12 +143,16 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
+    # each subcommand carries its function and its own parser, so that
+    # a usage error found after parsing names the subcommand
     gen = sub.add_parser("generate", help="write a test problem to Matrix Market files")
+    gen.set_defaults(run=cmd_generate, parser=gen)
     add_problem_args(gen, for_generate=True)
     gen.add_argument("--out", required=True, metavar="PREFIX",
                      help="output prefix for the three .mtx files")
 
     solve = sub.add_parser("solve", help="solve for eigenvalues near a shift")
+    solve.set_defaults(run=cmd_solve, parser=solve)
     add_problem_args(solve)
     solve.add_argument("--sigma", type=complex_literal, required=True,
                        help="target shift, a+bi literal")
@@ -157,16 +161,19 @@ def build_parser():
     solve.add_argument("--tol-outer", type=float, default=1e-10,
                        help="relative residual tolerance for eigenpairs")
     solve.add_argument("--tol-inner", type=float, default=1e-3,
-                       help="GMRES tolerance for inexact expansion solves")
+                       help="relative residual tolerance of the inner solves "
+                            "of inexact mode (COCR or GMRES)")
     solve.add_argument("--mode", choices=("newton", "exact", "inexact"),
                        default="exact")
     solve.add_argument("--extraction", choices=("ritz", "refined"),
                        default="ritz")
     solve.add_argument("--restart", type=count(1), default=30,
                        help="GMRES restart length: Krylov vectors per cycle, "
-                            "counting up to min(10, restart // 2) recycled ones")
+                            "counting up to min(10, restart // 2) recycled ones; "
+                            "unused when M, C and K are symmetric, whose inner "
+                            "solves run COCR")
     solve.add_argument("--inner-maxit", type=count(1), default=500,
-                       help="GMRES iteration budget per expansion solve")
+                       help="inner step budget per expansion solve")
     solve.add_argument("--max-subspace", type=count(1), default=None,
                        help="restart size and cap of the basis (default "
                             "min(n, max(20, 3*nev)) in exact mode, min(n, 120) "
@@ -181,6 +188,7 @@ def build_parser():
                        help="write run summary as JSON")
 
     diag = sub.add_parser("diagnose", help="run an oracle-backed solver check")
+    diag.set_defaults(run=cmd_diagnose, parser=diag)
     add_problem_args(diag)
     diag.add_argument("--check", required=True,
                       choices=("angle-identity", "angle-bound", "resolvent",
@@ -296,6 +304,7 @@ def cmd_solve(args, parser):
               f"relres = {history[-1].relres[0]:.3e}  steps = {len(history) - 1}  "
               f"{'converged' if nres.converged else 'not converged'}")
         summary = {"outer_iters": len(history) - 1}
+        inner_solver = None
     else:
         config = SolverConfig(
             sigma=args.sigma,
@@ -337,6 +346,7 @@ def cmd_solve(args, parser):
             "inner_failures": result.inner_failures,
             "phase_wall_ms": result.phase_wall_ms,
         }
+        inner_solver = result.inner_solver
 
     if args.out_csv:
         write_text(args.out_csv, "\n".join(history_csv_lines(history, args.nev)) + "\n")
@@ -349,6 +359,8 @@ def cmd_solve(args, parser):
             "problem_n": p.n,
             # inexact mode never factors Q
             "factorization": None if args.mode == "inexact" else p.factorization,
+            # only inexact mode runs inner solves: "cocr" or "gmres"
+            "inner_solver": inner_solver,
             "sigma": args.sigma,
             "converged": converged,
             "eigenvalues": final.ritz_values[:args.nev],
@@ -442,11 +454,7 @@ def main(argv=None):
     if args.command is None:
         parser.error("a subcommand is required")
     try:
-        if args.command == "generate":
-            return cmd_generate(args, parser)
-        if args.command == "solve":
-            return cmd_solve(args, parser)
-        return cmd_diagnose(args, parser)
+        return args.run(args, args.parser)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

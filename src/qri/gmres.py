@@ -1,11 +1,15 @@
-"""Restarted GMRES for the inner solves of the inexact expansion, with an
-optional deflation space recycled across cycles and across solves with
-one operator (GCRO-DR).
+"""Krylov solvers for the inner solves of the inexact expansion: restarted
+GMRES with an optional deflation space recycled across cycles and across
+solves with one operator (GCRO-DR), and COCR for complex symmetric
+operators.  Both run through :func:`gmres`, which takes ``symmetric=True``
+for COCR and returns the same :class:`GmresResult` either way, so that
+callers and anything that wraps :func:`gmres` by name (a tracer counting
+its calls, steps and cycles) see one inner solver interface.
 
-Arnoldi with one modified Gram-Schmidt pass, least squares by Givens
-rotations, always started from the zero guess.  The rotation recurrence
-makes the residual estimate non-increasing within a cycle; the true
-residual is recomputed at every cycle end, so the reported value is
+GMRES: Arnoldi with one modified Gram-Schmidt pass, least squares by
+Givens rotations, always started from the zero guess.  The rotation
+recurrence makes the residual estimate non-increasing within a cycle; the
+true residual is recomputed at every cycle end, so the reported value is
 never an estimate.
 
 The Krylov vectors are stored as the rows of one C-ordered block that
@@ -26,13 +30,24 @@ cycle that ends short of ``tol`` replaces ``U`` and ``C`` by the ``k``
 harmonic Ritz vectors of ``A`` in that space with the smallest harmonic
 Ritz values: the directions ``A`` nearly annihilates, which restarted
 GMRES would otherwise lose at every cycle and every solve.
+
+COCR (Sogabe and Zhang, "A COCR method for solving complex symmetric
+linear systems", J. Comput. Appl. Math. 199, 2007) is the conjugate
+residual method in the unconjugated bilinear form ``u^T v``, which is
+symmetric for ``A = A^T`` (not Hermitian).  Its short recurrence keeps
+five n-vectors (``x``, ``r``, ``p``, ``A r``, ``A p``) and needs no
+Gram-Schmidt: one product with ``A`` and a handful of BLAS-1 operations
+per step.  The residual norm is not monotone, but the stopping rule is
+GMRES's: the true residual is recomputed at every stop and the best
+iterate kept.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zgemm
+from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdotu, zgemm, zscal
 
 from .errors import ZeroVector
 
@@ -43,6 +58,9 @@ RECYCLE_DIM = 10
 # the recycle update runs in place over column blocks this wide, so it
 # needs no k x n temporaries
 UPDATE_COLUMNS = 1024
+# a COCR step breaks down when r^T A r or (A p)^T (A p) is at most this
+# fraction of its Cauchy-Schwarz bound, i.e. at round-off level
+COCR_BREAKDOWN_RTOL = 1e-14
 
 
 @dataclass
@@ -84,8 +102,10 @@ def _givens(h1, h2):
     return c, s
 
 
-def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None):
-    """Solve ``A x = b`` where ``apply_op(v)`` returns ``A v``.
+def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
+          symmetric=False):
+    """Solve ``A x = b`` where ``apply_op(v)`` returns ``A v``: restarted
+    GMRES, or COCR when ``symmetric`` is set.
 
     Parameters
     ----------
@@ -94,21 +114,28 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None):
     tol : float
         Target relative residual ``norm(b - A x) / norm(b)``.
     restart : int
-        Krylov vectors per cycle, recycled ones included.
+        Krylov vectors per GMRES cycle, recycled ones included; unused by
+        COCR.
     maxit : int
-        Cap on the total number of Arnoldi steps across all cycles.  On
-        hitting it the best iterate seen so far is returned with
-        ``converged=False``; no exception is raised.
+        Cap on the total number of steps (products with ``A`` past the
+        residual checks) across all cycles.  On hitting it the best
+        iterate seen so far is returned with ``converged=False``; no
+        exception is raised.
     recycle : RecycleSpace, optional
-        Deflation space shared by a sequence of solves with this
+        Deflation space shared by a sequence of GMRES solves with this
         ``apply_op`` and ``restart``; used and updated in place.  With
         ``None`` (the default) the solve is plain restarted GMRES.
+        Refused with ``symmetric``.
+    symmetric : bool
+        ``A`` is complex symmetric (``A = A^T``): solve with COCR
+        (:func:`_cocr`).  The caller vouches for the symmetry; it is not
+        checked.
 
     Returns
     -------
     GmresResult
         ``relres`` is the recomputed true relative residual of ``x``;
-        ``iters`` counts Arnoldi steps; ``resnorms`` holds the per-step
+        ``iters`` counts steps; ``resnorms`` holds the per-step
         estimates and ``cycles`` the number of steps in each cycle.
     """
     b = np.asarray(b, dtype=complex)
@@ -118,6 +145,10 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None):
         raise ZeroVector("gmres needs a nonzero right-hand side")
     if restart < 1 or maxit < 1:
         raise ValueError("restart and maxit must be positive")
+    if symmetric:
+        if recycle is not None:
+            raise ValueError("COCR (symmetric=True) takes no recycle space")
+        return _cocr(apply_op, b, nb, tol, maxit)
     if recycle is None:
         # Krylov vectors are rows, so each one is contiguous for BLAS-1;
         # row j is always written before it is read
@@ -223,6 +254,91 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None):
                 recycle.k = 0
             else:
                 _refresh(recycle, G[: q + 1, :q])
+
+
+def _cocr(apply_op, b, nb, tol, maxit):
+    """COCR for complex symmetric ``A``, from the zero guess; the
+    contract of :func:`gmres`.
+
+    A cycle starts from the true residual ``r`` of the current iterate
+    with ``p = r`` and runs the recurrence
+
+        alpha = (r^T A r) / ((A p)^T A p),  x += alpha p,  r -= alpha A p,
+        beta = (r_new^T A r_new) / (r^T A r),  p = r + beta p,
+        A p = A r + beta A p
+
+    until the updated residual reaches ``tol * norm(b)``, a step breaks
+    down (``r^T A r`` or ``(A p)^T A p`` at round-off level, see
+    ``COCR_BREAKDOWN_RTOL``) or the step budget runs out.  The true
+    residual is then recomputed, and a miss starts a new cycle from the
+    current iterate.  A breakdown at a cycle's first step would recur at
+    every restart, so that cycle instead takes one minimal-residual step
+    over ``span(r, A r)``: the two-step GMRES iterate, which solves, for
+    instance, ``[[0, 1], [1, 0]] x = [1, 0]``, where ``r^T A r = 0``.
+    """
+    n = b.shape[0]
+    x = np.zeros(n, dtype=complex)
+    r = b.copy()
+    best_x = x.copy()
+    best_relres = 1.0
+    total = 0
+    resnorms = []
+    cycles = []
+
+    while True:
+        # r is the true residual of x here
+        rnorm = np.linalg.norm(r)
+        if rnorm / nb < best_relres:
+            best_relres = rnorm / nb
+            best_x = x.copy()
+        if rnorm / nb <= tol or total >= maxit:
+            return GmresResult(
+                x=best_x, relres=float(best_relres), iters=total,
+                converged=best_relres <= tol, resnorms=resnorms, cycles=cycles,
+            )
+
+        start = total
+        p = Ap = None
+        stepped = False
+        while True:
+            # Ar is only read, never updated in place, so it may be a view
+            # of r or a read-only array
+            Ar = np.asarray(apply_op(r), dtype=complex)
+            total += 1
+            rho_next = zdotu(r, Ar)
+            # norms as sqrt(zdotc): half the time of dznrm2 here
+            if (abs(rho_next) <= COCR_BREAKDOWN_RTOL * rnorm
+                    * math.sqrt(zdotc(Ar, Ar).real)):
+                break
+            if p is None:
+                p, Ap = r.copy(), Ar.copy()
+            else:
+                beta = rho_next / rho
+                p = zaxpy(r, zscal(beta, p))
+                Ap = zaxpy(Ar, zscal(beta, Ap))
+            rho = rho_next
+            mu = zdotu(Ap, Ap)
+            if abs(mu) <= COCR_BREAKDOWN_RTOL * zdotc(Ap, Ap).real:
+                break
+            alpha = rho / mu
+            x = zaxpy(p, x, a=alpha)
+            r = zaxpy(Ap, r, a=-alpha)
+            stepped = True
+            rnorm = math.sqrt(zdotc(r, r).real)
+            resnorms.append(float(rnorm / nb))
+            if rnorm <= tol * nb or total >= maxit:
+                break
+        if not stepped and total < maxit:
+            # a breakdown at the first step: minimize over span(r, A r)
+            AAr = np.asarray(apply_op(Ar), dtype=complex)
+            total += 1
+            coef, *_ = np.linalg.lstsq(np.stack([Ar, AAr], axis=1), r, rcond=None)
+            x = x + coef[0] * r + coef[1] * Ar
+            resnorms.append(
+                float(np.linalg.norm(r - coef[0] * Ar - coef[1] * AAr) / nb)
+            )
+        cycles.append(total - start)
+        r = b - apply_op(x)
 
 
 def _refresh(space, G):

@@ -115,6 +115,7 @@ class QepProblem:
         self.n = n_rows
         self._norms = None
         self._factorization = None
+        self._symmetric = None
 
     @property
     def norms1(self):
@@ -138,6 +139,21 @@ class QepProblem:
             sparse = _rcm_profile(self) <= SPARSE_PROFILE_RATIO * self.n**2
             self._factorization = "sparse" if sparse else "dense"
         return self._factorization
+
+    @property
+    def symmetric(self):
+        """Whether each of ``M``, ``C`` and ``K`` equals its transpose
+        exactly (not its conjugate transpose), so that ``Q(lam)`` is
+        complex symmetric at every ``lam``; computed on first read.
+
+        Inexact :func:`~qri.solver.outer_loop` reads it to solve with
+        COCR instead of recycled GMRES.
+        """
+        if self._symmetric is None:
+            self._symmetric = all(
+                (A != A.T).nnz == 0 for A in (self.M, self.C, self.K)
+            )
+        return self._symmetric
 
     def densify(self):
         return self.M.toarray(), self.C.toarray(), self.K.toarray()

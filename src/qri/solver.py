@@ -8,12 +8,16 @@ a shift ``sigma``:
 - :func:`outer_loop` with ``mode="exact"`` grows a subspace by solving
   ``Q(sigma) u = r`` with one LU for the residual ``r`` of the first
   unconverged Ritz pair, orthonormalizing ``u`` into the basis.
-- ``mode="inexact"`` replaces that solve with restarted GMRES at a fixed
-  inner tolerance, trading inner iterations for (slightly) more outer
-  steps.  Every inner solve of a run is with ``Q(sigma)``, so one
+- ``mode="inexact"`` replaces that solve with an iterative one at a
+  fixed inner tolerance, trading inner iterations for (slightly) more
+  outer steps.  When ``M``, ``C`` and ``K`` are symmetric
+  (:attr:`~qri.qep.QepProblem.symmetric`), ``Q(sigma)`` is complex
+  symmetric and the solves run COCR, a short recurrence with no
+  Gram-Schmidt.  Otherwise they run restarted GMRES, and since every
+  inner solve of a run is with ``Q(sigma)``, one
   :class:`~qri.gmres.RecycleSpace` carries the near-singular directions
-  of ``Q(sigma)`` from each solve to the next.  It is the only mode
-  that runs above the dense cap on a problem factored densely.
+  of ``Q(sigma)`` from each solve to the next.  Inexact mode is the only
+  mode that runs above the dense cap on a problem factored densely.
 
 Newton and exact mode factor ``Q`` through :func:`~qri.qep.factor_q`:
 sparsely (SuperLU) when the problem's pattern keeps a narrow envelope,
@@ -104,6 +108,10 @@ class SolverConfig:
     ``min(n, max(20, 3 * nev))`` in exact mode and to ``min(n, 120)`` in
     inexact mode, a restart size that may double up to ``min(n, 120)``.
     ``initial_vector`` overrides the seeded random start when provided.
+    ``tol_inner``, ``restart`` and ``inner_maxit`` set inexact mode's
+    inner solves: ``restart`` is the GMRES cycle length, recycled vectors
+    included, and is unused when the problem is symmetric and the solves
+    run COCR.
     """
 
     sigma: complex
@@ -151,7 +159,7 @@ class SolverConfig:
 @dataclass
 class ConvergenceRecord:
     """One iteration of either solver: the Ritz data it scored, the cost
-    of its expansion (GMRES steps, last inner residual, inner solves short
+    of its expansion (inner steps, last inner residual, inner solves short
     of ``tol_inner``, candidate residuals that broke down) and its wall
     time, which runs to the next iteration's start (the first also holds
     the set-up), so the records' ``wall_ms`` sum to the run's."""
@@ -595,7 +603,9 @@ class StepView:
 @dataclass
 class RunResult:
     """The first ``nev`` pairs as the last extraction scored them, one
-    :class:`ConvergenceRecord` per iteration and the phase times."""
+    :class:`ConvergenceRecord` per iteration, the phase times and the
+    inner solver of inexact mode (``"cocr"`` or ``"gmres"``; ``None`` in
+    exact mode)."""
 
     eigenpairs: list
     converged: list
@@ -603,6 +613,7 @@ class RunResult:
     history: list
     phase_wall_ms: dict
     stop_reason: str
+    inner_solver: str | None
 
     @property
     def cumulative_inner_iters(self):
@@ -631,10 +642,12 @@ def outer_loop(p, config, observer=None):
     with ``Q(sigma)^{-1} r`` for the residual ``r`` of the first
     unconverged target pair -- exactly (``mode="exact"``, an LU of
     ``Q(sigma)`` factored once by :func:`~qri.qep.factor_q`, sparse or
-    dense as the problem's pattern says) or
-    through restarted GMRES at ``tol_inner`` (``mode="inexact"``), whose
-    solves share one recycled deflation space of ``Q(sigma)`` per run;
-    each still stops on its recomputed true residual.
+    dense as the problem's pattern says) or iteratively at ``tol_inner``
+    (``mode="inexact"``): by COCR when ``M``, ``C`` and ``K`` are
+    symmetric (:attr:`~qri.qep.QepProblem.symmetric`), else by restarted
+    GMRES whose solves share one recycled deflation space of
+    ``Q(sigma)`` per run.  Each solve stops on its recomputed true
+    residual, and ``RunResult.inner_solver`` names the method.
     Converged pairs are left soft-locked: they are re-extracted every
     iteration and only reported at the end.
 
@@ -689,25 +702,31 @@ def outer_loop(p, config, observer=None):
     with _timed(phase, "inner_solve"):
         if config.mode == "exact":
             expander = ExactExpansion(p, sigma)
+            inner_solver = None
 
             def expand(r, record):
                 return expander.solve(r)
 
         else:
             op_matrix = shifted_matrix(p, sigma)
-            # every expansion solves with Q(sigma), so one deflation space
-            # serves the whole run.  It is made at the first solve, after
-            # the basis: made before it, about one wave100-inexact
+            # Q(sigma) is complex symmetric when M, C and K are symmetric,
+            # and COCR's short recurrence then needs no Gram-Schmidt and
+            # no recycle space
+            symmetric = p.symmetric
+            inner_solver = "cocr" if symmetric else "gmres"
+            # every GMRES expansion solves with Q(sigma), so one deflation
+            # space serves the whole run.  It is made at the first solve,
+            # after the basis: made before it, about one wave100-inexact
             # benchmark process in ten peaked 13-15 MB higher
             recycle = None
 
             def expand(r, record):
                 nonlocal recycle
-                if recycle is None:
+                if recycle is None and not symmetric:
                     recycle = RecycleSpace(n, config.restart)
                 res = gmres(lambda w: op_matrix @ w, r, tol=config.tol_inner,
                             restart=config.restart, maxit=config.inner_maxit,
-                            recycle=recycle)
+                            recycle=recycle, symmetric=symmetric)
                 record.inner_iters += res.iters
                 record.inner_relres = res.relres
                 record.inner_failures += not res.converged
@@ -804,6 +823,7 @@ def outer_loop(p, config, observer=None):
         history=history,
         phase_wall_ms={k: v * 1e3 for k, v in phase.items()},
         stop_reason=stop_reason,
+        inner_solver=inner_solver,
     )
     if stop_reason == "exhausted":
         raise SubspaceExhausted(

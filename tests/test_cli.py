@@ -99,7 +99,7 @@ def test_generate_then_solve_roundtrip(tmp_path, capsys):
         "mode", "extraction", "problem_n", "sigma", "nev", "tol_outer",
         "tol_inner", "stop_reason", "converged", "eigenvalues", "relres",
         "outer_iters", "cumulative_inner_iters", "inner_failures",
-        "phase_wall_ms", "wall_ms_total", "factorization",
+        "phase_wall_ms", "wall_ms_total", "factorization", "inner_solver",
     }
 
 
@@ -186,6 +186,26 @@ def test_json_reports_factorization(tmp_path):
         assert code == 0, (source, mode)
         payload = json.loads(path.read_text())
         assert payload["factorization"] == expected, (source, mode)
+
+
+def test_json_reports_inner_solver(tmp_path):
+    # inexact mode solves with COCR when M, C and K are symmetric and with
+    # recycled GMRES otherwise; exact and Newton modes run no inner solves
+    wave = ("--gen", "wave2d", "--m", "6")
+    random = ("--gen", "random", "--n", "30", "--density", "0.1")
+    cases = (
+        (wave, "inexact", "cocr"),
+        (random, "inexact", "gmres"),
+        (wave, "exact", None),
+        (wave, "newton", None),
+    )
+    for i, (source, mode, expected) in enumerate(cases):
+        path = tmp_path / f"run{i}.json"
+        code = run_cli("solve", *source, "--sigma", PROBE, "--mode", mode,
+                       "--out-json", str(path))
+        assert code == 0, (source, mode)
+        payload = json.loads(path.read_text())
+        assert payload["inner_solver"] == expected, (source, mode)
 
 
 def test_unknown_generator_is_usage_error():
@@ -304,8 +324,8 @@ def test_newton_json_schema(tmp_path):
     assert code == 0
     payload = json.loads(json_path.read_text())
     assert set(payload) == {
-        "mode", "problem_n", "factorization", "sigma", "converged",
-        "eigenvalues", "relres", "outer_iters", "wall_ms_total",
+        "mode", "problem_n", "factorization", "inner_solver", "sigma",
+        "converged", "eigenvalues", "relres", "outer_iters", "wall_ms_total",
     }
     # the JSON total is the sum of the CSV's per-step wall times
     walls = [float(line.rsplit(",", 1)[1])
@@ -386,6 +406,29 @@ def test_diagnose_requires_sigma_for_identity():
     with pytest.raises(SystemExit) as excinfo:
         run_cli("diagnose", "--check", "angle-identity", "--gen", "wave2d", "--m", "4")
     assert excinfo.value.code == 4
+
+
+def test_usage_errors_name_the_subcommand(capsys):
+    # errors found after parsing print the subcommand's usage and name,
+    # as argparse's errors in a subcommand's arguments do
+    cases = (
+        (("diagnose", "--check", "angle-identity", "--gen", "wave2d", "--m", "4"),
+         "diagnose", "--check angle-identity requires --sigma"),
+        (("solve", "--sigma", "0.9"),
+         "solve", "a problem source is required (--gen or --mtx-prefix)"),
+        (("solve", "--gen", "example1", "--sigma", "0.9", "--mode", "newton",
+          "--nev", "2"),
+         "solve", "newton mode refines a single pair (--nev 1)"),
+        (("generate", "--out", "never-written"),
+         "generate", "a problem source is required (--gen or --mtx-prefix)"),
+    )
+    for argv, command, message in cases:
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv)
+        assert excinfo.value.code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: qri {command} "), argv
+        assert f"qri {command}: error: {message}" in err, argv
 
 
 def test_generate_requires_out():

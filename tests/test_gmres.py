@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import rand_complex
-from qri import ZeroVector, gmres
+from qri import ZeroVector, gmres, wave2d
 from qri.gmres import HAPPY_BREAKDOWN_RTOL, RecycleSpace, _givens
+from qri.qep import shifted_matrix
 
 
 def op_from(A):
@@ -324,3 +325,90 @@ def test_recycle_space_must_match_restart():
     space = RecycleSpace(10, restart=6)
     with pytest.raises(ValueError, match="recycle space"):
         gmres(lambda v: v, np.ones(10), restart=5, recycle=space)
+
+
+def symmetric_matrix(rng, n):
+    # complex symmetric (A = A^T, not Hermitian) and indefinite: a real
+    # spectrum from -1 to 3 plus a damping term and a symmetric coupling
+    B = rand_complex(rng, n * n).reshape(n, n) / np.sqrt(n)
+    return np.diag(np.linspace(-1.0, 3.0, n)) + 0.2j * np.eye(n) + 0.15 * (B + B.T)
+
+
+def test_cocr_meets_tol_on_true_residual(rng):
+    # COCR's recurrence updates its residual; the reported one is
+    # recomputed from x, and it meets tol
+    Q = shifted_matrix(wave2d(12), -0.5 + 4.0j)
+    n = 80
+    for A, b in ((Q, rand_complex(rng, Q.shape[0])),
+                 (symmetric_matrix(rng, n), rand_complex(rng, n))):
+        for tol in (1e-3, 1e-10):
+            res = gmres(op_from(A), b, tol=tol, maxit=5000, symmetric=True)
+            true_rel = np.linalg.norm(b - A @ res.x) / np.linalg.norm(b)
+            assert res.converged
+            assert true_rel <= tol
+            assert true_rel == pytest.approx(res.relres, rel=1e-10, abs=1e-15)
+            assert sum(res.cycles) == res.iters
+            assert len(res.resnorms) <= res.iters
+    # an operator that hands back its own input is solved in one step
+    b = rand_complex(rng, 15)
+    res = gmres(lambda v: v, b, tol=1e-12, symmetric=True)
+    assert res.converged
+    assert res.iters == 1
+    assert np.linalg.norm(res.x - b) <= 1e-14 * np.linalg.norm(b)
+
+
+def test_cocr_bit_identical(rng):
+    n = 90
+    A = symmetric_matrix(rng, n)
+    b = rand_complex(rng, n)
+    a = gmres(op_from(A), b, tol=1e-10, maxit=2000, symmetric=True)
+    c = gmres(op_from(A), b, tol=1e-10, maxit=2000, symmetric=True)
+    assert a.converged
+    assert np.array_equal(a.x, c.x)
+    assert a.resnorms == c.resnorms
+    assert a.cycles == c.cycles
+    assert a.relres == c.relres
+
+
+def test_cocr_maxit_returns_best_iterate(rng):
+    n = 90
+    B = symmetric_matrix(rng, n)
+    b = rand_complex(rng, n)
+    # definite: the residual falls, and the last iterate is returned
+    A = 2.0 * np.eye(n) + 0.5 * (B - np.diag(np.diag(B)))
+    res = gmres(op_from(A), b, tol=1e-13, maxit=7, symmetric=True)
+    assert not res.converged
+    assert res.iters == 7
+    true_rel = np.linalg.norm(b - A @ res.x) / np.linalg.norm(b)
+    assert true_rel == pytest.approx(res.relres, rel=1e-10)
+    assert res.relres < 1.0
+    # indefinite: COCR's residual is not monotone, and on this system the
+    # iterate after seven steps is worse than the zero guess, which is
+    # returned (only the iterates at a cycle's end are compared)
+    res = gmres(op_from(B), b, tol=1e-13, maxit=7, symmetric=True)
+    assert not res.converged
+    assert res.resnorms[-1] > 1.0
+    assert res.relres == 1.0
+    assert not res.x.any()
+
+
+def test_cocr_breakdown_at_start():
+    # r^T A r = 0 at the first step: alpha would be zero and beta 0/0, so
+    # the cycle takes a minimal-residual step over span(r, A r) instead
+    A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    b = np.array([1.0, 0.0])
+    res = gmres(op_from(A), b, tol=1e-12, symmetric=True)
+    assert res.converged
+    assert np.linalg.norm(b - A @ res.x) <= 1e-12
+    np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-14)
+    # an isotropic right-hand side (b^T b = 0) of the identity
+    b = np.array([1.0, 1.0j, 0.0])
+    res = gmres(lambda v: v, b, tol=1e-12, symmetric=True)
+    assert res.converged
+    assert np.linalg.norm(res.x - b) <= 1e-12
+
+
+def test_cocr_refuses_recycle_space():
+    space = RecycleSpace(10, restart=6)
+    with pytest.raises(ValueError, match="recycle"):
+        gmres(lambda v: v, np.ones(10), restart=6, recycle=space, symmetric=True)

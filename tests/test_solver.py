@@ -8,6 +8,7 @@ from qri import (
     SolverConfig,
     SpringMaxwellParams,
     SubspaceExhausted,
+    example1,
     full_eig,
     newton_solve,
     outer_loop,
@@ -19,7 +20,13 @@ from qri import (
 )
 import qri.solver as solver
 from qri.linalg import OrthonormalBasis, dense_eig, sin_angle
-from qri.qep import finite_order, residual_denominator, shift_invert
+from qri.qep import (
+    finite_order,
+    read_problem,
+    residual_denominator,
+    shift_invert,
+    write_problem,
+)
 from qri.solver import (
     ProjectionCache,
     RitzPair,
@@ -760,3 +767,61 @@ def test_oracle_property_sweep():
                     assert abs(pair.lam - sigma) <= nev_dist * (1 + 1e-8)
                     matched.add(i)
                 assert len(matched) == nev, (p, seed, mode)
+
+
+def test_symmetric_rule(tmp_path):
+    # inexact mode's choice of COCR: M, C and K equal their transposes
+    # exactly, and a Matrix Market round trip keeps them so
+    sym = (wave2d(4), spring_maxwell(SpringMaxwellParams(10, 4, seed=2)))
+    nonsym = (random_qep(60, density=0.05, seed=1), example1())
+    for i, p in enumerate(sym + nonsym):
+        assert p.symmetric == (p in sym), p
+        prefix = str(tmp_path / f"p{i}")
+        write_problem(prefix, p)
+        assert read_problem(prefix).symmetric == p.symmetric, p
+
+
+def test_recycle_space_only_for_nonsymmetric_inexact(monkeypatch):
+    # COCR needs no deflation space: a symmetric problem's inexact run
+    # makes none, a nonsymmetric one makes one for the run.  The random
+    # problem's shift is one of test_oracle_property_sweep's
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    real = solver.RecycleSpace
+    monkeypatch.setattr(solver, "RecycleSpace", counting)
+    cases = ((wave2d(8), PROBE, 0, "cocr"),
+             (random_qep(60, density=0.05, seed=1),
+              -0.7825681038075271 + 0.4461769817104889j, 1, "gmres"))
+    for p, sigma, spaces, inner_solver in cases:
+        made.clear()
+        cfg = SolverConfig(sigma=sigma, nev=3, tol_outer=1e-8, mode="inexact")
+        res = outer_loop(p, cfg)
+        assert all(res.converged), p
+        assert len(made) == spaces, p
+        assert res.inner_solver == inner_solver, p
+    res = outer_loop(wave2d(8), SolverConfig(sigma=PROBE, mode="exact"))
+    assert res.inner_solver is None
+
+
+def test_spring_maxwell_sweep_shifts_inner_solves_converge():
+    # two shifts of test_oracle_property_sweep's spring_maxwell problem
+    # (seeds 0 and 2) at the default restart = 30: recycled GMRES stopped
+    # 15 and 13 inner solves at inner_maxit there; COCR stops none
+    p = spring_maxwell(SpringMaxwellParams(10, 4, seed=2))
+    lams = full_eig(p, PROBE).lams
+    shifts = ((0, -0.47857761947180644 + 3.741581340790749e-07j),
+              (2, -1.2750757584822654 + 3.8696679788495165e-07j))
+    for seed, sigma in shifts:
+        cfg = SolverConfig(sigma=sigma, nev=3, tol_outer=1e-10, mode="inexact",
+                           tol_inner=1e-3, seed=seed)
+        res = outer_loop(p, cfg)
+        assert res.inner_solver == "cocr"
+        assert res.inner_failures == 0, seed
+        assert res.converged == [True] * 3
+        nearest = lams[np.argsort(np.abs(lams - sigma), kind="stable")[:3]]
+        for pair in res.eigenpairs:
+            assert np.min(np.abs(nearest - pair.lam)) <= 1e-8 * abs(pair.lam)
