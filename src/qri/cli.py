@@ -93,6 +93,18 @@ def count(least):
     return integer
 
 
+def bounded(upper):
+    """argparse type for a real flag in the open interval ``(0, upper)``,
+    so that NaN, infinities and the endpoints fail before any work,
+    naming the flag."""
+    def real(text):  # argparse names it in "invalid real value"
+        value = float(text)
+        if not 0.0 < value < upper:
+            raise argparse.ArgumentTypeError(f"must lie in (0, {upper:g}), got {value}")
+        return value
+    return real
+
+
 def add_problem_args(sp, for_generate=False):
     src = sp.add_argument_group("problem source")
     src.add_argument("--gen", choices=GENERATORS,
@@ -158,9 +170,9 @@ def build_parser():
                        help="target shift, a+bi literal")
     solve.add_argument("--nev", type=count(1), default=1,
                        help="number of eigenpairs to converge")
-    solve.add_argument("--tol-outer", type=float, default=1e-10,
+    solve.add_argument("--tol-outer", type=bounded(1.0), default=1e-10,
                        help="relative residual tolerance for eigenpairs")
-    solve.add_argument("--tol-inner", type=float, default=1e-3,
+    solve.add_argument("--tol-inner", type=bounded(1.0), default=1e-3,
                        help="relative residual tolerance of the inner solves "
                             "of inexact mode (COCR or GMRES)")
     solve.add_argument("--mode", choices=("newton", "exact", "inexact"),
@@ -202,9 +214,9 @@ def build_parser():
                       help="probe points (resolvent)")
     diag.add_argument("--trials", type=count(1), default=100,
                       help="random trials (perturbation, sandwich)")
-    diag.add_argument("--ratio", type=float, default=0.01,
+    diag.add_argument("--ratio", type=bounded(np.inf), default=0.01,
                       help="target distance ratio for auto-placed shift (sandwich)")
-    diag.add_argument("--gmres-tol", type=float, default=1e-2,
+    diag.add_argument("--gmres-tol", type=bounded(1.0), default=1e-2,
                       help="inexact solve tolerance (sandwich)")
     diag.add_argument("--subspace-dim", type=count(1), default=8,
                       help="subspace dimension (perturbation)")

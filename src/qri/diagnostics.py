@@ -310,10 +310,15 @@ def run_sandwich_trials(p, sigma=None, ratio=0.01, trials=100, gmres_tol=1e-2, s
     ``SANDWICH_MAXIT``), then records whether the tangent ordering holds.
     Violations are counted only among trials where the hypothesis (exact
     direction strictly closer than the error direction) holds.  Raises
-    :class:`ValueError` unless ``trials >= 1``.
+    :class:`ValueError` unless ``trials >= 1``, ``0 < gmres_tol < 1`` and
+    ``0 < ratio < inf``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0.0 < gmres_tol < 1.0:
+        raise ValueError(f"gmres_tol must lie in (0, 1), got {gmres_tol}")
+    if not 0.0 < ratio < np.inf:
+        raise ValueError(f"ratio must be positive and finite, got {ratio}")
     if sigma is None:
         probe = full_eig(p, PROBE_SIGMA)
         idx = pick_isolated_index(probe.lams)

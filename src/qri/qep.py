@@ -146,8 +146,8 @@ class QepProblem:
         exactly (not its conjugate transpose), so that ``Q(lam)`` is
         complex symmetric at every ``lam``; computed on first read.
 
-        Inexact :func:`~qri.solver.outer_loop` reads it to solve with
-        COCR instead of recycled GMRES.
+        :class:`~qri.solver.KrylovExpansion` reads it to solve with COCR
+        instead of recycled GMRES.
         """
         if self._symmetric is None:
             self._symmetric = all(

@@ -5,19 +5,13 @@ a shift ``sigma``:
 
 - :func:`newton_solve` refines a single pair with a Newton step on the
   scalar normalization equation (one LU of ``Q`` per step).
-- :func:`outer_loop` with ``mode="exact"`` grows a subspace by solving
-  ``Q(sigma) u = r`` with one LU for the residual ``r`` of the first
-  unconverged Ritz pair, orthonormalizing ``u`` into the basis.
-- ``mode="inexact"`` replaces that solve with an iterative one at a
-  fixed inner tolerance, trading inner iterations for (slightly) more
-  outer steps.  When ``M``, ``C`` and ``K`` are symmetric
-  (:attr:`~qri.qep.QepProblem.symmetric`), ``Q(sigma)`` is complex
-  symmetric and the solves run COCR, a short recurrence with no
-  Gram-Schmidt.  Otherwise they run restarted GMRES, and since every
-  inner solve of a run is with ``Q(sigma)``, one
-  :class:`~qri.gmres.RecycleSpace` carries the near-singular directions
-  of ``Q(sigma)`` from each solve to the next.  Inexact mode is the only
-  mode that runs above the dense cap on a problem factored densely.
+- :func:`outer_loop` grows a subspace by solving ``Q(sigma) u = r`` for
+  the residual ``r`` of the first unconverged Ritz pair, orthonormalizing
+  ``u`` into the basis.  ``mode="exact"`` solves with one LU
+  (:class:`ExactExpansion`); ``mode="inexact"`` solves iteratively at a
+  fixed inner tolerance (:class:`KrylovExpansion`), trading inner
+  iterations for (slightly) more outer steps, and is the only mode that
+  runs above the dense cap on a problem factored densely.
 
 Newton and exact mode factor ``Q`` through :func:`~qri.qep.factor_q`:
 sparsely (SuperLU) when the problem's pattern keeps a narrow envelope,
@@ -108,10 +102,10 @@ class SolverConfig:
     ``min(n, max(20, 3 * nev))`` in exact mode and to ``min(n, 120)`` in
     inexact mode, a restart size that may double up to ``min(n, 120)``.
     ``initial_vector`` overrides the seeded random start when provided.
-    ``tol_inner``, ``restart`` and ``inner_maxit`` set inexact mode's
-    inner solves: ``restart`` is the GMRES cycle length, recycled vectors
-    included, and is unused when the problem is symmetric and the solves
-    run COCR.
+    ``tol_inner``, ``restart`` and ``inner_maxit`` are read only by
+    :class:`KrylovExpansion`, inexact mode's inner solves: ``restart`` is
+    the GMRES cycle length, recycled vectors included, and is unused when
+    the problem is symmetric and the solves run COCR.
     """
 
     sigma: complex
@@ -204,15 +198,17 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     :class:`ConvergenceRecord` per iterate, the start included
     (``subspace_dim=1``, ``ritz_values=[lam_k]``); ``converged`` is False
     when ``maxit`` ran out.  Raises :class:`ValueError` for a negative
-    ``maxit``, a non-finite ``lam0`` or ``x0`` and, from the first step,
-    for ``n`` above the dense cap when ``Q`` is factored densely;
-    :class:`Stagnation` when the update scalar vanishes and
+    ``maxit``, a ``tol`` outside (0, 1), a non-finite ``lam0`` or ``x0``
+    and, from the first step, for ``n`` above the dense cap when ``Q`` is
+    factored densely; :class:`Stagnation` when the update scalar vanishes and
     :class:`SingularMatrix` when ``lam_k`` lands on an eigenvalue without
     the residual being converged already.
     """
     t_step = time.perf_counter()
     if maxit < 0:
         raise ValueError(f"maxit must be at least 0, got {maxit}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     lam = check_shift(lam0, "lam0")
     x0 = np.asarray(x0, dtype=complex)
     if not np.isfinite(x0).all():
@@ -576,13 +572,46 @@ class ExactExpansion:
     """Solve ``Q(sigma) u = r`` for the expansion with the LU of
     ``Q(sigma)``, factored once by :func:`~qri.qep.factor_q`: sparse or
     dense as the problem's pattern says, and a dense one only with ``n``
-    under the dense cap."""
+    under the dense cap.  Like :class:`KrylovExpansion`'s, ``solve``
+    returns ``(u, inner steps, inner relres, converged)``: here
+    ``(u, 0, 0.0, True)``."""
 
-    def __init__(self, p, sigma):
-        self._lu = factor_q(p, sigma, "sigma")
+    inner_solver = None
+
+    def __init__(self, p, config):
+        self._lu = factor_q(p, complex(config.sigma), "sigma")
 
     def solve(self, r):
-        return self._lu.solve(r)
+        return self._lu.solve(r), 0, 0.0, True
+
+
+class KrylovExpansion:
+    """Solve ``Q(sigma) u = r`` for the expansion iteratively, to the
+    relative residual ``config.tol_inner`` within ``config.inner_maxit``
+    steps, stopping on the recomputed true residual.  When ``M``, ``C``
+    and ``K`` are symmetric (:attr:`~qri.qep.QepProblem.symmetric`),
+    ``Q(sigma)`` is complex symmetric and the solves run COCR, a short
+    recurrence with no Gram-Schmidt.  Otherwise they run GMRES restarted
+    every ``config.restart`` steps, and one
+    :class:`~qri.gmres.RecycleSpace` carries the near-singular directions
+    of ``Q(sigma)`` from each solve to the next.  It is made at the first
+    solve, after the outer loop's basis: made before it, about one
+    wave100-inexact benchmark process in ten peaked 13-15 MB higher."""
+
+    def __init__(self, p, config):
+        self._matrix = shifted_matrix(p, complex(config.sigma))
+        self._config = config
+        self._recycle = None
+        self.inner_solver = "cocr" if p.symmetric else "gmres"
+
+    def solve(self, r):
+        config = self._config
+        if self._recycle is None and self.inner_solver == "gmres":
+            self._recycle = RecycleSpace(len(r), config.restart)
+        res = gmres(lambda w: self._matrix @ w, r, tol=config.tol_inner,
+                    restart=config.restart, maxit=config.inner_maxit,
+                    recycle=self._recycle, symmetric=self.inner_solver == "cocr")
+        return res.x, res.iters, res.relres, res.converged
 
 
 @dataclass
@@ -604,8 +633,7 @@ class StepView:
 class RunResult:
     """The first ``nev`` pairs as the last extraction scored them, one
     :class:`ConvergenceRecord` per iteration, the phase times and the
-    inner solver of inexact mode (``"cocr"`` or ``"gmres"``; ``None`` in
-    exact mode)."""
+    expansion's ``inner_solver`` (``None``, ``"cocr"`` or ``"gmres"``)."""
 
     eigenpairs: list
     converged: list
@@ -640,14 +668,11 @@ def outer_loop(p, config, observer=None):
     Grows an orthonormal basis one vector per outer iteration: project,
     solve the small problem, extract Ritz (or refined) pairs, and expand
     with ``Q(sigma)^{-1} r`` for the residual ``r`` of the first
-    unconverged target pair -- exactly (``mode="exact"``, an LU of
-    ``Q(sigma)`` factored once by :func:`~qri.qep.factor_q`, sparse or
-    dense as the problem's pattern says) or iteratively at ``tol_inner``
-    (``mode="inexact"``): by COCR when ``M``, ``C`` and ``K`` are
-    symmetric (:attr:`~qri.qep.QepProblem.symmetric`), else by restarted
-    GMRES whose solves share one recycled deflation space of
-    ``Q(sigma)`` per run.  Each solve stops on its recomputed true
-    residual, and ``RunResult.inner_solver`` names the method.
+    unconverged target pair, solved by the mode's expansion object:
+    :class:`ExactExpansion` (``mode="exact"``) or
+    :class:`KrylovExpansion` (``mode="inexact"``), whose ``inner_solver``
+    the result reports.  Each solve's inner steps, last inner residual
+    and convergence go to the iteration's record.
     Converged pairs are left soft-locked: they are re-extracted every
     iteration and only reported at the end.
 
@@ -700,37 +725,8 @@ def outer_loop(p, config, observer=None):
 
     phase = {"projection": 0.0, "small_solve": 0.0, "inner_solve": 0.0}
     with _timed(phase, "inner_solve"):
-        if config.mode == "exact":
-            expander = ExactExpansion(p, sigma)
-            inner_solver = None
-
-            def expand(r, record):
-                return expander.solve(r)
-
-        else:
-            op_matrix = shifted_matrix(p, sigma)
-            # Q(sigma) is complex symmetric when M, C and K are symmetric,
-            # and COCR's short recurrence then needs no Gram-Schmidt and
-            # no recycle space
-            symmetric = p.symmetric
-            inner_solver = "cocr" if symmetric else "gmres"
-            # every GMRES expansion solves with Q(sigma), so one deflation
-            # space serves the whole run.  It is made at the first solve,
-            # after the basis: made before it, about one wave100-inexact
-            # benchmark process in ten peaked 13-15 MB higher
-            recycle = None
-
-            def expand(r, record):
-                nonlocal recycle
-                if recycle is None and not symmetric:
-                    recycle = RecycleSpace(n, config.restart)
-                res = gmres(lambda w: op_matrix @ w, r, tol=config.tol_inner,
-                            restart=config.restart, maxit=config.inner_maxit,
-                            recycle=recycle, symmetric=symmetric)
-                record.inner_iters += res.iters
-                record.inner_relres = res.relres
-                record.inner_failures += not res.converged
-                return res.x
+        expansion_class = ExactExpansion if config.mode == "exact" else KrylovExpansion
+        expansion = expansion_class(p, config)
 
     rng = np.random.default_rng(config.seed)
     if config.initial_vector is not None:
@@ -784,7 +780,10 @@ def outer_loop(p, config, observer=None):
             candidates = [selected] + [i for i in range(len(pairs)) if i != selected]
             for idx in candidates:
                 with _timed(phase, "inner_solve"):
-                    u = expand(pairs[idx].resid, record)
+                    u, steps, relres, converged = expansion.solve(pairs[idx].resid)
+                record.inner_iters += steps
+                record.inner_relres = relres
+                record.inner_failures += not converged
                 try:
                     with _timed(phase, "projection"):
                         v_next = basis.orthonormalize(u)
@@ -823,7 +822,7 @@ def outer_loop(p, config, observer=None):
         history=history,
         phase_wall_ms={k: v * 1e3 for k, v in phase.items()},
         stop_reason=stop_reason,
-        inner_solver=inner_solver,
+        inner_solver=expansion.inner_solver,
     )
     if stop_reason == "exhausted":
         raise SubspaceExhausted(

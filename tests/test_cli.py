@@ -283,12 +283,35 @@ def test_diagnose_angle_checks_reject_step_count(check, steps, capsys):
           "--restart", "0"], "--restart: must be at least 1, got 0"),
         (["solve", "--gen", "example1", "--sigma", "0.9", "--mode", "inexact",
           "--inner-maxit", "-5"], "--inner-maxit: must be at least 1, got -5"),
+        (["solve", "--gen", "example1", "--sigma", "0.9", "--mode", "newton",
+          "--tol-outer", "nan"], "--tol-outer: must lie in (0, 1), got nan"),
+        (["solve", "--gen", "example1", "--sigma", "0.9", "--mode", "newton",
+          "--tol-outer", "0"], "--tol-outer: must lie in (0, 1), got 0.0"),
+        (["solve", "--gen", "example1", "--sigma", "0.9", "--mode", "inexact",
+          "--tol-inner", "1"], "--tol-inner: must lie in (0, 1), got 1.0"),
+        (["solve", "--gen", "example1", "--sigma", "0.9", "--tol-inner", "x"],
+         "--tol-inner: invalid real value: 'x'"),
+        (["diagnose", "--check", "sandwich", "--gen", "wave2d", "--m", "4",
+          "--gmres-tol", "5"], "--gmres-tol: must lie in (0, 1), got 5.0"),
+        (["diagnose", "--check", "sandwich", "--gen", "wave2d", "--m", "4",
+          "--gmres-tol", "0"], "--gmres-tol: must lie in (0, 1), got 0.0"),
+        (["diagnose", "--check", "sandwich", "--gen", "wave2d", "--m", "4",
+          "--ratio", "nan"], "--ratio: must lie in (0, inf), got nan"),
+        (["diagnose", "--check", "sandwich", "--gen", "wave2d", "--m", "4",
+          "--ratio", "-0.5"], "--ratio: must lie in (0, inf), got -0.5"),
+        (["diagnose", "--check", "sandwich", "--gen", "wave2d", "--m", "4",
+          "--ratio", "inf"], "--ratio: must lie in (0, inf), got inf"),
     ],
     ids=["exact-max-subspace", "inexact-max-subspace", "steps", "perturbation-trials", "sandwich-trials",
-         "points", "subspace-dim", "not-an-integer", "nev", "restart", "inner-maxit"],
+         "points", "subspace-dim", "not-an-integer", "nev", "restart", "inner-maxit",
+         "newton-tol-outer-nan", "newton-tol-outer-zero", "tol-inner-one",
+         "not-a-real", "gmres-tol-five", "gmres-tol-zero", "ratio-nan",
+         "ratio-negative", "ratio-inf"],
 )
 def test_count_flags_fail_early_naming_the_flag(argv, message, capsys):
-    # a bad count stops before any work, and the error names the flag
+    # a bad count, a tolerance outside (0, 1) or a ratio that is not
+    # positive and finite stops before any work, and the error names the
+    # flag
     with pytest.raises(SystemExit) as excinfo:
         run_cli(*argv)
     assert excinfo.value.code == 4

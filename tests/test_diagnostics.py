@@ -50,6 +50,15 @@ def test_trial_drivers_reject_counts():
         run_perturbation_trials(k=-1, trials=2)
     with pytest.raises(ValueError, match="trials must be at least 1, got -1"):
         run_sandwich_trials(p, trials=-1)
+    # checked before any eigendecomposition: at 5 the inexact solve
+    # returned zero and failed in the angle, at 0 every trial ran to the
+    # step budget, and a NaN ratio failed in the shift placement
+    for bad in (0.0, 1.0, 5.0, np.nan):
+        with pytest.raises(ValueError, match=r"gmres_tol must lie in \(0, 1\)"):
+            run_sandwich_trials(p, trials=2, gmres_tol=bad)
+    for bad in (0.0, -0.01, np.inf, np.nan):
+        with pytest.raises(ValueError, match="ratio must be positive and finite"):
+            run_sandwich_trials(p, trials=2, ratio=bad)
 
 
 def test_shift_at_distance():

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 import qri.solver as solver
-from qri import wave2d
+from qri import random_qep, wave2d
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,6 +55,13 @@ def test_tracer_installs_and_restores(monkeypatch, p_wave2d4):
             "newton_tol": None,
         }
         _, _, meta = worker.solve_one(wave2d(8), entry)
+        # a nonsymmetric inexact run, whose inner solves are recycled
+        # GMRES (the shift of test_recycle_space_only_for_nonsymmetric_inexact)
+        first_gmres_run = len(tracer.names)
+        cfg = solver.SolverConfig(sigma=-0.7825681038075271 + 0.4461769817104889j,
+                                  nev=3, tol_outer=1e-8, mode="inexact")
+        results.append(solver.outer_loop(random_qep(60, density=0.05, seed=1), cfg))
+    assert results[-1].inner_solver == "gmres"
     assert all(getattr(o, a) is b for (o, a), b in zip(owners, before))
     assert all(all(res.converged) for res in results)
     assert meta["converged"] and meta["final_k"] <= restart_cap
@@ -92,6 +99,13 @@ def test_tracer_installs_and_restores(monkeypatch, p_wave2d4):
     svd_parents = [names[i] for i in parent[names == "linalg.svd"]]
     assert svd_parents and set(svd_parents) == {"solver.extract"}
     assert layers["linalg.svd_calls"][0] == len(svd_parents)
+    # the recycled-GMRES run's solves sit under the outer loop, and each
+    # makes its products with Q(sigma) inside its span
+    gmres_spans = np.flatnonzero(names[first_gmres_run:] == "gmres") + first_gmres_run
+    assert gmres_spans.size
+    assert set(names[parent[gmres_spans]]) == {"solver.outer_loop"}
+    spmv_parents = parent[names == "qep.spmv"]
+    assert all(np.count_nonzero(spmv_parents == i) > 0 for i in gmres_spans)
 
 
 def test_worker_solve_one(monkeypatch, p_wave2d4, oracle_wave2d4_probe):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import rand_complex
 from qri import (
+    Breakdown,
     BreakdownError,
     QepProblem,
     SolverConfig,
@@ -70,6 +71,10 @@ def test_newton_rejects_bad_start(p_example1):
             newton_solve(p_example1, lam0, x0)
     with pytest.raises(ValueError, match="x0"):
         newton_solve(p_example1, 0.9, [1.0, np.nan, 0.0])
+    # at 0 or NaN no residual passes, and every step would run to maxit
+    for tol in (0.0, 1.0, -1e-10, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\), got"):
+            newton_solve(p_example1, 0.9, x0, tol=tol)
 
 
 def test_newton_second_target(p_example1):
@@ -604,6 +609,39 @@ def test_expansion_breakdown_after_every_candidate(nev):
     assert steps == [1]
 
 
+def test_inexact_expansion_breakdown_record(monkeypatch):
+    # the first expansion's selected residual breaks down once in
+    # orthogonalization, so the next candidate is solved as well: the
+    # record sums both solves' inner steps and keeps the last residual
+    solves, raised = [], []
+    real_gmres = solver.gmres
+    real_orthonormalize = OrthonormalBasis.orthonormalize
+
+    def recording(*args, **kwargs):
+        res = real_gmres(*args, **kwargs)
+        solves.append((res.iters, res.relres))
+        return res
+
+    def breaking(self, u):
+        if len(solves) == 1 and not raised:
+            raised.append(u)
+            raise Breakdown("forced")
+        return real_orthonormalize(self, u)
+
+    monkeypatch.setattr(solver, "gmres", recording)
+    monkeypatch.setattr(OrthonormalBasis, "orthonormalize", breaking)
+    cfg = SolverConfig(sigma=PROBE, nev=2, tol_outer=1e-8, mode="inexact")
+    res = outer_loop(wave2d(8), cfg)
+    assert all(res.converged) and len(raised) == 1
+    first = res.history[0]
+    assert solves[0][0] > 0 and solves[1][0] > 0
+    assert first.inner_iters == solves[0][0] + solves[1][0]
+    assert first.inner_relres == solves[1][1]
+    assert first.expansion_breakdowns == 1
+    assert sum(rec.expansion_breakdowns for rec in res.history) == 1
+    assert res.cumulative_inner_iters == sum(steps for steps, _ in solves)
+
+
 def test_config_validation(p_example1):
     n = p_example1.n
     good = SolverConfig(sigma=0.9)
@@ -803,6 +841,15 @@ def test_recycle_space_only_for_nonsymmetric_inexact(monkeypatch):
         assert all(res.converged), p
         assert len(made) == spaces, p
         assert res.inner_solver == inner_solver, p
+    # the space is made at the first solve, not with the expansion, and
+    # serves every later solve
+    made.clear()
+    expansion = solver.KrylovExpansion(p, cfg)
+    assert expansion.inner_solver == "gmres" and made == []
+    r = np.ones(p.n, dtype=complex)
+    for _ in range(2):
+        expansion.solve(r)
+        assert len(made) == 1
     res = outer_loop(wave2d(8), SolverConfig(sigma=PROBE, mode="exact"))
     assert res.inner_solver is None
 
