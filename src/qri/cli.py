@@ -19,7 +19,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .problems import (
     wave2d,
 )
 from .qep import read_problem, write_problem
-from .solver import SolverConfig, newton_solve, outer_loop
+from .solver import ConvergenceRecord, SolverConfig, newton_solve, outer_loop
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -112,18 +112,18 @@ def add_problem_args(sp, for_generate=False):
     if not for_generate:
         src.add_argument("--mtx-prefix", metavar="PREFIX",
                          help="load <PREFIX>_M.mtx, <PREFIX>_C.mtx, <PREFIX>_K.mtx")
-    src.add_argument("--m", type=int, default=8,
+    src.add_argument("--m", type=count(2), default=8,
                      help="wave2d grid parameter (n = m(m-1))")
     src.add_argument("--zeta", type=float, default=1.0,
                      help="wave2d impedance parameter")
-    src.add_argument("--n", type=int, default=100, help="random problem size")
+    src.add_argument("--n", type=count(1), default=100, help="random problem size")
     src.add_argument("--density", type=float, default=0.05,
-                     help="random problem fill fraction")
-    src.add_argument("--elements", type=int, default=30,
+                     help="random problem fill fraction, in (0, 1]")
+    src.add_argument("--elements", type=count(1), default=30,
                      help="spring-maxwell elements per chain")
-    src.add_argument("--chains", type=int, default=3,
+    src.add_argument("--chains", type=count(1), default=3,
                      help="spring-maxwell damper chain count")
-    src.add_argument("--gen-seed", type=int, default=0,
+    src.add_argument("--gen-seed", type=count(0), default=0,
                      help="seed for randomized generators")
 
 
@@ -183,7 +183,9 @@ def build_parser():
                        help="GMRES restart length: Krylov vectors per cycle, "
                             "counting up to min(10, restart // 2) recycled ones; "
                             "unused when M, C and K are symmetric, whose inner "
-                            "solves run COCR")
+                            "solves run COCR; raise it when most inner solves "
+                            "stop at --inner-maxit, as 30 does on some random "
+                            "problems")
     solve.add_argument("--inner-maxit", type=count(1), default=500,
                        help="inner step budget per expansion solve")
     solve.add_argument("--max-subspace", type=count(1), default=None,
@@ -192,7 +194,7 @@ def build_parser():
                             "in inexact mode; only the default doubles, up to "
                             "min(n, 120), when a restart cycle gains no "
                             "residual digit); not used in newton mode")
-    solve.add_argument("--seed", type=int, default=0,
+    solve.add_argument("--seed", type=count(0), default=0,
                        help="seed for the starting vector")
     solve.add_argument("--out-csv", metavar="PATH",
                        help="write per-iteration history as CSV")
@@ -220,7 +222,7 @@ def build_parser():
                       help="inexact solve tolerance (sandwich)")
     diag.add_argument("--subspace-dim", type=count(1), default=8,
                       help="subspace dimension (perturbation)")
-    diag.add_argument("--seed", type=int, default=0)
+    diag.add_argument("--seed", type=count(0), default=0)
     diag.add_argument("--out-json", metavar="PATH",
                       help="write check results as JSON")
 
@@ -235,26 +237,40 @@ def _fmt_complex(z):
     return f"{z.real:+.12e} {z.imag:+.12e}i"
 
 
+def _csv_number(value):
+    return str(value) if isinstance(value, (int, np.integer)) else repr(float(value))
+
+
 def history_csv_lines(history, nev):
-    cols = ["outer_iter", "subspace_dim"]
-    for i in range(1, nev + 1):
-        cols += [f"ritz_re_{i}", f"ritz_im_{i}", f"relres_{i}"]
-    cols += ["inner_iters", "inner_relres", "cum_inner_iters", "wall_ms"]
-    lines = [",".join(cols)]
+    """Header and rows of a :class:`~qri.solver.ConvergenceRecord`
+    history: its fields in declared order, the per-pair ``ritz_values``
+    and ``relres`` expanded in their place to ``ritz_re_i, ritz_im_i,
+    relres_i`` for each of the ``nev`` pairs (NaN past a record's last
+    pair), then ``cum_inner_iters`` and ``wall_ms``."""
+    names = [f.name for f in fields(ConvergenceRecord)
+             if f.name not in ("relres", "wall_ms")]
+    cols = []
+    for name in names:
+        if name == "ritz_values":
+            cols += [f"{col}_{i}" for i in range(1, nev + 1)
+                     for col in ("ritz_re", "ritz_im", "relres")]
+        else:
+            cols.append(name)
+    lines = [",".join(cols + ["cum_inner_iters", "wall_ms"])]
+    missing = (complex(np.nan, np.nan), np.nan)
     cum = 0
-    nan = repr(float("nan"))
     for rec in history:
         cum += rec.inner_iters
-        vals = [str(rec.outer_iter), str(rec.subspace_dim)]
-        for i in range(nev):
-            if i < len(rec.ritz_values):
-                om = rec.ritz_values[i]
-                vals += [repr(float(om.real)), repr(float(om.imag)),
-                         repr(float(rec.relres[i]))]
+        vals = []
+        for name in names:
+            if name == "ritz_values":
+                for i in range(nev):
+                    om, rr = ((rec.ritz_values[i], rec.relres[i])
+                              if i < len(rec.ritz_values) else missing)
+                    vals += [_csv_number(x) for x in (om.real, om.imag, rr)]
             else:
-                vals += [nan, nan, nan]
-        vals += [str(rec.inner_iters), repr(float(rec.inner_relres)),
-                 str(cum), repr(float(rec.wall_ms))]
+                vals.append(_csv_number(getattr(rec, name)))
+        vals += [str(cum), _csv_number(rec.wall_ms)]
         lines.append(",".join(vals))
     return lines
 
@@ -356,6 +372,7 @@ def cmd_solve(args, parser):
             "outer_iters": len(history),
             "cumulative_inner_iters": result.cumulative_inner_iters,
             "inner_failures": result.inner_failures,
+            "expansion_breakdowns": result.expansion_breakdowns,
             "phase_wall_ms": result.phase_wall_ms,
         }
         inner_solver = result.inner_solver

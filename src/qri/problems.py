@@ -43,8 +43,8 @@ def wave2d(m, zeta=1.0):
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    if zeta == 0:
-        raise ValueError("zeta must be nonzero")
+    if zeta == 0 or not np.isfinite(zeta):
+        raise ValueError(f"zeta must be finite and nonzero, got {zeta}")
     h = 1.0 / m
     eye_small = sp.identity(m - 1, dtype=complex, format="csr")
 
@@ -151,11 +151,14 @@ def random_qep(n, density=0.05, seed=0):
     """Random sparse complex problem with a nonsingular mass matrix.
 
     ``M`` is made strictly diagonally dominant (all 2n eigenvalues
-    finite); ``C`` and ``K`` are unstructured.  Useful for property
+    finite); ``C`` and ``K`` are unstructured.  ``density``, in (0, 1],
+    is the fill fraction of each random part.  Useful for property
     tests.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must lie in (0, 1], got {density}")
     rng = np.random.default_rng(seed)
 
     def sparse_random():

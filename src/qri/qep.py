@@ -284,11 +284,13 @@ _SUFFIXES = ("_M.mtx", "_C.mtx", "_K.mtx")
 
 def write_problem(prefix, p):
     """Write ``M, C, K`` as Matrix Market coordinate files (complex
-    general), one file per matrix: ``<prefix>_M.mtx`` etc."""
+    general), one file per matrix: ``<prefix>_M.mtx`` etc.  Raises
+    :class:`OSError` for a path that cannot be written."""
     for suffix, matrix in zip(_SUFFIXES, (p.M, p.C, p.K)):
-        scipy.io.mmwrite(
-            prefix + suffix, sp.coo_array(matrix), field="complex", precision=17
-        )
+        # opened here: given a path it cannot open, scipy's writer
+        # returns without writing or raising
+        with open(prefix + suffix, "wb") as fh:
+            scipy.io.mmwrite(fh, sp.coo_array(matrix), field="complex", precision=17)
     return [prefix + s for s in _SUFFIXES]
 
 

@@ -326,61 +326,65 @@ class ResidualFactor:
 
 
 class ProjectionCache:
-    """Projected blocks ``V* M V, V* C V, V* K V`` maintained incrementally,
-    and, for refined extraction (``refined=True``), the
-    :class:`ResidualFactor` of ``[M V, C V, K V]`` as ``factor``.
+    """The search space: the :class:`~qri.linalg.OrthonormalBasis`
+    ``basis`` ``V``, its projected blocks ``V* M V, V* C V, V* K V`` and,
+    for refined extraction (``refined=True``), the :class:`ResidualFactor`
+    of ``[M V, C V, K V]`` as ``factor``, kept in step by one
+    :meth:`append` per column and one :meth:`compress` per restart.
 
-    Only the k x k blocks are kept, so in Ritz extraction the basis is
-    the only n-sized state of the outer loop; in refined extraction the
-    factor's ``Q_W``, with up to ``3 k`` columns, is the other.  Appending
-    a column costs, per matrix, one sparse product for the new column,
-    one transposed sparse product for the new row and O(n k) dot
-    products; the factor reuses the three products of the new column.
-    The blocks are updated in place, never recomputed.
+    The n-sized state is the basis and, in refined extraction, the
+    factor's ``Q_W`` of up to ``3 k`` columns.  Appending a column costs,
+    per matrix, one sparse product for the new column, one transposed
+    sparse product for the new row and O(n k) dot products; the factor
+    reuses the three products of the new column.  The blocks are updated
+    in place, never recomputed.
     """
 
     def __init__(self, p, capacity, refined=False):
+        self.basis = OrthonormalBasis(p.n, capacity=capacity)
         # each matrix with its transpose, built once: scipy checks the
         # format of every transposed view it makes, 28 us each at n = 380
         self._mats = [(mat, mat.T) for mat in (p.M, p.C, p.K)]
         self._small = [np.zeros((capacity, capacity), dtype=complex) for _ in range(3)]
         self.factor = ResidualFactor(p.n, capacity) if refined else None
-        self.k = 0
 
-    def append(self, V, v):
-        """Extend the cache with column ``v``; ``V`` must already contain
-        it as its last column, and at most ``capacity`` columns fit."""
-        k = self.k
+    def append(self, v):
+        """Append the column ``v``, already orthonormal to the basis (as
+        :meth:`~qri.linalg.OrthonormalBasis.orthonormalize` returns it),
+        to the basis, the blocks and the factor; at most ``capacity``
+        columns fit."""
+        k = self.basis.k
+        self.basis.append_orthonormal(v)
         vc = v.conj()
         # per matrix A, conj(A v) and A^T conj(v), stacked so that one
         # product reads V once: conj(A v) V is the conjugated column
         # V* (A v) and (A^T conj(v)) V the row v* A V, neither forming V*
-        S = np.empty((6, V.shape[0]), dtype=complex)
+        S = np.empty((6, len(v)), dtype=complex)
         for i, (mat, mat_t) in enumerate(self._mats):
             np.conjugate(spmv(mat, v), out=S[i])
             S[3 + i] = mat_t @ vc
-        SV = S @ V
+        SV = S @ self.basis.matrix
         for i, small in enumerate(self._small):
             small[: k + 1, k] = SV[i].conj()
             small[k, :k] = SV[3 + i, :k]
         if self.factor is not None:
             self.factor.append(S[:3].conj().T)
-        self.k = k + 1
 
     def compress(self, Z):
-        """Replace each block ``B`` by ``Z* B Z``, following the basis
-        compression ``V <- V Z``; no sparse products are needed."""
+        """Thick restart: ``V <- V Z`` for ``k x q`` orthonormal ``Z``,
+        each block ``B`` to ``Z* B Z`` and the factor alike; no sparse
+        products are needed."""
         k, q = Z.shape
+        self.basis.compress(Z)
         Zh = Z.conj().T
         for small in self._small:
             small[:q, :q] = Zh @ small[:k, :k] @ Z
         if self.factor is not None:
             self.factor.compress(Z)
-        self.k = q
 
     @property
     def blocks(self):
-        k = self.k
+        k = self.basis.k
         return tuple(small[:k, :k] for small in self._small)
 
 
@@ -472,10 +476,9 @@ def refined_vector(p, V, omega):
     vector is a candidate in the same minimization).
     """
     Vm = V.matrix if isinstance(V, OrthonormalBasis) else np.asarray(V, dtype=complex)
-    k = Vm.shape[1]
-    cache = ProjectionCache(p, capacity=k, refined=True)
-    for j in range(k):
-        cache.append(Vm[:, : j + 1], Vm[:, j])
+    cache = ProjectionCache(p, capacity=Vm.shape[1], refined=True)
+    for v in Vm.T:
+        cache.append(v)
     X, Z = _lift(Vm, cache.factor.refined_coordinates(omega)[:, None])
     return X[0], Z[:, 0]
 
@@ -490,18 +493,18 @@ def _lift(Vm, Z):
     return X, Z * scale
 
 
-def _extract_pairs(p, Vm, projected, nev, tol_outer, factor):
-    """The first ``nev`` pairs of ``projected`` scored on the basis
-    ``Vm``: with Ritz vectors, or with refined ones from ``factor`` (a
-    :class:`ResidualFactor`) when it is not ``None``."""
+def _extract_pairs(p, proj, projected, nev, tol_outer):
+    """The first ``nev`` pairs of ``projected`` scored on the basis of
+    ``proj`` (a :class:`ProjectionCache`): with Ritz vectors, or with
+    refined ones from its ``factor`` when it keeps one."""
     omegas = [complex(w) for w in projected.omegas[:nev]]
     if not omegas:
         return []
-    if factor is not None:
-        zs = [factor.refined_coordinates(w) for w in omegas]
+    if proj.factor is not None:
+        zs = [proj.factor.refined_coordinates(w) for w in omegas]
     else:
         zs = [projected.z(i) for i in range(len(omegas))]
-    X, Z = _lift(Vm, np.column_stack(zs))
+    X, Z = _lift(proj.basis.matrix, np.column_stack(zs))
     out = []
     for i, omega in enumerate(omegas):
         resid = q_apply(p, omega, X[i])
@@ -651,6 +654,10 @@ class RunResult:
     def inner_failures(self):
         return sum(rec.inner_failures for rec in self.history)
 
+    @property
+    def expansion_breakdowns(self):
+        return sum(rec.expansion_breakdowns for rec in self.history)
+
 
 @contextmanager
 def _timed(phase, key):
@@ -679,10 +686,10 @@ def outer_loop(p, config, observer=None):
     Thick restart: when the basis reaches the restart size ``R``
     (``config.resolved_max_subspace``: ``min(n, max(20, 3 nev))`` in
     exact mode, ``min(n, 120)`` in inexact mode, unless ``max_subspace``
-    is set) with a target pair unconverged, ``V`` is compressed to
-    ``V Z`` for the ``R // 2`` orthonormalized coordinate vectors of the
-    target pairs and the next-nearest Ritz pairs, the projected blocks
-    to ``Z* B Z``, and the same iteration expands the compressed basis.
+    is set) with a target pair unconverged, the :class:`ProjectionCache`
+    is compressed by ``V <- V Z`` for the ``R // 2`` orthonormalized
+    coordinate vectors of the target pairs and the next-nearest Ritz
+    pairs, and the same iteration expands the compressed basis.
     A restart is guarded by progress: the summed residual digits of the
     first ``nev`` pairs (each ``-log10 relres``, capped at
     ``-log10 tol_outer``) must have grown by at least one since the last
@@ -700,9 +707,9 @@ def outer_loop(p, config, observer=None):
     Every iteration, the last included, leaves one
     :class:`ConvergenceRecord` in ``history``.  ``phase_wall_ms`` times
     the inner solves with their one-time set-up, the small solve with
-    pair extraction, and the projection update (orthogonalization, basis
-    append, :class:`ProjectionCache` append and restart compression); the
-    phases fall inside the records' ``wall_ms``.
+    pair extraction, and the projection update (orthogonalization, one
+    :class:`ProjectionCache` append and restart compression); the phases
+    fall inside the records' ``wall_ms``.
 
     Raises :class:`ValueError` before the first iteration when exact mode
     must factor ``Q`` densely and ``n`` is above the dense cap,
@@ -735,21 +742,16 @@ def outer_loop(p, config, observer=None):
         v1 = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
 
     with _timed(phase, "projection"):
-        basis = OrthonormalBasis(n, capacity=capacity)
-        basis.append(v1)
-        proj = ProjectionCache(
-            p, capacity=capacity, refined=config.extraction == "refined"
-        )
-        proj.append(basis.matrix, basis.matrix[:, 0])
+        proj = ProjectionCache(p, capacity, refined=config.extraction == "refined")
+        basis = proj.basis
+        proj.append(basis.orthonormalize(v1))
 
     history = []
     stop_reason = None
     while stop_reason is None:
         with _timed(phase, "small_solve"):
             projected = solve_projected_qep(*proj.blocks, sigma)
-            pairs = _extract_pairs(
-                p, basis.matrix, projected, nev, config.tol_outer, proj.factor
-            )
+            pairs = _extract_pairs(p, proj, projected, nev, config.tol_outer)
         record = ConvergenceRecord(
             outer_iter=len(history) + 1,
             subspace_dim=basis.k,
@@ -769,7 +771,6 @@ def outer_loop(p, config, observer=None):
                 restart_digits = digits
                 with _timed(phase, "projection"):
                     Z = _restart_coordinates(pairs, projected, restart_size // 2)
-                    basis.compress(Z)
                     proj.compress(Z)
             elif restart_size < capacity:
                 restart_size = min(2 * restart_size, capacity)
@@ -805,8 +806,7 @@ def outer_loop(p, config, observer=None):
                 stop_reason = "observer"
             else:
                 with _timed(phase, "projection"):
-                    basis.append_orthonormal(v_next)
-                    proj.append(basis.matrix, v_next)
+                    proj.append(v_next)
                 # released here, the pairs' 2 nev n-vectors do not sit
                 # through the next small solve
                 pairs = u = v_next = None

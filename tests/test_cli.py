@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qri.cli import complex_literal, main, write_json
+from qri.cli import complex_literal, history_csv_lines, main, write_json
 from qri.errors import BreakdownError
+from qri.problems import SpringMaxwellParams, spring_maxwell
+from qri.qep import read_problem
 from qri.solver import ConvergenceRecord
 
 PROBE = "0.1234+0.4321i"
@@ -67,6 +70,23 @@ def test_write_json_encodes_complex_numpy_and_records(tmp_path):
         write_json(path, {"x": np.ones(3)})
 
 
+def test_history_csv_has_every_record_field():
+    # each scalar field of the record is a column holding its value; a
+    # pair the record lacks reads NaN
+    rec = ConvergenceRecord(outer_iter=2, subspace_dim=3, ritz_values=[1.5 - 2.0j],
+                            relres=[1e-3], inner_iters=7, inner_relres=1e-4,
+                            inner_failures=1, expansion_breakdowns=2, wall_ms=0.5)
+    header, row = history_csv_lines([rec], nev=2)
+    got = dict(zip(header.split(","), row.split(",")))
+    assert list(got)[-2:] == ["cum_inner_iters", "wall_ms"]
+    for f in fields(ConvergenceRecord):
+        if not isinstance(getattr(rec, f.name), list):
+            assert float(got[f.name]) == getattr(rec, f.name), f.name
+    assert (got["ritz_re_1"], got["ritz_im_1"], got["relres_1"]) == ("1.5", "-2.0", "0.001")
+    assert {got[f"{c}_2"] for c in ("ritz_re", "ritz_im", "relres")} == {"nan"}
+    assert got["cum_inner_iters"] == "7"
+
+
 def test_generate_then_solve_roundtrip(tmp_path, capsys):
     prefix = str(tmp_path / "wave")
     assert run_cli("generate", "--gen", "wave2d", "--m", "4", "--out", prefix) == 0
@@ -87,7 +107,7 @@ def test_generate_then_solve_roundtrip(tmp_path, capsys):
     assert lines[0] == (
         "outer_iter,subspace_dim,ritz_re_1,ritz_im_1,relres_1,"
         "ritz_re_2,ritz_im_2,relres_2,inner_iters,inner_relres,"
-        "cum_inner_iters,wall_ms"
+        "inner_failures,expansion_breakdowns,cum_inner_iters,wall_ms"
     )
     assert len(lines) >= 2
     payload = json.loads(json_path.read_text())
@@ -99,8 +119,10 @@ def test_generate_then_solve_roundtrip(tmp_path, capsys):
         "mode", "extraction", "problem_n", "sigma", "nev", "tol_outer",
         "tol_inner", "stop_reason", "converged", "eigenvalues", "relres",
         "outer_iters", "cumulative_inner_iters", "inner_failures",
-        "phase_wall_ms", "wall_ms_total", "factorization", "inner_solver",
+        "expansion_breakdowns", "phase_wall_ms", "wall_ms_total",
+        "factorization", "inner_solver",
     }
+    assert payload["inner_failures"] == payload["expansion_breakdowns"] == 0
 
 
 def test_solve_builtin_reference(capsys):
@@ -301,12 +323,27 @@ def test_diagnose_angle_checks_reject_step_count(check, steps, capsys):
           "--ratio", "-0.5"], "--ratio: must lie in (0, inf), got -0.5"),
         (["diagnose", "--check", "sandwich", "--gen", "wave2d", "--m", "4",
           "--ratio", "inf"], "--ratio: must lie in (0, inf), got inf"),
+        (["solve", "--gen", "wave2d", "--m", "1", "--sigma", "0.9"],
+         "--m: must be at least 2, got 1"),
+        (["generate", "--gen", "random", "--n", "0", "--out", "unused"],
+         "--n: must be at least 1, got 0"),
+        (["solve", "--gen", "spring-maxwell", "--elements", "0", "--sigma", "0.9"],
+         "--elements: must be at least 1, got 0"),
+        (["solve", "--gen", "spring-maxwell", "--chains", "-2", "--sigma", "0.9"],
+         "--chains: must be at least 1, got -2"),
+        (["solve", "--gen", "example1", "--sigma", "0.9", "--seed", "-1"],
+         "--seed: must be at least 0, got -1"),
+        (["diagnose", "--check", "perturbation", "--seed", "-1"],
+         "--seed: must be at least 0, got -1"),
+        (["solve", "--gen", "random", "--gen-seed", "-1", "--sigma", "0.9"],
+         "--gen-seed: must be at least 0, got -1"),
     ],
     ids=["exact-max-subspace", "inexact-max-subspace", "steps", "perturbation-trials", "sandwich-trials",
          "points", "subspace-dim", "not-an-integer", "nev", "restart", "inner-maxit",
          "newton-tol-outer-nan", "newton-tol-outer-zero", "tol-inner-one",
          "not-a-real", "gmres-tol-five", "gmres-tol-zero", "ratio-nan",
-         "ratio-negative", "ratio-inf"],
+         "ratio-negative", "ratio-inf", "m", "n", "elements", "chains", "seed",
+         "diagnose-seed", "gen-seed"],
 )
 def test_count_flags_fail_early_naming_the_flag(argv, message, capsys):
     # a bad count, a tolerance outside (0, 1) or a ratio that is not
@@ -444,6 +481,8 @@ def test_usage_errors_name_the_subcommand(capsys):
          "solve", "newton mode refines a single pair (--nev 1)"),
         (("generate", "--out", "never-written"),
          "generate", "a problem source is required (--gen or --mtx-prefix)"),
+        (("solve", "--gen", "example1", "--mtx-prefix", "never-read", "--sigma", "0.9"),
+         "solve", "--gen and --mtx-prefix are mutually exclusive"),
     )
     for argv, command, message in cases:
         with pytest.raises(SystemExit) as excinfo:
@@ -452,6 +491,41 @@ def test_usage_errors_name_the_subcommand(capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"usage: qri {command} "), argv
         assert f"qri {command}: error: {message}" in err, argv
+
+
+def test_no_subcommand_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli()
+    assert excinfo.value.code == 4
+    assert "qri: error: a subcommand is required" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_io_error(tmp_path, capsys):
+    # a path in a missing directory fails with the I/O code, naming it,
+    # and writes nothing
+    missing = tmp_path / "missing"
+    solve = ("solve", "--gen", "example1", "--sigma", "0.9")
+    cases = (
+        (*solve, "--out-csv", str(missing / "run.csv")),
+        (*solve, "--out-json", str(missing / "run.json")),
+        ("generate", "--gen", "example1", "--out", str(missing / "ex")),
+    )
+    for argv in cases:
+        assert run_cli(*argv) == 3, argv
+        assert f"cannot write {missing}" in capsys.readouterr().err, argv
+    assert not missing.exists()
+
+
+def test_generate_spring_maxwell(tmp_path, capsys):
+    prefix = str(tmp_path / "sm")
+    code = run_cli("generate", "--gen", "spring-maxwell", "--elements", "3",
+                   "--chains", "2", "--gen-seed", "1", "--out", prefix)
+    assert code == 0
+    assert "n = 9," in capsys.readouterr().out
+    got = read_problem(prefix)
+    want = spring_maxwell(SpringMaxwellParams(element_count=3, chain_count=2, seed=1))
+    for a, b in ((got.M, want.M), (got.C, want.C), (got.K, want.K)):
+        assert abs(a - b).max() <= 1e-15 * abs(b).max()
 
 
 def test_generate_requires_out():

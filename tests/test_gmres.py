@@ -68,6 +68,13 @@ def reference_gmres(apply_op, b, tol, restart, maxit=500):
         r = b - apply_op(x)
 
 
+def test_givens_with_zero_first_entry():
+    # [0; h] is turned into [h; 0] by a pure swap
+    c, s = _givens(0.0, 2.5)
+    assert (c, s) == (0.0, 1.0)
+    assert (c * 0.0 + s * 2.5, -np.conj(s) * 0.0 + c * 2.5) == (2.5, 0.0)
+
+
 def nonnormal_matrix(rng, n):
     # random complex part plus a superdiagonal: far from normal, and
     # slow enough with restart = 7 to run several cycles

@@ -67,8 +67,9 @@ def test_wave2d_mass_nonsingular():
 def test_wave2d_validation():
     with pytest.raises(ValueError):
         wave2d(1)
-    with pytest.raises(ValueError):
-        wave2d(4, zeta=0.0)
+    for zeta in (0.0, np.nan, np.inf, complex(np.nan, 1.0)):
+        with pytest.raises(ValueError, match="zeta"):
+            wave2d(4, zeta=zeta)
 
 
 def test_spring_maxwell_structure():
@@ -162,6 +163,14 @@ def test_random_qep_mass_nonsingular():
         M = p.M.toarray()
         off = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
         assert np.all(np.abs(np.diag(M)) > off)
+
+
+def test_random_qep_validation():
+    # a density outside (0, 1] is named, not clamped to n entries or
+    # failing as an integer conversion of NaN
+    for density in (np.nan, -3.0, 0.0, 1.5, np.inf):
+        with pytest.raises(ValueError, match="density"):
+            random_qep(10, density=density)
 
 
 def test_random_qep_scalar_roots():

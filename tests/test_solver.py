@@ -108,21 +108,18 @@ def test_projection_cache_matches_scratch(p_wave2d6, rng):
         V, _ = np.linalg.qr(rand_complex(rng, n * 6).reshape(n, 6))
         cache = ProjectionCache(p, capacity=6)
         for k in range(6):
-            cache.append(V[:, : k + 1], V[:, k])
+            cache.append(V[:, k])
         for got, full in zip(cache.blocks, p.densify()):
             want = V.conj().T @ full @ V
             assert np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1.0)
 
         # a thick restart compresses basis and blocks with the same Z,
         # and then the blocks keep growing from the compressed basis
-        basis = OrthonormalBasis(n, capacity=6)
-        for k in range(6):
-            basis.append_orthonormal(V[:, k])
+        basis = cache.basis
         Z, _ = np.linalg.qr(rand_complex(rng, 6 * 4).reshape(6, 4))
-        basis.compress(Z)
         cache.compress(Z)
-        v = basis.append(rand_complex(rng, n))
-        cache.append(basis.matrix, v)
+        assert np.linalg.norm(basis.matrix - V @ Z) <= 1e-14
+        cache.append(basis.orthonormalize(rand_complex(rng, n)))
         Vc = basis.matrix
         assert Vc.shape == (n, 5)
         assert basis.orthonormality_defect() <= 1e-13
@@ -156,8 +153,8 @@ def test_residual_factor_invariants(p_wave2d6, rng):
     )
     for p in problems:
         n = p.n
-        basis = OrthonormalBasis(n, capacity=6)
         cache = ProjectionCache(p, capacity=6, refined=True)
+        basis = cache.basis
 
         def check(stage):
             exact, orth = _factor_defects(p, basis.matrix, cache.factor)
@@ -168,19 +165,31 @@ def test_residual_factor_invariants(p_wave2d6, rng):
             assert R.shape[0] <= min(n, R.shape[1])
 
         for _ in range(6):
-            v = basis.append(rand_complex(rng, n))
-            cache.append(basis.matrix, v)
+            cache.append(basis.orthonormalize(rand_complex(rng, n)))
         check("appended")
         Z, _ = np.linalg.qr(rand_complex(rng, 6 * 4).reshape(6, 4))
-        basis.compress(Z)
         cache.compress(Z)
         check("compressed")
         for _ in range(2):
-            v = basis.append(rand_complex(rng, n))
-            cache.append(basis.matrix, v)
+            cache.append(basis.orthonormalize(rand_complex(rng, n)))
         check("appended after compression")
     # the singular mass matrix left rows out of R_W
     assert cache.factor.R.shape[0] < cache.factor.R.shape[1]
+
+
+def test_restart_coordinates_drop_a_repeated_candidate(rng):
+    # two pairs with the same coordinates: the second is rank-deficient
+    # and dropped, so the restart keeps the two distinct candidates
+    k = 4
+    a, b = (z / np.linalg.norm(z) for z in rand_complex(rng, 2 * k).reshape(2, k))
+    pairs = [RitzPair(omega=1.0, z=z, xtilde=z, resid=z, relres=1.0, converged=False)
+             for z in (a, a, b)]
+    blocks = [rand_complex(rng, k * k).reshape(k, k) for _ in range(3)]
+    Z = solver._restart_coordinates(pairs, solve_projected_qep(*blocks, 0.1j), 2)
+    assert Z.shape == (k, 2)
+    assert np.linalg.norm(Z.conj().T @ Z - np.eye(2)) <= 1e-14
+    for z in (a, b):
+        assert sin_angle(Z, z) <= 1e-14
 
 
 def test_projected_solve_at_eigenvalue(p_example1):
