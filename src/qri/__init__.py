@@ -2,7 +2,8 @@
 
 Solves ``Q(lam) x = (lam^2 M + lam C + K) x = 0`` for the eigenvalues
 nearest a shift, by Newton refinement of a single pair or by a growing
-subspace driven by exact or GMRES-approximated solves with ``Q(sigma)``.
+subspace driven by exact (LU) or iterative (COCR or GMRES) solves with
+``Q(sigma)``.
 A dense companion-pencil oracle provides reference eigenpairs with left
 vectors and the angle/resolvent checks used to validate the iteration's
 behaviour.

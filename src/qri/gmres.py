@@ -6,11 +6,18 @@ for COCR and returns the same :class:`GmresResult` either way, so that
 callers and anything that wraps :func:`gmres` by name (a tracer counting
 its calls, steps and cycles) see one inner solver interface.
 
-GMRES: Arnoldi with one modified Gram-Schmidt pass, least squares by
-Givens rotations, always started from the zero guess.  The rotation
-recurrence makes the residual estimate non-increasing within a cycle; the
-true residual is recomputed at every cycle end, so the reported value is
-never an estimate.
+:func:`gmres` is one restart loop around a cycle of either method, and
+the loop alone applies the stopping rule.  It starts from the zero
+guess.  Each cycle starts from the true residual of the current iterate,
+runs until its own residual estimate meets ``tol``, it breaks down or
+the step budget is spent, and returns its iterate with the true residual
+recomputed.  The loop keeps the best iterate seen at a cycle's end and
+stops when that true residual meets ``tol`` or ``maxit`` steps are
+spent, so the reported residual is never an estimate.
+
+The GMRES cycle: Arnoldi with one modified Gram-Schmidt pass, least
+squares by Givens rotations.  The rotation recurrence makes the residual
+estimate non-increasing within a cycle.
 
 The Krylov vectors are stored as the rows of one C-ordered block that
 is reused by every cycle: allocated once per call, or once per
@@ -31,15 +38,25 @@ harmonic Ritz vectors of ``A`` in that space with the smallest harmonic
 Ritz values: the directions ``A`` nearly annihilates, which restarted
 GMRES would otherwise lose at every cycle and every solve.
 
-COCR (Sogabe and Zhang, "A COCR method for solving complex symmetric
-linear systems", J. Comput. Appl. Math. 199, 2007) is the conjugate
-residual method in the unconjugated bilinear form ``u^T v``, which is
-symmetric for ``A = A^T`` (not Hermitian).  Its short recurrence keeps
-five n-vectors (``x``, ``r``, ``p``, ``A r``, ``A p``) and needs no
-Gram-Schmidt: one product with ``A`` and a handful of BLAS-1 operations
-per step.  The residual norm is not monotone, but the stopping rule is
-GMRES's: the true residual is recomputed at every stop and the best
-iterate kept.
+The COCR cycle (Sogabe and Zhang, "A COCR method for solving complex
+symmetric linear systems", J. Comput. Appl. Math. 199, 2007) is the
+conjugate residual method in the unconjugated bilinear form ``u^T v``,
+which is symmetric for ``A = A^T`` (not Hermitian).  Its short
+recurrence keeps five n-vectors (``x``, ``r``, ``p``, ``A r``, ``A p``)
+and needs no Gram-Schmidt: one product with ``A`` and a handful of
+BLAS-1 operations per step.  From ``p = r`` it runs
+
+    alpha = (r^T A r) / ((A p)^T A p),  x += alpha p,  r -= alpha A p,
+    beta = (r_new^T A r_new) / (r^T A r),  p = r + beta p,
+    A p = A r + beta A p
+
+until the updated residual meets ``tol``, a step breaks down (``r^T A r``
+or ``(A p)^T A p`` at round-off level, see ``COCR_BREAKDOWN_RTOL``) or
+the budget runs out.  The residual norm is not monotone, which the
+loop's best iterate absorbs.  A breakdown at a cycle's first step would
+recur at every restart, so that cycle instead takes one minimal-residual
+step over ``span(r, A r)``: the two-step GMRES iterate, which solves,
+for instance, ``[[0, 1], [1, 0]] x = [1, 0]``, where ``r^T A r = 0``.
 """
 
 import math
@@ -112,7 +129,7 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
     apply_op : callable
     b : (n,) complex array_like
     tol : float
-        Target relative residual ``norm(b - A x) / norm(b)``.
+        Target relative residual ``norm(b - A x) / norm(b)``, in (0, 1).
     restart : int
         Krylov vectors per GMRES cycle, recycled ones included; unused by
         COCR.
@@ -127,9 +144,8 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
         ``None`` (the default) the solve is plain restarted GMRES.
         Refused with ``symmetric``.
     symmetric : bool
-        ``A`` is complex symmetric (``A = A^T``): solve with COCR
-        (:func:`_cocr`).  The caller vouches for the symmetry; it is not
-        checked.
+        ``A`` is complex symmetric (``A = A^T``): solve with COCR.  The
+        caller vouches for the symmetry; it is not checked.
 
     Returns
     -------
@@ -143,16 +159,18 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
     nb = np.linalg.norm(b)
     if nb == 0.0:
         raise ZeroVector("gmres needs a nonzero right-hand side")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if restart < 1 or maxit < 1:
         raise ValueError("restart and maxit must be positive")
-    if symmetric:
-        if recycle is not None:
-            raise ValueError("COCR (symmetric=True) takes no recycle space")
-        return _cocr(apply_op, b, nb, tol, maxit)
+    if symmetric and recycle is not None:
+        raise ValueError("COCR (symmetric=True) takes no recycle space")
     if recycle is None:
         # Krylov vectors are rows, so each one is contiguous for BLAS-1;
         # row j is always written before it is read
-        block = np.empty((min(restart, maxit) + 1, n), dtype=complex)
+        block = None if symmetric else np.empty(
+            (min(restart, maxit) + 1, n), dtype=complex
+        )
     elif recycle.block.shape != (restart + 1, n):
         raise ValueError(
             f"recycle space holds a {recycle.block.shape} block, "
@@ -160,29 +178,15 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
         )
     else:
         block = recycle.block
-
-    x = np.zeros(n, dtype=complex)
-    r = b.copy()
-    beta = nb
-    best_x = x.copy()
-    best_relres = 1.0
-    total = 0
     resnorms = []
-    cycles = []
 
-    while True:
-        relres = beta / nb
-        if relres < best_relres:
-            best_relres = relres
-            best_x = x.copy()
-        if relres <= tol or total >= maxit:
-            return GmresResult(
-                x=best_x, relres=float(best_relres), iters=total,
-                converged=best_relres <= tol, resnorms=resnorms, cycles=cycles,
-            )
-
+    # a cycle takes the iterate x, its true residual r (which it may
+    # overwrite), norm(r) and the steps left; it appends its estimates to
+    # resnorms and returns the new iterate, its true residual, that
+    # residual's norm and the steps it took
+    def gmres_cycle(x, r, beta, budget):
         k = recycle.k if recycle is not None else 0
-        m = min(restart - k, maxit - total)
+        m = min(restart - k, budget)
         V = block[: k + m + 1]
         # G keeps the least-squares matrix as built, for the recycle
         # update; H is rotated to triangular in place
@@ -208,7 +212,6 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
                 # (identity-like operators), a strided or read-only array,
                 # and w is updated in place below
                 w = np.array(apply_op(V[j]), dtype=complex)
-                total += 1
                 wnorm = dznrm2(w)
                 # zaxpy updates w in place; taking its return value keeps
                 # the pass correct should it ever have to copy
@@ -240,7 +243,6 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
                     break
 
         q = j + 1
-        cycles.append(q - k)
         y = sla.solve_triangular(H[:q, :q], g[:q], check_finite=False)
         x = x + y[k:] @ V[k:q]
         if k:
@@ -254,63 +256,15 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
                 recycle.k = 0
             else:
                 _refresh(recycle, G[: q + 1, :q])
+        return x, r, beta, q - k
 
-
-def _cocr(apply_op, b, nb, tol, maxit):
-    """COCR for complex symmetric ``A``, from the zero guess; the
-    contract of :func:`gmres`.
-
-    A cycle starts from the true residual ``r`` of the current iterate
-    with ``p = r`` and runs the recurrence
-
-        alpha = (r^T A r) / ((A p)^T A p),  x += alpha p,  r -= alpha A p,
-        beta = (r_new^T A r_new) / (r^T A r),  p = r + beta p,
-        A p = A r + beta A p
-
-    until the updated residual reaches ``tol * norm(b)``, a step breaks
-    down (``r^T A r`` or ``(A p)^T A p`` at round-off level, see
-    ``COCR_BREAKDOWN_RTOL``) or the step budget runs out.  The true
-    residual is then recomputed, and a miss starts a new cycle from the
-    current iterate.  A breakdown at a cycle's first step would recur at
-    every restart, so that cycle instead takes one minimal-residual step
-    over ``span(r, A r)``: the two-step GMRES iterate, which solves, for
-    instance, ``[[0, 1], [1, 0]] x = [1, 0]``, where ``r^T A r = 0``.
-    """
-    n = b.shape[0]
-    x = np.zeros(n, dtype=complex)
-    r = b.copy()
-    best_x = x.copy()
-    best_relres = 1.0
-    total = 0
-    resnorms = []
-    cycles = []
-
-    while True:
-        # r is the true residual of x here
-        rnorm = np.linalg.norm(r)
-        if rnorm / nb < best_relres:
-            best_relres = rnorm / nb
-            best_x = x.copy()
-        if rnorm / nb <= tol or total >= maxit:
-            return GmresResult(
-                x=best_x, relres=float(best_relres), iters=total,
-                converged=best_relres <= tol, resnorms=resnorms, cycles=cycles,
-            )
-
-        start = total
-        p = Ap = None
-        stepped = False
-        while True:
+    def cocr_cycle(x, r, rnorm, budget):
+        for steps in range(1, budget + 1):
             # Ar is only read, never updated in place, so it may be a view
             # of r or a read-only array
             Ar = np.asarray(apply_op(r), dtype=complex)
-            total += 1
             rho_next = zdotu(r, Ar)
-            # norms as sqrt(zdotc): half the time of dznrm2 here
-            if (abs(rho_next) <= COCR_BREAKDOWN_RTOL * rnorm
-                    * math.sqrt(zdotc(Ar, Ar).real)):
-                break
-            if p is None:
+            if steps == 1:
                 p, Ap = r.copy(), Ar.copy()
             else:
                 beta = rho_next / rho
@@ -318,27 +272,53 @@ def _cocr(apply_op, b, nb, tol, maxit):
                 Ap = zaxpy(Ar, zscal(beta, Ap))
             rho = rho_next
             mu = zdotu(Ap, Ap)
-            if abs(mu) <= COCR_BREAKDOWN_RTOL * zdotc(Ap, Ap).real:
+            # norms as sqrt(zdotc): half the time of dznrm2 here
+            if (abs(rho) <= COCR_BREAKDOWN_RTOL * rnorm * math.sqrt(zdotc(Ar, Ar).real)
+                    or abs(mu) <= COCR_BREAKDOWN_RTOL * zdotc(Ap, Ap).real):
+                if steps == 1 and budget > 1:
+                    # a breakdown at the first step would recur at every
+                    # restart: one more product minimizes over span(r, A r)
+                    AAr = np.asarray(apply_op(Ar), dtype=complex)
+                    AK = np.stack([Ar, AAr], axis=1)
+                    coef, *_ = np.linalg.lstsq(AK, r, rcond=None)
+                    x = x + coef[0] * r + coef[1] * Ar
+                    resnorms.append(
+                        float(np.linalg.norm(r - coef[0] * Ar - coef[1] * AAr) / nb)
+                    )
+                    steps = 2
                 break
             alpha = rho / mu
             x = zaxpy(p, x, a=alpha)
             r = zaxpy(Ap, r, a=-alpha)
-            stepped = True
             rnorm = math.sqrt(zdotc(r, r).real)
             resnorms.append(float(rnorm / nb))
-            if rnorm <= tol * nb or total >= maxit:
+            if rnorm <= tol * nb:
                 break
-        if not stepped and total < maxit:
-            # a breakdown at the first step: minimize over span(r, A r)
-            AAr = np.asarray(apply_op(Ar), dtype=complex)
-            total += 1
-            coef, *_ = np.linalg.lstsq(np.stack([Ar, AAr], axis=1), r, rcond=None)
-            x = x + coef[0] * r + coef[1] * Ar
-            resnorms.append(
-                float(np.linalg.norm(r - coef[0] * Ar - coef[1] * AAr) / nb)
-            )
-        cycles.append(total - start)
         r = b - apply_op(x)
+        return x, r, np.linalg.norm(r), steps
+
+    # the stopping rule of both methods: every cycle starts from the
+    # true residual of the current iterate, and the best iterate seen at
+    # a cycle's end is returned
+    cycle = cocr_cycle if symmetric else gmres_cycle
+    x = np.zeros(n, dtype=complex)
+    r = b.copy()
+    beta = nb
+    best_x, best_relres = x.copy(), 1.0
+    total = 0
+    cycles = []
+    while True:
+        relres = beta / nb
+        if relres < best_relres:
+            best_x, best_relres = x.copy(), relres
+        if relres <= tol or total >= maxit:
+            return GmresResult(
+                x=best_x, relres=float(best_relres), iters=total,
+                converged=best_relres <= tol, resnorms=resnorms, cycles=cycles,
+            )
+        x, r, beta, steps = cycle(x, r, beta, maxit - total)
+        total += steps
+        cycles.append(steps)
 
 
 def _refresh(space, G):

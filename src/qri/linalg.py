@@ -7,8 +7,6 @@ All complex inner products are conjugate-linear in the first argument
 (``numpy.vdot`` convention).
 """
 
-import warnings
-
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -28,6 +26,9 @@ LU_PIVOT_RTOL = 1e-300
 # Inverse-iteration steps of null_vector; the second refines the new null
 # direction that the first step's projection off ``against`` leaves.
 NULL_VECTOR_STEPS = 2
+
+# every dense LU (LUSolver, null_vector): LAPACK's pair without scipy's
+# lu_factor/lu_solve wrappers
 _zgetrf, _zgetrs = sla.get_lapack_funcs(("getrf", "getrs"), dtype=complex)
 
 
@@ -71,13 +72,9 @@ class LUSolver:
         else:
             A = np.asarray(A, dtype=complex)
             amax = np.abs(A).max()
-        # scipy warns about an exactly zero pivot; _check_pivots raises
-        # the named error for it instead
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            self._lu, self._piv = sla.lu_factor(
-                A, overwrite_a=own_copy, check_finite=False
-            )
+        # an exactly zero pivot leaves info > 0; _check_pivots raises the
+        # named error for it
+        self._lu, self._piv, _ = _zgetrf(A, overwrite_a=own_copy)
         _check_pivots(np.diag(self._lu), amax)
 
     def _factor_sparse(self, A):
@@ -99,8 +96,7 @@ class LUSolver:
         if self._sparse is not None:
             b = np.asarray(b, dtype=complex)
             return self._sparse.solve(b, trans="H" if adjoint else "N")
-        lu = (self._lu, self._piv)
-        return sla.lu_solve(lu, b, trans=2 if adjoint else 0, check_finite=False)
+        return _zgetrs(self._lu, self._piv, b, trans=2 if adjoint else 0)[0]
 
 
 def _check_pivots(pivots, amax):

@@ -31,7 +31,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import LUSolver, as_columns, dense_eig, project_out, sin_angle
-from .qep import dense_cap, factor_q, finite_order, shift_invert
+from .qep import check_shift, dense_cap, factor_q, finite_order, shift_invert
 
 # a target direction whose component outside the subspace falls below
 # this fraction of its norm makes the angle quantities meaningless
@@ -88,8 +88,11 @@ def full_eig(p, sigma):
 
     Raises :class:`SingularMatrix` if ``sigma`` is itself an eigenvalue
     or some ``VL[:, i]* W[:, i]`` is zero (the shifted pencil is not
-    diagonalizable), and ``ValueError`` if ``2 n`` exceeds the dense cap.
+    diagonalizable), and ``ValueError`` if ``sigma`` or its square is not
+    finite (every oracle-backed check starts here) or ``2 n`` exceeds the
+    dense cap.
     """
+    check_shift(sigma, "sigma")
     n = p.n
     if 2 * n > dense_cap():
         raise ValueError(

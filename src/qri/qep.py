@@ -172,6 +172,21 @@ class Eigentriplet:
     x: np.ndarray
 
 
+def check_shift(value, name):
+    """``value`` as a complex shift; raises a :class:`ValueError` naming
+    ``name`` unless the shift and its square are finite.
+
+    ``value^2`` scales ``M`` in ``Q(value)``; a non-finite square would
+    only surface later as a zero pivot.
+    """
+    shift = complex(value)
+    if not np.isfinite(shift * shift):
+        raise ValueError(
+            f"shift {name} must be finite with a finite square, got {shift}"
+        )
+    return shift
+
+
 def q_apply(p, lam, x):
     """``Q(lam) x`` via three sparse products."""
     x = np.asarray(x, dtype=complex)

@@ -57,6 +57,7 @@ from .linalg import (
 )
 from .qep import (
     Eigentriplet,
+    check_shift,
     factor_q,
     finite_order,
     q_apply,
@@ -76,21 +77,6 @@ EXACT_RESTART_SIZE = 20
 # this fraction of the largest |theta| form a cluster, whose coordinate
 # vectors are orthonormal (see solve_projected_qep)
 CLUSTER_RTOL = 1e-10
-
-
-def check_shift(value, name):
-    """``value`` as a complex shift; raises a :class:`ValueError` naming
-    ``name`` unless the shift and its square are finite.
-
-    ``value^2`` scales ``M`` in ``Q(value)``; a non-finite square would
-    only surface later as a zero pivot.
-    """
-    shift = complex(value)
-    if not np.isfinite(shift * shift):
-        raise ValueError(
-            f"shift {name} must be finite with a finite square, got {shift}"
-        )
-    return shift
 
 
 @dataclass
@@ -598,8 +584,11 @@ class KrylovExpansion:
     every ``config.restart`` steps, and one
     :class:`~qri.gmres.RecycleSpace` carries the near-singular directions
     of ``Q(sigma)`` from each solve to the next.  It is made at the first
-    solve, after the outer loop's basis: made before it, about one
-    wave100-inexact benchmark process in ten peaked 13-15 MB higher."""
+    solve, after the outer loop's basis.  That order was chosen when the
+    wave100-inexact benchmark still ran GMRES: a space made before the
+    basis raised the peak of about one process in ten by 13-15 MB.  That
+    workload now runs COCR and makes no space, so the order is kept for
+    nonsymmetric runs and has not been measured since."""
 
     def __init__(self, p, config):
         self._matrix = shifted_matrix(p, complex(config.sigma))

@@ -163,6 +163,14 @@ def test_nonfinite_sigma_is_config_error(capsys):
         err = capsys.readouterr().err
         assert name in err
         assert "pivot" not in err
+    # the oracle-backed checks, through the oracle they share
+    for check in ("angle-identity", "angle-bound", "resolvent", "sandwich"):
+        argv = ("diagnose", "--check", check, "--gen", "wave2d", "--m", "4",
+                "--sigma", "nan")
+        assert run_cli(*argv) == 4
+        err = capsys.readouterr().err
+        assert "shift sigma" in err
+        assert "pivot" not in err
 
 
 def test_eigenvalue_shift_is_named(capsys):

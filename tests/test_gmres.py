@@ -181,24 +181,55 @@ def test_estimates_monotone_within_cycles(rng):
         start += width
 
 
-def test_maxit_returns_best_iterate():
-    A = np.diag(np.arange(1.0, 11.0))
-    b = np.ones(10)
-    res = gmres(op_from(A), b, tol=1e-13, restart=3, maxit=4)
-    assert not res.converged
-    assert res.iters <= 4
-    true_rel = np.linalg.norm(b - A @ res.x) / np.linalg.norm(b)
-    assert true_rel == pytest.approx(res.relres, rel=1e-10)
-    assert res.relres < 1.0
+INNER_SOLVERS = ("plain", "recycled", "cocr")
 
 
-def test_reported_residual_is_true_residual(rng):
-    n = 25
-    A = np.eye(n) + 0.3 * rand_complex(rng, n * n).reshape(n, n) / np.sqrt(n)
-    b = rand_complex(rng, n)
-    res = gmres(op_from(A), b, tol=1e-9, restart=6)
+def inner_solves(solver, A, bs, restart=30, **kwargs):
+    """gmres on ``A`` for each right-hand side in ``bs``: plain GMRES,
+    GMRES recycling one space over the whole sequence, or COCR (``A``
+    complex symmetric)."""
+    space = RecycleSpace(A.shape[0], restart) if solver == "recycled" else None
+    results = [gmres(op_from(A), b, restart=restart, recycle=space,
+                     symmetric=solver == "cocr", **kwargs) for b in bs]
+    # the sequence has to exercise the recycled space, not only build it
+    assert space is None or space.k > 0
+    return results
+
+
+def assert_stopping_rule(A, b, res, tol, maxit):
+    # the rule the restart loop applies for every inner solver
     true_rel = np.linalg.norm(b - A @ res.x) / np.linalg.norm(b)
     assert true_rel == pytest.approx(res.relres, rel=1e-10, abs=1e-14)
+    assert sum(res.cycles) == res.iters <= maxit
+    assert len(res.resnorms) <= res.iters
+    assert res.converged == (res.relres <= tol)
+
+
+@pytest.mark.parametrize("solver", INNER_SOLVERS)
+def test_maxit_returns_best_iterate(solver):
+    # diagonal, so complex symmetric as COCR needs
+    A = np.diag(np.arange(1.0, 11.0))
+    bs = [np.ones(10), np.arange(1.0, 11.0)]
+    for b, res in zip(bs, inner_solves(solver, A, bs, tol=1e-13, restart=3, maxit=4)):
+        assert not res.converged
+        assert res.iters <= 4
+        true_rel = np.linalg.norm(b - A @ res.x) / np.linalg.norm(b)
+        assert true_rel == pytest.approx(res.relres, rel=1e-10)
+        assert res.relres < 1.0
+        assert_stopping_rule(A, b, res, tol=1e-13, maxit=4)
+
+
+@pytest.mark.parametrize("solver", INNER_SOLVERS)
+def test_reported_residual_is_true_residual(rng, solver):
+    n = 25
+    A = np.eye(n) + 0.3 * rand_complex(rng, n * n).reshape(n, n) / np.sqrt(n)
+    if solver == "cocr":
+        A = (A + A.T) / 2
+    bs = [rand_complex(rng, n) for _ in range(2)]
+    for b, res in zip(bs, inner_solves(solver, A, bs, tol=1e-9, restart=6)):
+        true_rel = np.linalg.norm(b - A @ res.x) / np.linalg.norm(b)
+        assert true_rel == pytest.approx(res.relres, rel=1e-10, abs=1e-14)
+        assert_stopping_rule(A, b, res, tol=1e-9, maxit=500)
 
 
 def test_invariant_rhs_happy_breakdown():
@@ -229,6 +260,12 @@ def test_bad_parameters_raise():
         gmres(lambda v: v, b, restart=0)
     with pytest.raises(ValueError):
         gmres(lambda v: v, b, maxit=0)
+    # a tol outside (0, 1) is refused by name before any step; with an
+    # exact first step, NaN used to restart GMRES from a zero residual
+    for symmetric in (False, True):
+        for tol in (np.nan, 0.0, -1e-3, 1.0):
+            with pytest.raises(ValueError, match="tol"):
+                gmres(lambda v: 2 * v, b, tol=tol, maxit=5, symmetric=symmetric)
 
 
 def outlier_matrix(rng, n):
