@@ -190,10 +190,11 @@ def build_parser():
                        help="inner step budget per expansion solve")
     solve.add_argument("--max-subspace", type=count(1), default=None,
                        help="restart size and cap of the basis (default "
-                            "min(n, max(20, 3*nev)) in exact mode, min(n, 120) "
-                            "in inexact mode; only the default doubles, up to "
-                            "min(n, 120), when a restart cycle gains no "
-                            "residual digit); not used in newton mode")
+                            "min(n, max(20, 3*nev)) in exact mode, "
+                            "min(n, max(120, 3*nev)) in inexact mode; only the "
+                            "default doubles, up to min(n, max(120, 3*nev)), "
+                            "when a restart cycle gains no residual digit); "
+                            "not used in newton mode")
     solve.add_argument("--seed", type=count(0), default=0,
                        help="seed for the starting vector")
     solve.add_argument("--out-csv", metavar="PATH",
@@ -238,7 +239,10 @@ def _fmt_complex(z):
 
 
 def _csv_number(value):
-    return str(value) if isinstance(value, (int, np.integer)) else repr(float(value))
+    # a flag (a bool is an int) as 0 or 1
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
 
 
 def history_csv_lines(history, nev):
@@ -373,6 +377,7 @@ def cmd_solve(args, parser):
             "cumulative_inner_iters": result.cumulative_inner_iters,
             "inner_failures": result.inner_failures,
             "expansion_breakdowns": result.expansion_breakdowns,
+            "full_eigensolves": result.full_eigensolves,
             "phase_wall_ms": result.phase_wall_ms,
         }
         inner_solver = result.inner_solver

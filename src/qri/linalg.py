@@ -130,10 +130,12 @@ def dense_eig(A, vectors=True):
     return w, VL, VR
 
 
-def null_vector(A, scale, against=()):
+def null_vector(A, scale, against=(), factor=False):
     """Unit vector ``z`` with ``A z`` about ``eps * scale``, for a square
     ``A`` that is singular to working precision (``scale`` bounds its
-    norm), from one LU of ``A``, which is overwritten.
+    norm), from one LU of ``A``, which is overwritten.  With ``factor``,
+    returns ``(z, lu, piv)``: that LU, pivots floored as below, serves
+    further solves with ``A`` through ``_zgetrs``.
 
     Each of the ``NULL_VECTOR_STEPS`` steps is one step of inverse
     iteration on ``A* A``, ``z <- A^{-1} A^{-*} z``: the inner solve
@@ -168,7 +170,7 @@ def null_vector(A, scale, against=()):
             if np.linalg.norm(w) > np.sqrt(eps) * np.linalg.norm(z):
                 z = w
         z /= np.linalg.norm(z)
-    return z
+    return (z, lu, piv) if factor else z
 
 
 def smallest_singular_vector(A):

@@ -18,12 +18,16 @@ sparsely (SuperLU) when the problem's pattern keeps a narrow envelope,
 densely otherwise (:attr:`~qri.qep.QepProblem.factorization`), and only
 a dense factorization is bounded by the dense cap.
 
-The projected small problem's eigenvalues always come from its
-shift-inverted companion matrix, built from one LU of the k x k
-``Q_k(sigma)``, so infinite Ritz values (singular projected mass block)
-are skipped rather than polluting the targets.  A coordinate vector is
-the null vector of ``Q_k(omega)``, found by inverse iteration only where
-the loop reads it (:class:`ProjectedSolve`).  Refined extraction
+The projected small problem's eigenvalues come from its shift-inverted
+companion matrix, built from one LU of the k x k ``Q_k(sigma)``, so
+infinite Ritz values (singular projected mass block) are skipped rather
+than polluting the targets.  Above ``WARM_MIN_K`` columns, most steps
+skip that order-2k eigensolve: they refine the previous step's first
+values on the grown ``Q_k`` by Newton (:func:`warm_projected_qep`), and
+the full eigensolve still runs on a fixed schedule, at every restart and
+before convergence is declared (:func:`outer_loop`).  A coordinate
+vector is the null vector of ``Q_k(omega)``, found by inverse iteration
+only where the loop reads it (:class:`ProjectedSolve`).  Refined extraction
 instead minimizes ``norm(Q(omega) V z)`` through the small triangular
 factor of ``[M V, C V, K V]`` (:class:`ResidualFactor`) that the
 :class:`ProjectionCache` keeps up to date from the sparse products it
@@ -49,6 +53,8 @@ from .gmres import RecycleSpace, gmres
 from .linalg import (
     BREAKDOWN_RTOL,
     OrthonormalBasis,
+    _zgetrf,
+    _zgetrs,
     dense_eig,
     gram_schmidt,
     null_vector,
@@ -77,6 +83,21 @@ EXACT_RESTART_SIZE = 20
 # this fraction of the largest |theta| form a cluster, whose coordinate
 # vectors are orthonormal (see solve_projected_qep)
 CLUSTER_RTOL = 1e-10
+# warm small solves (see outer_loop): every step up to WARM_MIN_K basis
+# columns runs the full companion eigensolve, whose order-80 geev costs
+# about as much as nine warm steps there; above it at most WARM_STEPS
+# warm steps run between two full eigensolves.  They refine WARM_GUARD
+# values beyond the nev targets too, so that a value just past the nev-th
+# that moves inside is seen
+WARM_MIN_K = 40
+WARM_STEPS = 7
+WARM_GUARD = 2
+# a warm target takes at most WARM_MAXIT Newton steps to a step of at
+# most WARM_RTOL of its value, and two targets within WARM_COLLAPSE_RTOL
+# of their distance to the shift have converged to one value
+WARM_MAXIT = 8
+WARM_RTOL = 1e-12
+WARM_COLLAPSE_RTOL = 1e-8
 
 
 @dataclass
@@ -85,8 +106,10 @@ class SolverConfig:
 
     ``max_subspace`` is the restart size of :func:`outer_loop` and, when
     set, the largest basis it builds.  ``None`` resolves at run time to
-    ``min(n, max(20, 3 * nev))`` in exact mode and to ``min(n, 120)`` in
-    inexact mode, a restart size that may double up to ``min(n, 120)``.
+    ``min(n, max(20, 3 * nev))`` in exact mode and to
+    ``min(n, max(120, 3 * nev))`` in inexact mode, a restart size that may
+    double up to ``min(n, max(120, 3 * nev))``, so that a restart keeps
+    at least ``nev`` vectors.
     ``initial_vector`` overrides the seeded random start when provided.
     ``tol_inner``, ``restart`` and ``inner_maxit`` are read only by
     :class:`KrylovExpansion`, inexact mode's inner solves: ``restart`` is
@@ -131,18 +154,19 @@ class SolverConfig:
     def resolved_max_subspace(self, n):
         if self.max_subspace is not None:
             return self.max_subspace
-        if self.mode == "exact":
-            return min(n, max(EXACT_RESTART_SIZE, 3 * self.nev))
-        return min(n, DEFAULT_MAX_SUBSPACE)
+        smallest = EXACT_RESTART_SIZE if self.mode == "exact" else DEFAULT_MAX_SUBSPACE
+        return min(n, max(smallest, 3 * self.nev))
 
 
 @dataclass
 class ConvergenceRecord:
     """One iteration of either solver: the Ritz data it scored, the cost
     of its expansion (inner steps, last inner residual, inner solves short
-    of ``tol_inner``, candidate residuals that broke down) and its wall
-    time, which runs to the next iteration's start (the first also holds
-    the set-up), so the records' ``wall_ms`` sum to the run's."""
+    of ``tol_inner``, candidate residuals that broke down), whether its
+    Ritz values came from a warm refinement (:func:`warm_projected_qep`)
+    rather than the full companion eigensolve, and its wall time, which
+    runs to the next iteration's start (the first also holds the set-up),
+    so the records' ``wall_ms`` sum to the run's."""
 
     outer_iter: int
     subspace_dim: int
@@ -152,6 +176,7 @@ class ConvergenceRecord:
     inner_relres: float = 0.0
     inner_failures: int = 0
     expansion_breakdowns: int = 0
+    warm_start: bool = False
     wall_ms: float = 0.0
 
 
@@ -384,30 +409,39 @@ class ProjectedSolve:
     ``z(i)`` is :func:`~qri.linalg.null_vector` of ``Q_k(omegas[i]) =
     omega^2 Mk + omega Ck + Kk`` at the scale ``|omega|^2 |Mk|_1 + |omega|
     |Ck|_1 + |Kk|_1``, orthogonal to the vectors of the earlier values in
-    its cluster, which are computed first if not read yet.
+    its cluster, which are computed first if not read yet; ``zs``, when
+    given, are the first vectors, already known.
     """
 
-    def __init__(self, blocks, omegas, theta):
+    def __init__(self, blocks, omegas, theta, zs=()):
         self.omegas = omegas
         self._blocks = [np.array(b, order="F") for b in blocks]
         self._norms = [np.abs(b).sum(axis=0).max(initial=0.0) for b in blocks]
         self._theta = theta
         self._near = CLUSTER_RTOL * np.abs(theta).max(initial=0.0)
-        self._z = {}
+        self._z = dict(enumerate(zs))
 
     def __len__(self):
         return len(self.omegas)
+
+    def q(self, w):
+        """``Q_k(w)``, a fresh column-major array, and the bound
+        ``|w|^2 |Mk|_1 + |w| |Ck|_1 + |Kk|_1`` on its norm."""
+        Mk, Ck, Kk = self._blocks
+        nm, nc, nk = self._norms
+        return w * w * Mk + w * Ck + Kk, abs(w) ** 2 * nm + abs(w) * nc + nk
+
+    def q_prime(self, w, z):
+        """``Q_k'(w) z = (2 w Mk + Ck) z``."""
+        Mk, Ck, _ = self._blocks
+        return (2.0 * w) * (Mk @ z) + Ck @ z
 
     def z(self, i):
         z = self._z.get(i)
         if z is None:
             near = np.abs(self._theta[:i] - self._theta[i]) <= self._near
             against = [self.z(j) for j in np.flatnonzero(near)]
-            w = self.omegas[i]
-            Mk, Ck, Kk = self._blocks
-            nm, nc, nk = self._norms
-            scale = abs(w) ** 2 * nm + abs(w) * nc + nk
-            z = self._z[i] = null_vector(w * w * Mk + w * Ck + Kk, scale, against)
+            z = self._z[i] = null_vector(*self.q(self.omegas[i]), against)
         return z
 
 
@@ -436,6 +470,60 @@ def solve_projected_qep(Mk, Ck, Kk, sigma):
     theta = dense_eig(S, vectors=False)
     idx, omegas, _ = finite_order(theta, sigma)
     return ProjectedSolve((Mk, Ck, Kk), omegas, theta[idx])
+
+
+def warm_projected_qep(Mk, Ck, Kk, sigma, omegas):
+    """The eigenvalues of the projected problem nearest the approximations
+    ``omegas`` (the previous step's first values), refined without an
+    eigensolve, as a :class:`ProjectedSolve` in
+    :func:`~qri.qep.finite_order` that already holds their vectors;
+    ``None`` when a refinement fails.
+
+    Each target starts from ``z``, the :func:`~qri.linalg.null_vector` of
+    ``Q_k(omega)``, normalized at its largest entry ``e``.  A Newton step
+    (Ruhe's nonlinear inverse iteration, as in :func:`newton_solve`) is
+    one LU of the k x k ``Q_k(omega)``, the first that of the start:
+
+        y = Q_k(omega)^{-1} Q_k'(omega) z,   omega <- omega - 1 / y[e],
+        z <- y / y[e]
+
+    until a step is at most ``WARM_RTOL`` of ``|omega|``; the last ``z``
+    is the coordinate vector.  A refinement fails when a target takes
+    more than ``WARM_MAXIT`` steps, meets an exactly singular
+    ``Q_k(omega)``, or lands within ``WARM_COLLAPSE_RTOL |omega - sigma|``
+    of another target.  (The one-sided functional ``z* Q_k(omega) z = 0``
+    stagnates instead on wave2d's projected blocks, whose eigenvalues are
+    complex.)
+    """
+    start = ProjectedSolve((Mk, Ck, Kk), omegas, 1.0 / (omegas - sigma))
+    refined = np.empty(len(omegas), dtype=complex)
+    zs = []
+    for i, w in enumerate(omegas):
+        z, lu, piv = null_vector(*start.q(w), factor=True)
+        e = int(np.argmax(np.abs(z)))
+        z = z / z[e]
+        for _ in range(WARM_MAXIT):
+            y = _zgetrs(lu, piv, start.q_prime(w, z))[0]
+            if y[e] == 0.0:
+                return None
+            step = 1.0 / y[e]
+            w, z = w - step, y * step
+            if abs(step) <= WARM_RTOL * abs(w):
+                break
+            lu, piv, info = _zgetrf(start.q(w)[0], overwrite_a=True)
+            if info != 0:
+                return None
+        else:
+            return None
+        refined[i] = w
+        zs.append(z / np.linalg.norm(z))
+    gaps = np.abs(refined[:, None] - refined)
+    np.fill_diagonal(gaps, np.inf)
+    if (gaps <= WARM_COLLAPSE_RTOL * np.abs(refined - sigma)[:, None]).any():
+        return None
+    theta = 1.0 / (refined - sigma)
+    idx, omegas, _ = finite_order(theta, sigma)
+    return ProjectedSolve((Mk, Ck, Kk), omegas, theta[idx], [zs[i] for i in idx])
 
 
 @dataclass
@@ -647,6 +735,10 @@ class RunResult:
     def expansion_breakdowns(self):
         return sum(rec.expansion_breakdowns for rec in self.history)
 
+    @property
+    def full_eigensolves(self):
+        return sum(not rec.warm_start for rec in self.history)
+
 
 @contextmanager
 def _timed(phase, key):
@@ -672,19 +764,32 @@ def outer_loop(p, config, observer=None):
     Converged pairs are left soft-locked: they are re-extracted every
     iteration and only reported at the end.
 
+    The small solve is the full companion eigensolve
+    (:func:`solve_projected_qep`) unless the basis has more than
+    ``WARM_MIN_K`` and fewer than ``R`` columns and fewer than
+    ``WARM_STEPS`` warm steps ran since the last full one.  Then
+    :func:`warm_projected_qep` refines the previous step's first
+    ``nev + WARM_GUARD`` values on the grown blocks instead.  A failed
+    refinement, or warm pairs that would all pass ``tol_outer``, run the
+    full eigensolve in the same iteration, so convergence and restarts
+    are decided on a full one; the schedule depends only on counts.
+    The record's ``warm_start`` and the result's ``full_eigensolves``
+    tell the two apart.
+
     Thick restart: when the basis reaches the restart size ``R``
     (``config.resolved_max_subspace``: ``min(n, max(20, 3 nev))`` in
-    exact mode, ``min(n, 120)`` in inexact mode, unless ``max_subspace``
-    is set) with a target pair unconverged, the :class:`ProjectionCache`
-    is compressed by ``V <- V Z`` for the ``R // 2`` orthonormalized
-    coordinate vectors of the target pairs and the next-nearest Ritz
-    pairs, and the same iteration expands the compressed basis.
+    exact mode, ``min(n, max(120, 3 nev))`` in inexact mode, unless
+    ``max_subspace`` is set) with a target pair unconverged, the
+    :class:`ProjectionCache` is compressed by ``V <- V Z`` for the
+    ``R // 2`` orthonormalized coordinate vectors of the target pairs and
+    the next-nearest Ritz pairs, and the same iteration expands the
+    compressed basis.
     A restart is guarded by progress: the summed residual digits of the
     first ``nev`` pairs (each ``-log10 relres``, capped at
     ``-log10 tol_outer``) must have grown by at least one since the last
     restart.  Otherwise a default ``R`` doubles, up to the basis capacity
-    ``min(n, 120)`` (or ``R``, if larger), while an explicit
-    ``max_subspace`` is itself the capacity.  A full basis at the
+    ``min(n, max(120, 3 nev))``, while an explicit ``max_subspace`` is
+    itself the capacity.  A full basis at the
     capacity, a basis that spans the whole space, or ``R // 2 < nev``
     ends the run as exhausted.  Each restart gains a digit, so a run
     makes at most ``nev * log10(1 / tol_outer)`` of them.
@@ -714,7 +819,7 @@ def outer_loop(p, config, observer=None):
     restart_size = config.resolved_max_subspace(n)
     # an explicit max_subspace caps the basis; a default one may double
     if config.max_subspace is None:
-        capacity = max(restart_size, min(n, DEFAULT_MAX_SUBSPACE))
+        capacity = min(n, max(DEFAULT_MAX_SUBSPACE, 3 * nev))
     else:
         capacity = restart_size
     restart_digits = 0.0  # residual digits at the last restart
@@ -737,15 +842,33 @@ def outer_loop(p, config, observer=None):
 
     history = []
     stop_reason = None
+    warm_steps = 0  # warm small solves since the last full one
     while stop_reason is None:
         with _timed(phase, "small_solve"):
-            projected = solve_projected_qep(*proj.blocks, sigma)
-            pairs = _extract_pairs(p, proj, projected, nev, config.tol_outer)
+            warm = None
+            # k > WARM_MIN_K implies an earlier step left `projected`
+            if (warm_steps < WARM_STEPS and WARM_MIN_K < basis.k < restart_size
+                    and len(projected) >= nev):
+                tracked = projected.omegas[: nev + WARM_GUARD]
+                warm = warm_projected_qep(*proj.blocks, sigma, tracked)
+            if warm is not None:
+                pairs = _extract_pairs(p, proj, warm, nev, config.tol_outer)
+                # convergence is declared on a full eigensolve only
+                if select_expansion_residual(pairs, nev) is None:
+                    warm = None
+            if warm is None:
+                projected = solve_projected_qep(*proj.blocks, sigma)
+                pairs = _extract_pairs(p, proj, projected, nev, config.tol_outer)
+                warm_steps = 0
+            else:
+                projected = warm
+                warm_steps += 1
         record = ConvergenceRecord(
             outer_iter=len(history) + 1,
             subspace_dim=basis.k,
             ritz_values=[pr.omega for pr in pairs],
             relres=[pr.relres for pr in pairs],
+            warm_start=warm is not None,
         )
         history.append(record)
 

@@ -107,7 +107,7 @@ def test_generate_then_solve_roundtrip(tmp_path, capsys):
     assert lines[0] == (
         "outer_iter,subspace_dim,ritz_re_1,ritz_im_1,relres_1,"
         "ritz_re_2,ritz_im_2,relres_2,inner_iters,inner_relres,"
-        "inner_failures,expansion_breakdowns,cum_inner_iters,wall_ms"
+        "inner_failures,expansion_breakdowns,warm_start,cum_inner_iters,wall_ms"
     )
     assert len(lines) >= 2
     payload = json.loads(json_path.read_text())
@@ -119,10 +119,12 @@ def test_generate_then_solve_roundtrip(tmp_path, capsys):
         "mode", "extraction", "problem_n", "sigma", "nev", "tol_outer",
         "tol_inner", "stop_reason", "converged", "eigenvalues", "relres",
         "outer_iters", "cumulative_inner_iters", "inner_failures",
-        "expansion_breakdowns", "phase_wall_ms", "wall_ms_total",
-        "factorization", "inner_solver",
+        "expansion_breakdowns", "full_eigensolves", "phase_wall_ms",
+        "wall_ms_total", "factorization", "inner_solver",
     }
     assert payload["inner_failures"] == payload["expansion_breakdowns"] == 0
+    # 12 columns: every small solve is a full eigensolve
+    assert payload["full_eigensolves"] == payload["outer_iters"]
 
 
 def test_solve_builtin_reference(capsys):

@@ -591,6 +591,161 @@ def test_default_restart_size_above_six_targets():
     assert len(matched) == 8
 
 
+def test_default_restart_size_keeps_nev_vectors():
+    # a restart keeps R // 2 vectors, so the default R is at least 3 * nev
+    # in both modes (up to n); inexact mode once stopped at min(n, 120),
+    # which left nev = 61 runs exhausted at k = 120 without a restart
+    for mode, smallest in (("exact", 20), ("inexact", 120)):
+        for nev, n, expect in ((1, 1000, smallest), (6, 1000, smallest),
+                               (61, 1000, 183), (61, 132, 132), (61, 100, 100)):
+            cfg = SolverConfig(sigma=PROBE, nev=nev, mode=mode)
+            assert cfg.resolved_max_subspace(n) == expect, (mode, nev, n)
+            assert cfg.resolved_max_subspace(n) // 2 >= nev or expect == n
+        assert SolverConfig(sigma=PROBE, nev=61, mode=mode,
+                            max_subspace=50).resolved_max_subspace(1000) == 50
+
+
+WAVE_SIGMA = -0.5 + 4j
+
+
+def wave20_inexact(**kwargs):
+    cfg = dict(sigma=WAVE_SIGMA, nev=6, tol_outer=1e-8, mode="inexact", **kwargs)
+    return wave2d(20), SolverConfig(**cfg)
+
+
+def count_small_solves(monkeypatch, compare=False):
+    """Counts of the loop's full eigensolves and warm refinements and of
+    the warm ones that failed; with ``compare``, also the warm results
+    next to the full solve of the same blocks."""
+    counts = {"full": 0, "warm": 0, "failed": 0}
+    compared = []
+    full, warm = solver.solve_projected_qep, solver.warm_projected_qep
+
+    def counted_full(*args):
+        counts["full"] += 1
+        return full(*args)
+
+    def counted_warm(Mk, Ck, Kk, sigma, omegas):
+        counts["warm"] += 1
+        out = warm(Mk, Ck, Kk, sigma, omegas)
+        counts["failed"] += out is None
+        if compare and out is not None:
+            compared.append((out, full(Mk, Ck, Kk, sigma)))
+        return out
+
+    monkeypatch.setattr(solver, "solve_projected_qep", counted_full)
+    monkeypatch.setattr(solver, "warm_projected_qep", counted_warm)
+    return counts, compared
+
+
+def test_warm_values_match_full_eigensolve(monkeypatch):
+    # wave2d(20) inexact grows to k = 99: every warm step above k = 40
+    # gives the first nev values of the full eigensolve of the same
+    # blocks, in its order, and the run takes the outer and inner steps of
+    # a run that never warms
+    p, cfg = wave20_inexact()
+    counts, compared = count_small_solves(monkeypatch, compare=True)
+    res = outer_loop(p, cfg)
+    assert all(res.converged) and res.history[-1].subspace_dim == 99
+    warm_steps = sum(rec.warm_start for rec in res.history)
+    assert warm_steps >= 40 and counts["failed"] == 0
+    assert len(compared) == counts["warm"] == warm_steps + 1  # + the last check
+    for out, full in compared:
+        ref = full.omegas[:cfg.nev]
+        assert np.abs(out.omegas[:cfg.nev] - ref).max() <= 1e-10 * np.abs(ref).min()
+        for i in range(cfg.nev):  # and its vectors are null vectors
+            assert _null_residual(out._blocks, out, i) <= 1e-10
+    assert res.full_eigensolves == counts["full"] == len(res.history) - warm_steps
+    assert all(rec.subspace_dim > solver.WARM_MIN_K
+               for rec in res.history if rec.warm_start)
+
+    monkeypatch.setattr(solver, "WARM_MIN_K", p.n)
+    cold = outer_loop(p, cfg)
+    assert cold.full_eigensolves == len(cold.history) == len(res.history)
+    assert cold.cumulative_inner_iters == res.cumulative_inner_iters
+    for a, b in zip(res.eigenpairs, cold.eigenpairs):
+        assert abs(a.lam - b.lam) <= 1e-10 * abs(b.lam)
+
+
+def test_convergence_is_declared_on_a_full_eigensolve(monkeypatch):
+    # with no full eigensolve scheduled above k = 40, the step whose warm
+    # pairs all converge still runs one before it stops
+    p, cfg = wave20_inexact()
+    monkeypatch.setattr(solver, "WARM_STEPS", 10**6)
+    counts, _ = count_small_solves(monkeypatch)
+    res = outer_loop(p, cfg)
+    assert res.stop_reason == "converged" and all(res.converged)
+    warm = [rec.warm_start for rec in res.history]
+    assert warm[-1] is False and all(warm[-10:-1])
+    assert counts["full"] == res.full_eigensolves == solver.WARM_MIN_K + 1
+
+
+def test_no_warm_steps_in_small_subspaces(monkeypatch):
+    # exact mode's default restart size keeps k at 20 for these runs, so
+    # they never warm: wave2d(20) refined and an nev = 1 sweep-style run
+    counts, _ = count_small_solves(monkeypatch)
+    runs = [
+        (wave2d(20), SolverConfig(sigma=WAVE_SIGMA, nev=6, tol_outer=1e-8,
+                                  mode="exact", extraction="refined")),
+        (spring_maxwell(SpringMaxwellParams(25, 19, seed=0)),
+         SolverConfig(sigma=-0.0363 + 0.001j, nev=1, tol_outer=1e-10, mode="exact")),
+    ]
+    for p, cfg in runs:
+        res = outer_loop(p, cfg)
+        assert all(res.converged)
+        assert not any(rec.warm_start for rec in res.history)
+        assert res.full_eigensolves == len(res.history)
+    assert counts["warm"] == 0
+
+
+def test_failed_refinement_falls_back_in_the_same_iteration(monkeypatch):
+    # two collapsed targets fail every refinement; each such step runs the
+    # full eigensolve instead, so the history is that of a run that never
+    # warms, bit for bit
+    p, cfg = wave20_inexact()
+
+    def stop(view):
+        return view.k >= 50
+
+    monkeypatch.setattr(solver, "WARM_MIN_K", p.n)
+    cold = outer_loop(p, cfg, observer=stop)
+    monkeypatch.undo()
+
+    warm = solver.warm_projected_qep
+    calls = []
+
+    def collapsed(Mk, Ck, Kk, sigma, omegas):
+        calls.append(len(omegas))
+        out = warm(Mk, Ck, Kk, sigma, np.r_[omegas[:1], omegas[:-1]])
+        assert out is None
+        return out
+
+    monkeypatch.setattr(solver, "warm_projected_qep", collapsed)
+    res = outer_loop(p, cfg, observer=stop)
+    assert len(calls) == 50 - solver.WARM_MIN_K
+    assert res.full_eigensolves == len(res.history) == len(cold.history)
+    for a, b in zip(res.history, cold.history):
+        assert (a.ritz_values, a.relres, a.inner_iters) == (b.ritz_values, b.relres,
+                                                            b.inner_iters)
+
+
+def test_warm_projected_qep_refines_perturbed_values(rng):
+    # values perturbed by 1e-4 refine to the eigenvalues of the blocks, in
+    # finite order, with null vectors; two equal starts fail
+    k = 30
+    Mk, Ck, Kk = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                  for _ in range(3))
+    sigma = 0.3 + 0.2j
+    full = solve_projected_qep(Mk, Ck, Kk, sigma)
+    targets = full.omegas[:4]
+    start = (targets * (1 + 1e-4 * rng.standard_normal(4)))[::-1]
+    out = solver.warm_projected_qep(Mk, Ck, Kk, sigma, start)
+    assert np.abs(out.omegas - targets).max() <= 1e-10 * np.abs(targets).min()
+    for i in range(4):
+        assert _null_residual((Mk, Ck, Kk), out, i) <= 1e-10
+    assert solver.warm_projected_qep(Mk, Ck, Kk, sigma, start[[0, 0, 1]]) is None
+
+
 def test_select_expansion_residual_cases():
     pairs = [make_pair(1e-14, True), make_pair(1e-2, False), make_pair(1e-1, False)]
     assert select_expansion_residual(pairs, 3) == 1
