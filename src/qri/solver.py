@@ -84,11 +84,10 @@ EXACT_RESTART_SIZE = 20
 # vectors are orthonormal (see solve_projected_qep)
 CLUSTER_RTOL = 1e-10
 # warm small solves (see outer_loop): every step up to WARM_MIN_K basis
-# columns runs the full companion eigensolve, whose order-80 geev costs
-# about as much as nine warm steps there; above it at most WARM_STEPS
+# columns runs the full companion eigensolve; above it at most WARM_STEPS
 # warm steps run between two full eigensolves.  They refine WARM_GUARD
 # values beyond the nev targets too, so that a value just past the nev-th
-# that moves inside is seen
+# that moves inside is seen (with one, wave2d(100) missed such a value)
 WARM_MIN_K = 40
 WARM_STEPS = 7
 WARM_GUARD = 2
@@ -492,8 +491,8 @@ def warm_projected_qep(Mk, Ck, Kk, sigma, omegas):
     more than ``WARM_MAXIT`` steps, meets an exactly singular
     ``Q_k(omega)``, or lands within ``WARM_COLLAPSE_RTOL |omega - sigma|``
     of another target.  (The one-sided functional ``z* Q_k(omega) z = 0``
-    stagnates instead on wave2d's projected blocks, whose eigenvalues are
-    complex.)
+    stagnates instead on wave2d's projected blocks: ``V* C V`` is
+    skew-Hermitian there, so the right null vector ``z`` is no left one.)
     """
     start = ProjectedSolve((Mk, Ck, Kk), omegas, 1.0 / (omegas - sigma))
     refined = np.empty(len(omegas), dtype=complex)
@@ -789,9 +788,8 @@ def outer_loop(p, config, observer=None):
     ``-log10 tol_outer``) must have grown by at least one since the last
     restart.  Otherwise a default ``R`` doubles, up to the basis capacity
     ``min(n, max(120, 3 nev))``, while an explicit ``max_subspace`` is
-    itself the capacity.  A full basis at the
-    capacity, a basis that spans the whole space, or ``R // 2 < nev``
-    ends the run as exhausted.  Each restart gains a digit, so a run
+    itself the capacity.  A full basis at the capacity, a basis that spans
+    the whole space, or ``R // 2 < nev`` ends the run as exhausted.  Each restart gains a digit, so a run
     makes at most ``nev * log10(1 / tol_outer)`` of them.
 
     ``observer``, when given, is called with a :class:`StepView` before
