@@ -168,34 +168,34 @@ def build_parser():
     add_problem_args(solve)
     solve.add_argument("--sigma", type=complex_literal, required=True,
                        help="target shift, a+bi literal")
-    solve.add_argument("--nev", type=count(1), default=1,
+    solve.add_argument("--nev", type=count(1), default=SolverConfig.nev,
                        help="number of eigenpairs to converge")
-    solve.add_argument("--tol-outer", type=bounded(1.0), default=1e-10,
+    solve.add_argument("--tol-outer", type=bounded(1.0), default=SolverConfig.tol_outer,
                        help="relative residual tolerance for eigenpairs")
-    solve.add_argument("--tol-inner", type=bounded(1.0), default=1e-3,
+    solve.add_argument("--tol-inner", type=bounded(1.0), default=SolverConfig.tol_inner,
                        help="relative residual tolerance of the inner solves "
                             "of inexact mode (COCR or GMRES)")
     solve.add_argument("--mode", choices=("newton", "exact", "inexact"),
-                       default="exact")
+                       default=SolverConfig.mode)
     solve.add_argument("--extraction", choices=("ritz", "refined"),
-                       default="ritz")
-    solve.add_argument("--restart", type=count(1), default=30,
+                       default=SolverConfig.extraction)
+    solve.add_argument("--restart", type=count(1), default=SolverConfig.restart,
                        help="GMRES restart length: Krylov vectors per cycle, "
                             "counting up to min(10, restart // 2) recycled ones; "
                             "unused when M, C and K are symmetric, whose inner "
                             "solves run COCR; raise it when most inner solves "
                             "stop at --inner-maxit, as 30 does on some random "
                             "problems")
-    solve.add_argument("--inner-maxit", type=count(1), default=500,
+    solve.add_argument("--inner-maxit", type=count(1), default=SolverConfig.inner_maxit,
                        help="inner step budget per expansion solve")
-    solve.add_argument("--max-subspace", type=count(1), default=None,
+    solve.add_argument("--max-subspace", type=count(1), default=SolverConfig.max_subspace,
                        help="restart size and cap of the basis (default "
                             "min(n, max(20, 3*nev)) in exact mode, "
                             "min(n, max(120, 3*nev)) in inexact mode; only the "
                             "default doubles, up to min(n, max(120, 3*nev)), "
                             "when a restart cycle gains no residual digit); "
                             "not used in newton mode")
-    solve.add_argument("--seed", type=count(0), default=0,
+    solve.add_argument("--seed", type=count(0), default=SolverConfig.seed,
                        help="seed for the starting vector")
     solve.add_argument("--out-csv", metavar="PATH",
                        help="write per-iteration history as CSV")
@@ -321,15 +321,18 @@ def cmd_generate(args, parser):
 
 def cmd_solve(args, parser):
     p = build_problem(args, parser)
+    # the solver flags are named after the config fields they set
+    config = SolverConfig(**{f.name: getattr(args, f.name)
+                             for f in fields(SolverConfig) if hasattr(args, f.name)})
 
-    if args.mode == "newton":
-        if args.nev != 1:
+    if config.mode == "newton":
+        if config.nev != 1:
             parser.error("newton mode refines a single pair (--nev 1)")
-        if args.max_subspace is not None:
+        if config.max_subspace is not None:
             parser.error("argument --max-subspace: not allowed with --mode newton")
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(config.seed)
         x0 = rng.uniform(-1.0, 1.0, p.n) + 1j * rng.uniform(-1.0, 1.0, p.n)
-        nres = newton_solve(p, args.sigma, x0, tol=args.tol_outer)
+        nres = newton_solve(p, config.sigma, x0, tol=config.tol_outer)
         history, converged = nres.history, [nres.converged]
         code = EXIT_OK if nres.converged else EXIT_NO_CONVERGENCE
         print(f"newton: lam = {_fmt_complex(nres.lam)}  "
@@ -338,18 +341,6 @@ def cmd_solve(args, parser):
         summary = {"outer_iters": len(history) - 1}
         inner_solver = None
     else:
-        config = SolverConfig(
-            sigma=args.sigma,
-            nev=args.nev,
-            tol_outer=args.tol_outer,
-            tol_inner=args.tol_inner,
-            mode=args.mode,
-            extraction=args.extraction,
-            restart=args.restart,
-            inner_maxit=args.inner_maxit,
-            max_subspace=args.max_subspace,
-            seed=args.seed,
-        )
         try:
             result = outer_loop(p, config)
             code = EXIT_OK if all(result.converged) else EXIT_NO_CONVERGENCE
@@ -368,10 +359,10 @@ def cmd_solve(args, parser):
         print(f"stop = {result.stop_reason}, outer iterations = {len(history)}, "
               f"inner iterations = {result.cumulative_inner_iters}")
         summary = {
-            "extraction": args.extraction,
-            "nev": args.nev,
-            "tol_outer": args.tol_outer,
-            "tol_inner": args.tol_inner,
+            "extraction": config.extraction,
+            "nev": config.nev,
+            "tol_outer": config.tol_outer,
+            "tol_inner": config.tol_inner,
             "stop_reason": result.stop_reason,
             "outer_iters": len(history),
             "cumulative_inner_iters": result.cumulative_inner_iters,
@@ -383,22 +374,22 @@ def cmd_solve(args, parser):
         inner_solver = result.inner_solver
 
     if args.out_csv:
-        write_text(args.out_csv, "\n".join(history_csv_lines(history, args.nev)) + "\n")
+        write_text(args.out_csv, "\n".join(history_csv_lines(history, config.nev)) + "\n")
     if args.out_json:
         # the last record holds the reported pairs: the run's first nev,
         # or Newton's last iterate
         final = history[-1]
         write_json(args.out_json, {
-            "mode": args.mode,
+            "mode": config.mode,
             "problem_n": p.n,
             # inexact mode never factors Q
-            "factorization": None if args.mode == "inexact" else p.factorization,
+            "factorization": None if config.mode == "inexact" else p.factorization,
             # only inexact mode runs inner solves: "cocr" or "gmres"
             "inner_solver": inner_solver,
-            "sigma": args.sigma,
+            "sigma": config.sigma,
             "converged": converged,
-            "eigenvalues": final.ritz_values[:args.nev],
-            "relres": final.relres[:args.nev],
+            "eigenvalues": final.ritz_values[:config.nev],
+            "relres": final.relres[:config.nev],
             **summary,
             "wall_ms_total": float(sum(rec.wall_ms for rec in history)),
         })

@@ -178,7 +178,7 @@ class BoundStep:
     sin_target: float
 
 
-def run_angle_bound_check(p, sigma, max_steps=25, seed=0):
+def run_angle_bound_check(p, sigma, max_steps, seed=0):
     """Exact-mode run comparing each expansion angle to its spectral bound.
 
     Stops after ``max_steps`` records, once the target eigenvector is
@@ -263,7 +263,7 @@ def run_perturbation_trials(n=40, k=8, trials=100, seed=0):
 
     out = []
     for _ in range(trials):
-        basis = OrthonormalBasis(n)
+        basis = OrthonormalBasis(n, k)
         for _ in range(k):
             basis.append(rand_vec())
         u = rand_vec()

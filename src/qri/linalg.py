@@ -210,16 +210,17 @@ def project_out(V, x):
 
 
 class OrthonormalBasis:
-    """Growing orthonormal basis with reorthogonalized Gram-Schmidt appends.
+    """Orthonormal basis of at most ``capacity`` columns of length ``n``,
+    with reorthogonalized Gram-Schmidt appends.
 
-    Columns are stored in a preallocated block that doubles when full, so
+    Columns are stored in a block allocated once at the capacity, so
     appending is cheap.  The basis is the single writer of its storage;
     ``matrix`` returns a read-only view of the first ``k`` columns.
     """
 
-    def __init__(self, n, capacity=32):
+    def __init__(self, n, capacity):
         self.n = n
-        self._V = np.zeros((n, max(1, capacity)), dtype=complex)
+        self._V = np.zeros((n, capacity), dtype=complex)
         self.k = 0
 
     @property
@@ -269,11 +270,8 @@ class OrthonormalBasis:
 
     def append_orthonormal(self, v):
         """Append a column that is already orthonormal to the basis
-        (e.g. produced by :meth:`orthonormalize`)."""
-        if self.k == self._V.shape[1]:
-            grown = np.zeros((self.n, 2 * self._V.shape[1]), dtype=complex)
-            grown[:, : self.k] = self._V[:, : self.k]
-            self._V = grown
+        (e.g. produced by :meth:`orthonormalize`); at most ``capacity``
+        columns fit."""
         self._V[:, self.k] = v
         self.k += 1
 

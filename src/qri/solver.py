@@ -36,6 +36,7 @@ forms anyway, so extraction itself makes none.
 
 import itertools
 import math
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -74,8 +75,7 @@ from .qep import (
     shifted_matrix,
 )
 
-# the default restart size of inexact mode and the size up to which a
-# default restart size doubles
+# the default restart size of inexact mode and the default capacity
 DEFAULT_MAX_SUBSPACE = 120
 # the smallest default restart size of exact mode
 EXACT_RESTART_SIZE = 20
@@ -99,16 +99,24 @@ WARM_RTOL = 1e-12
 WARM_COLLAPSE_RTOL = 1e-8
 
 
+def _check_count(name, value, least, most=math.inf):
+    if not (isinstance(value, numbers.Integral) and least <= value <= most):
+        raise ValueError(
+            f"{name} must be an integer in [{least}, {most}], got {value!r}")
+
+
 @dataclass
 class SolverConfig:
-    """Everything that determines a solver run (given the problem).
+    """Everything that determines a solver run (given the problem), and
+    the one owner of its defaults.
 
-    ``max_subspace`` is the restart size of :func:`outer_loop` and, when
-    set, the largest basis it builds.  ``None`` resolves at run time to
-    ``min(n, max(20, 3 * nev))`` in exact mode and to
-    ``min(n, max(120, 3 * nev))`` in inexact mode, a restart size that may
-    double up to ``min(n, max(120, 3 * nev))``, so that a restart keeps
-    at least ``nev`` vectors.
+    :meth:`basis_sizes` sizes :func:`outer_loop`'s basis on a problem of
+    size ``n``: an explicit ``max_subspace`` is both the restart size and
+    the capacity of the basis.  Otherwise the restart size is
+    ``min(n, max(20, 3 * nev))`` in exact mode and
+    ``min(n, max(120, 3 * nev))`` in inexact mode, so that a restart keeps
+    at least ``nev`` vectors, and it may double up to the capacity
+    ``min(n, max(120, 3 * nev))``.
     ``initial_vector`` overrides the seeded random start when provided.
     ``tol_inner``, ``restart`` and ``inner_maxit`` are read only by
     :class:`KrylovExpansion`, inexact mode's inner solves: ``restart`` is
@@ -128,33 +136,39 @@ class SolverConfig:
     seed: int = 0
     initial_vector: np.ndarray | None = None
 
-    def validate(self, n=None):
+    def validate(self, n):
+        """Raise :class:`ValueError`, naming the field, unless the config
+        fits a problem of size ``n``."""
         check_shift(self.sigma, "sigma")
-        v1 = self.initial_vector
-        if v1 is not None and not np.isfinite(v1).all():
-            raise ValueError("initial_vector must be finite")
         if self.mode not in ("exact", "inexact"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.extraction not in ("ritz", "refined"):
             raise ValueError(f"unknown extraction {self.extraction!r}")
-        if not (0.0 < self.tol_outer < 1.0 and 0.0 < self.tol_inner < 1.0):
-            raise ValueError("tolerances must lie in (0, 1)")
-        if self.nev < 1:
-            raise ValueError("nev must be at least 1")
-        if self.restart < 1 or self.inner_maxit < 1:
-            raise ValueError("restart and inner_maxit must be positive")
-        if n is not None:
-            if self.nev > n:
-                raise ValueError(f"nev = {self.nev} exceeds problem size {n}")
-            cap = self.resolved_max_subspace(n)
-            if not (1 <= cap <= n):
-                raise ValueError(f"max_subspace must lie in [1, {n}]")
+        for name in ("tol_outer", "tol_inner"):
+            tol = getattr(self, name)
+            if not 0.0 < tol < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {tol!r}")
+        _check_count("nev", self.nev, 1, n)
+        _check_count("restart", self.restart, 1)
+        _check_count("inner_maxit", self.inner_maxit, 1)
+        _check_count("seed", self.seed, 0)
+        # the capacity, which an explicit max_subspace equals
+        _check_count("max_subspace", self.basis_sizes(n)[1], 1, n)
+        v1 = self.initial_vector
+        if v1 is not None and np.shape(v1) != (n,):
+            raise ValueError(
+                f"initial_vector must have shape ({n},), got {np.shape(v1)}")
+        if v1 is not None and not np.isfinite(v1).all():
+            raise ValueError("initial_vector must be finite")
 
-    def resolved_max_subspace(self, n):
+    def basis_sizes(self, n):
+        """``(restart_size, capacity)`` of the basis on a problem of size
+        ``n``, by the rule above."""
         if self.max_subspace is not None:
-            return self.max_subspace
+            return self.max_subspace, self.max_subspace
         smallest = EXACT_RESTART_SIZE if self.mode == "exact" else DEFAULT_MAX_SUBSPACE
-        return min(n, max(smallest, 3 * self.nev))
+        return (min(n, max(smallest, 3 * self.nev)),
+                min(n, max(DEFAULT_MAX_SUBSPACE, 3 * self.nev)))
 
 
 @dataclass
@@ -208,11 +222,12 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     :class:`ConvergenceRecord` per iterate, the start included
     (``subspace_dim=1``, ``ritz_values=[lam_k]``); ``converged`` is False
     when ``maxit`` ran out.  Raises :class:`ValueError` for a negative
-    ``maxit``, a ``tol`` outside (0, 1), a non-finite ``lam0`` or ``x0``
-    and, from the first step, for ``n`` above the dense cap when ``Q`` is
-    factored densely; :class:`Stagnation` when the update scalar vanishes and
-    :class:`SingularMatrix` when ``lam_k`` lands on an eigenvalue without
-    the residual being converged already.
+    ``maxit``, a ``tol`` outside (0, 1), a non-finite ``lam0``, an ``x0``
+    not finite or not of length ``n`` and, from the first step, for ``n``
+    above the dense cap when ``Q`` is factored densely; :class:`Stagnation`
+    when the update scalar vanishes and :class:`SingularMatrix` when
+    ``lam_k`` lands on an eigenvalue without the residual being converged
+    already.
     """
     t_step = time.perf_counter()
     if maxit < 0:
@@ -221,6 +236,8 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     lam = check_shift(lam0, "lam0")
     x0 = np.asarray(x0, dtype=complex)
+    if x0.shape != (p.n,):
+        raise ValueError(f"x0 must have shape ({p.n},), got {x0.shape}")
     if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
     e_idx = int(np.argmax(np.abs(x0)))
@@ -775,10 +792,8 @@ def outer_loop(p, config, observer=None):
     The record's ``warm_start`` and the result's ``full_eigensolves``
     tell the two apart.
 
-    Thick restart: when the basis reaches the restart size ``R``
-    (``config.resolved_max_subspace``: ``min(n, max(20, 3 nev))`` in
-    exact mode, ``min(n, max(120, 3 nev))`` in inexact mode, unless
-    ``max_subspace`` is set) with a target pair unconverged, the
+    Thick restart: when the basis reaches the restart size ``R`` (see
+    :meth:`SolverConfig.basis_sizes`) with a target pair unconverged, the
     :class:`ProjectionCache` is compressed by ``V <- V Z`` for the
     ``R // 2`` orthonormalized coordinate vectors of the target pairs and
     the next-nearest Ritz pairs, and the same iteration expands the
@@ -786,11 +801,11 @@ def outer_loop(p, config, observer=None):
     A restart is guarded by progress: the summed residual digits of the
     first ``nev`` pairs (each ``-log10 relres``, capped at
     ``-log10 tol_outer``) must have grown by at least one since the last
-    restart.  Otherwise a default ``R`` doubles, up to the basis capacity
-    ``min(n, max(120, 3 nev))``, while an explicit ``max_subspace`` is
-    itself the capacity.  A full basis at the capacity, a basis that spans
-    the whole space, or ``R // 2 < nev`` ends the run as exhausted.  Each restart gains a digit, so a run
-    makes at most ``nev * log10(1 / tol_outer)`` of them.
+    restart.  Otherwise ``R`` doubles, up to the basis capacity (which an
+    explicit ``max_subspace`` equals, so that it never grows).  A full
+    basis at the capacity, a basis that spans the whole space, or
+    ``R // 2 < nev`` ends the run as exhausted.  Each restart gains a
+    digit, so a run makes at most ``nev * log10(1 / tol_outer)`` of them.
 
     ``observer``, when given, is called with a :class:`StepView` before
     each basis extension; returning a truthy value stops the run
@@ -803,8 +818,9 @@ def outer_loop(p, config, observer=None):
     :class:`ProjectionCache` append and restart compression); the phases
     fall inside the records' ``wall_ms``.
 
-    Raises :class:`ValueError` before the first iteration when exact mode
-    must factor ``Q`` densely and ``n`` is above the dense cap,
+    Raises :class:`ValueError` before the first iteration for a config
+    that :meth:`SolverConfig.validate` rejects, or when exact mode must
+    factor ``Q`` densely and ``n`` is above the dense cap,
     :class:`SubspaceExhausted` (partial result attached) when the basis is
     exhausted as above, and :class:`BreakdownError` when no candidate
     residual can extend the basis.
@@ -814,12 +830,7 @@ def outer_loop(p, config, observer=None):
     n = p.n
     nev = config.nev
     sigma = complex(config.sigma)
-    restart_size = config.resolved_max_subspace(n)
-    # an explicit max_subspace caps the basis; a default one may double
-    if config.max_subspace is None:
-        capacity = min(n, max(DEFAULT_MAX_SUBSPACE, 3 * nev))
-    else:
-        capacity = restart_size
+    restart_size, capacity = config.basis_sizes(n)
     restart_digits = 0.0  # residual digits at the last restart
 
     phase = {"projection": 0.0, "small_solve": 0.0, "inner_solve": 0.0}
@@ -840,13 +851,13 @@ def outer_loop(p, config, observer=None):
 
     history = []
     stop_reason = None
+    projected = None  # the last small solve's, which a warm step refines
     warm_steps = 0  # warm small solves since the last full one
     while stop_reason is None:
         with _timed(phase, "small_solve"):
             warm = None
-            # k > WARM_MIN_K implies an earlier step left `projected`
             if (warm_steps < WARM_STEPS and WARM_MIN_K < basis.k < restart_size
-                    and len(projected) >= nev):
+                    and projected is not None and len(projected) >= nev):
                 tracked = projected.omegas[: nev + WARM_GUARD]
                 warm = warm_projected_qep(*proj.blocks, sigma, tracked)
             if warm is not None:

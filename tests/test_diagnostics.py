@@ -126,13 +126,15 @@ def test_resolvent_spot_check(p_wave2d4):
 
 
 def test_perturbation_trials():
-    trials = run_perturbation_trials(n=30, k=6, trials=10, seed=0)
-    assert len(trials) == 10
-    for t in trials:
-        assert t.eps_recovered == pytest.approx(t.eps, rel=1e-12)
-        assert t.eps_tilde >= 0.0
-        assert t.gap_scale <= 1e-12
-        assert t.gap_direction <= 1e-12
+    # k = 60 is past the 32 columns a basis once started with and grew from
+    for n, k in ((30, 6), (80, 60)):
+        trials = run_perturbation_trials(n=n, k=k, trials=10, seed=0)
+        assert len(trials) == 10
+        for t in trials:
+            assert t.eps_recovered == pytest.approx(t.eps, rel=1e-12)
+            assert t.eps_tilde >= 0.0
+            assert t.gap_scale <= 1e-12
+            assert t.gap_direction <= 1e-12
 
 
 def test_sandwich_trials_summary(p_wave2d4):

@@ -71,6 +71,8 @@ def test_newton_rejects_bad_start(p_example1):
             newton_solve(p_example1, lam0, x0)
     with pytest.raises(ValueError, match="x0"):
         newton_solve(p_example1, 0.9, [1.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match=r"x0 must have shape \(3,\), got \(4,\)"):
+        newton_solve(p_example1, 0.9, np.ones(4, dtype=complex))
     # at 0 or NaN no residual passes, and every step would run to maxit
     for tol in (0.0, 1.0, -1e-10, np.nan, np.inf):
         with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\), got"):
@@ -594,15 +596,22 @@ def test_default_restart_size_above_six_targets():
 def test_default_restart_size_keeps_nev_vectors():
     # a restart keeps R // 2 vectors, so the default R is at least 3 * nev
     # in both modes (up to n); inexact mode once stopped at min(n, 120),
-    # which left nev = 61 runs exhausted at k = 120 without a restart
+    # which left nev = 61 runs exhausted at k = 120 without a restart.  The
+    # capacity, up to which a default R doubles, is inexact mode's default
+    # R in both modes, and an explicit max_subspace is both sizes
     for mode, smallest in (("exact", 20), ("inexact", 120)):
-        for nev, n, expect in ((1, 1000, smallest), (6, 1000, smallest),
-                               (61, 1000, 183), (61, 132, 132), (61, 100, 100)):
+        for nev, n, expect, capacity in (
+                (1, 1000, smallest, 120), (6, 1000, smallest, 120),
+                (40, 1000, 120, 120), (41, 1000, 123, 123), (61, 1000, 183, 183),
+                (61, 132, 132, 132), (61, 100, 100, 100),
+                (6, 60, min(60, smallest), 60), (1, 15, 15, 15)):
             cfg = SolverConfig(sigma=PROBE, nev=nev, mode=mode)
-            assert cfg.resolved_max_subspace(n) == expect, (mode, nev, n)
-            assert cfg.resolved_max_subspace(n) // 2 >= nev or expect == n
-        assert SolverConfig(sigma=PROBE, nev=61, mode=mode,
-                            max_subspace=50).resolved_max_subspace(1000) == 50
+            assert cfg.basis_sizes(n) == (expect, capacity), (mode, nev, n)
+            assert expect // 2 >= nev or expect == n
+            cfg.validate(n)
+        for nev, n in ((1, 1000), (61, 1000), (1, 50)):
+            cfg = SolverConfig(sigma=PROBE, nev=nev, mode=mode, max_subspace=50)
+            assert cfg.basis_sizes(n) == (50, 50), (mode, nev, n)
 
 
 WAVE_SIGMA = -0.5 + 4j
@@ -663,6 +672,23 @@ def test_warm_values_match_full_eigensolve(monkeypatch):
     cold = outer_loop(p, cfg)
     assert cold.full_eigensolves == len(cold.history) == len(res.history)
     assert cold.cumulative_inner_iters == res.cumulative_inner_iters
+    for a, b in zip(res.eigenpairs, cold.eigenpairs):
+        assert abs(a.lam - b.lam) <= 1e-10 * abs(b.lam)
+
+
+def test_warm_steps_from_the_second_step(monkeypatch):
+    # with WARM_MIN_K = 0 the second step already refines the first
+    # step's values, and the first, which has none to refine, runs the full
+    # eigensolve; the run converges to a cold run's eigenvalues
+    p = wave2d(6)
+    cfg = SolverConfig(sigma=WAVE_SIGMA, nev=2, mode="inexact")
+    monkeypatch.setattr(solver, "WARM_MIN_K", p.n)
+    cold = outer_loop(p, cfg)
+    monkeypatch.setattr(solver, "WARM_MIN_K", 0)
+    res = outer_loop(p, cfg)
+    assert res.stop_reason == "converged" and all(res.converged)
+    assert [rec.warm_start for rec in res.history[:2]] == [False, True]
+    assert res.full_eigensolves < len(res.history)
     for a, b in zip(res.eigenpairs, cold.eigenpairs):
         assert abs(a.lam - b.lam) <= 1e-10 * abs(b.lam)
 
@@ -832,6 +858,17 @@ def test_config_validation(p_example1):
         ("sigma", SolverConfig(sigma=float("inf"))),
         ("sigma", SolverConfig(sigma=1e308 + 1e308j)),
         ("initial_vector", SolverConfig(sigma=0.9, initial_vector=[1.0, np.nan, 0.0])),
+        ("tol_outer", SolverConfig(sigma=0.9, tol_outer=np.nan)),
+        ("tol_inner", SolverConfig(sigma=0.9, tol_inner=1.0)),
+        # integer settings fail here too, instead of as a slice or a
+        # shape error after set-up
+        ("nev", SolverConfig(sigma=0.9, nev=2.5)),
+        ("max_subspace", SolverConfig(sigma=0.9, max_subspace=2.5)),
+        ("restart", SolverConfig(sigma=0.9, restart=2.5)),
+        ("inner_maxit", SolverConfig(sigma=0.9, inner_maxit=2.5)),
+        ("seed", SolverConfig(sigma=0.9, seed=-1)),
+        ("seed", SolverConfig(sigma=0.9, seed=1.0)),
+        ("initial_vector", SolverConfig(sigma=0.9, initial_vector=np.ones(4))),
     ]
     for field, cfg in named:
         with pytest.raises(ValueError, match=field):
