@@ -126,7 +126,7 @@ def test_resolvent_spot_check(p_wave2d4):
 
 
 def test_perturbation_trials():
-    # k = 60 is past the 32 columns a basis once started with and grew from
+    # a small subspace and one of most of the space, sized up front
     for n, k in ((30, 6), (80, 60)):
         trials = run_perturbation_trials(n=n, k=k, trials=10, seed=0)
         assert len(trials) == 10
