@@ -24,7 +24,7 @@ from .oracle import (
     resolvent_check,
     select_target_pair,
 )
-from .qep import shifted_matrix
+from .qep import check_count, check_fraction, check_shift, shifted_matrix
 from .solver import SolverConfig, outer_loop
 
 ISOLATION_TIE_RTOL = 1e-10
@@ -136,11 +136,12 @@ def run_angle_identity_check(p, sigma, steps, seed=0):
 
     against the oracle eigenvector ``x`` nearest ``sigma``, and
     accumulates the per-step factors whose product must reproduce the
-    final subspace angle.  Raises :class:`ValueError` unless
-    ``steps >= 1``.
+    final subspace angle.  Raises :class:`ValueError` unless ``sigma`` is
+    a finite shift and ``steps`` an integer in ``[1, n - 1]``: the run's
+    basis holds at most ``n`` vectors, ``steps + 1`` of them at the end.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
+    check_shift(sigma, "sigma")
+    check_count("steps", steps, 1, p.n - 1)
     x = full_eig(p, sigma).X[:, 0]
     records = []
 
@@ -153,10 +154,6 @@ def run_angle_identity_check(p, sigma, steps, seed=0):
         return len(records) >= steps
 
     _run_exact(p, sigma, seed, steps, observer, IDENTITY_TOL_OUTER)
-    if len(records) < steps:
-        raise RuntimeError(
-            f"run stopped after {len(records)} of {steps} expansion steps"
-        )
 
     product = records[0].sin_before
     for rec in records:
@@ -183,11 +180,10 @@ def run_angle_bound_check(p, sigma, max_steps, seed=0):
 
     Stops after ``max_steps`` records, once the target eigenvector is
     captured to ``BOUND_SIN_FLOOR`` or once the pair converges at
-    ``BOUND_TOL_OUTER``.  Raises :class:`ValueError` unless
-    ``max_steps >= 1``.
+    ``BOUND_TOL_OUTER``.  Raises :class:`ValueError` unless ``max_steps``
+    is an integer of at least 1.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    check_count("max_steps", max_steps, 1)
     d = full_eig(p, sigma)
     x1 = d.X[:, 0]
     records = []
@@ -214,9 +210,9 @@ class ResolventPoint:
 def run_resolvent_spot_check(p, sigma, n_points=3, seed=0):
     """Relative error of the rank-one expansion of ``Q(mu)^{-1}`` at
     ``n_points`` random probe points, ``RESOLVENT_MARGIN_RTOL`` away from
-    the spectrum.  Raises :class:`ValueError` unless ``n_points >= 1``."""
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points}")
+    the spectrum.  Raises :class:`ValueError` unless ``n_points`` is an
+    integer of at least 1."""
+    check_count("n_points", n_points, 1)
     d = full_eig(p, sigma)
     rng = np.random.default_rng(seed)
     centre = d.lams.mean()
@@ -248,13 +244,14 @@ def run_perturbation_trials(n=40, k=8, trials=100, seed=0):
     Each trial draws a ``k``-dimensional orthonormal subspace of ``C^n``,
     an exact vector ``u``, and a perturbation
     ``utilde = u + eps * norm(u) * f`` with ``eps`` log-uniform over
-    ``PERTURBATION_EPS_RANGE``, then measures both identity gaps.  Raises :class:`ValueError` unless
-    ``trials >= 1`` and ``k >= 0``.
+    ``PERTURBATION_EPS_RANGE``, then measures both identity gaps.  Raises
+    :class:`ValueError` unless ``n``, ``k`` and ``trials`` are integers
+    with ``0 <= k <= n - 1`` and ``trials >= 1``: a subspace of all of
+    ``C^n`` leaves no direction to expand in.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if k < 0:
-        raise ValueError(f"k must be at least 0, got {k}")
+    check_count("n", n, 1)
+    check_count("k", k, 0, n - 1)
+    check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     lo, hi = np.log10(PERTURBATION_EPS_RANGE[0]), np.log10(PERTURBATION_EPS_RANGE[1])
 
@@ -310,13 +307,11 @@ def run_sandwich_trials(p, sigma=None, ratio=0.01, trials=100, gmres_tol=1e-2, s
     ``SANDWICH_MAXIT``), then records whether the tangent ordering holds.
     Violations are counted only among trials where the hypothesis (exact
     direction strictly closer than the error direction) holds.  Raises
-    :class:`ValueError` unless ``trials >= 1``, ``0 < gmres_tol < 1`` and
-    ``0 < ratio < inf``.
+    :class:`ValueError` unless ``trials`` is an integer of at least 1,
+    ``0 < gmres_tol < 1`` and ``0 < ratio < inf``.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if not 0.0 < gmres_tol < 1.0:
-        raise ValueError(f"gmres_tol must lie in (0, 1), got {gmres_tol}")
+    check_count("trials", trials, 1)
+    check_fraction("gmres_tol", gmres_tol)
     if not 0.0 < ratio < np.inf:
         raise ValueError(f"ratio must be positive and finite, got {ratio}")
     if sigma is None:

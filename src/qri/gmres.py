@@ -67,6 +67,7 @@ import scipy.linalg as sla
 from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdotu, zgemm, zscal
 
 from .errors import ZeroVector
+from .qep import check_count, check_fraction
 
 HAPPY_BREAKDOWN_RTOL = 1e-14
 # recycled harmonic Ritz vectors, at most restart // 2 so that half of
@@ -131,10 +132,10 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
     tol : float
         Target relative residual ``norm(b - A x) / norm(b)``, in (0, 1).
     restart : int
-        Krylov vectors per GMRES cycle, recycled ones included; unused by
-        COCR.
+        Krylov vectors per GMRES cycle, recycled ones included, at least
+        1; unused by COCR but checked all the same.
     maxit : int
-        Cap on the total number of steps (products with ``A`` past the
+        At least 1: cap on the total number of steps (products with ``A`` past the
         residual checks) across all cycles.  On hitting it the best
         iterate seen so far is returned with ``converged=False``; no
         exception is raised.
@@ -159,10 +160,9 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
     nb = np.linalg.norm(b)
     if nb == 0.0:
         raise ZeroVector("gmres needs a nonzero right-hand side")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if restart < 1 or maxit < 1:
-        raise ValueError("restart and maxit must be positive")
+    check_fraction("tol", tol)
+    check_count("restart", restart, 1)
+    check_count("maxit", maxit, 1)
     if symmetric and recycle is not None:
         raise ValueError("COCR (symmetric=True) takes no recycle space")
     if recycle is None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .qep import QepProblem
+from .qep import QepProblem, check_count
 
 
 def example1():
@@ -41,8 +41,7 @@ def wave2d(m, zeta=1.0):
     nonsingular, ``C`` has rank ``m - 1``, and ``zeta`` is the (possibly
     complex) impedance parameter.
     """
-    if m < 2:
-        raise ValueError("need m >= 2")
+    check_count("m", m, 2)
     if zeta == 0 or not np.isfinite(zeta):
         raise ValueError(f"zeta must be finite and nonzero, got {zeta}")
     h = 1.0 / m
@@ -72,20 +71,15 @@ def wave2d(m, zeta=1.0):
 
 @dataclass
 class SpringMaxwellParams:
-    """Parameters for :func:`spring_maxwell`.
-
-    Coefficients left as ``None`` are drawn log-uniformly from
-    ``[1e-1, 1e1]`` using ``seed``.
+    """Size and seed of a :func:`spring_maxwell` problem: ``element_count``
+    elements per chain (at least 1), ``chain_count`` damped chains (at
+    least 1) and the ``seed`` (at least 0) from which the generator draws
+    every coefficient.
     """
 
     element_count: int
     chain_count: int
     seed: int = 0
-    rho: float | None = None
-    alpha_rho: float | None = None
-    eta: np.ndarray | None = None
-    xi: np.ndarray | None = None
-    e: np.ndarray | None = None
 
 
 def _log_uniform(rng, size=None):
@@ -119,23 +113,16 @@ def spring_maxwell(params):
       its diagonal and ``-xi`` in its first row and column, coupling the
       first block to every chain; ``K`` is exactly symmetric.
 
-    Block size is ``element_count``; total dimension is
+    The coefficients ``rho``, ``alpha_rho``, ``eta``, ``xi`` and ``e``
+    are drawn in that order, log-uniformly from ``[1e-1, 1e1]``, from
+    ``params.seed``.  Block size is ``element_count``; total dimension is
     ``element_count * (chain_count + 1)``.
     """
-    p_el = params.element_count
-    m = params.chain_count
-    if p_el < 1 or m < 1:
-        raise ValueError("need element_count >= 1 and chain_count >= 1")
-    rng = np.random.default_rng(params.seed)
-    rho = params.rho if params.rho is not None else _log_uniform(rng)
-    alpha_rho = params.alpha_rho if params.alpha_rho is not None else _log_uniform(rng)
-    eta = np.asarray(params.eta if params.eta is not None else _log_uniform(rng, m))
-    xi = np.asarray(params.xi if params.xi is not None else _log_uniform(rng, m))
-    e = np.asarray(params.e if params.e is not None else _log_uniform(rng, m))
-    if not (eta.shape == xi.shape == e.shape == (m,)):
-        raise ValueError("eta, xi, e must each have chain_count entries")
-    if min(rho, alpha_rho, eta.min(), xi.min(), e.min()) <= 0:
-        raise ValueError("all coefficients must be positive")
+    p_el = check_count("element_count", params.element_count, 1)
+    m = check_count("chain_count", params.chain_count, 1)
+    rng = np.random.default_rng(check_count("seed", params.seed, 0))
+    rho, alpha_rho = _log_uniform(rng), _log_uniform(rng)
+    eta, xi, e = (_log_uniform(rng, m) for _ in range(3))
 
     stiff, mass = _chain_matrices(p_el)
     arrow = np.diag(np.r_[alpha_rho, e])
@@ -155,11 +142,10 @@ def random_qep(n, density=0.05, seed=0):
     is the fill fraction of each random part.  Useful for property
     tests.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_count("n", n, 1)
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
 
     def sparse_random():
         nnz = max(n, int(round(density * n * n)))

@@ -16,6 +16,8 @@ pencil is never formed: eliminating its identity block row turns a
 solve with ``A - sigma B`` into one with ``Q(sigma)`` (:func:`shift_invert`).
 """
 
+import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -185,6 +187,40 @@ def check_shift(value, name):
             f"shift {name} must be finite with a finite square, got {shift}"
         )
     return shift
+
+
+def check_count(name, value, least, most=math.inf):
+    """``value`` unchanged; raises a :class:`ValueError` naming ``name``
+    unless it is an integer in ``[least, most]``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
+    return value
+
+
+def check_fraction(name, value):
+    """``value`` unchanged; raises a :class:`ValueError` naming ``name``
+    unless it is a real number in the open interval (0, 1), which NaN is
+    not."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    return value
+
+
+def check_vector(name, x, n):
+    """``x`` as a complex array; raises a :class:`ValueError` naming
+    ``name`` unless it has shape ``(n,)`` and is finite and nonzero."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    if not x.any():
+        raise ValueError(f"{name} must be nonzero")
+    return x
 
 
 def q_apply(p, lam, x):

@@ -36,7 +36,6 @@ forms anyway, so extraction itself makes none.
 
 import itertools
 import math
-import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -64,7 +63,10 @@ from .linalg import (
 )
 from .qep import (
     Eigentriplet,
+    check_count,
+    check_fraction,
     check_shift,
+    check_vector,
     factor_q,
     finite_order,
     q_apply,
@@ -97,12 +99,6 @@ WARM_GUARD = 2
 WARM_MAXIT = 8
 WARM_RTOL = 1e-12
 WARM_COLLAPSE_RTOL = 1e-8
-
-
-def _check_count(name, value, least, most=math.inf):
-    if not (isinstance(value, numbers.Integral) and least <= value <= most):
-        raise ValueError(
-            f"{name} must be an integer in [{least}, {most}], got {value!r}")
 
 
 @dataclass
@@ -144,22 +140,16 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.extraction not in ("ritz", "refined"):
             raise ValueError(f"unknown extraction {self.extraction!r}")
-        for name in ("tol_outer", "tol_inner"):
-            tol = getattr(self, name)
-            if not 0.0 < tol < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {tol!r}")
-        _check_count("nev", self.nev, 1, n)
-        _check_count("restart", self.restart, 1)
-        _check_count("inner_maxit", self.inner_maxit, 1)
-        _check_count("seed", self.seed, 0)
+        check_fraction("tol_outer", self.tol_outer)
+        check_fraction("tol_inner", self.tol_inner)
+        check_count("nev", self.nev, 1, n)
+        check_count("restart", self.restart, 1)
+        check_count("inner_maxit", self.inner_maxit, 1)
+        check_count("seed", self.seed, 0)
         # the capacity, which an explicit max_subspace equals
-        _check_count("max_subspace", self.basis_sizes(n)[1], 1, n)
-        v1 = self.initial_vector
-        if v1 is not None and np.shape(v1) != (n,):
-            raise ValueError(
-                f"initial_vector must have shape ({n},), got {np.shape(v1)}")
-        if v1 is not None and not np.isfinite(v1).all():
-            raise ValueError("initial_vector must be finite")
+        check_count("max_subspace", self.basis_sizes(n)[1], 1, n)
+        if self.initial_vector is not None:
+            check_vector("initial_vector", self.initial_vector, n)
 
     def basis_sizes(self, n):
         """``(restart_size, capacity)`` of the basis on a problem of size
@@ -221,28 +211,20 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     Returns a :class:`NewtonResult` whose ``history`` holds one
     :class:`ConvergenceRecord` per iterate, the start included
     (``subspace_dim=1``, ``ritz_values=[lam_k]``); ``converged`` is False
-    when ``maxit`` ran out.  Raises :class:`ValueError` for a negative
-    ``maxit``, a ``tol`` outside (0, 1), a non-finite ``lam0``, an ``x0``
-    not finite or not of length ``n`` and, from the first step, for ``n``
-    above the dense cap when ``Q`` is factored densely; :class:`Stagnation`
-    when the update scalar vanishes and :class:`SingularMatrix` when
-    ``lam_k`` lands on an eigenvalue without the residual being converged
-    already.
+    when ``maxit`` ran out.  Raises :class:`ValueError` for a ``maxit``
+    that is not an integer of at least 0, a ``tol`` outside (0, 1), a
+    non-finite ``lam0``, an ``x0`` not finite, zero or not of length ``n``
+    and, from the first step, for ``n`` above the dense cap when ``Q`` is
+    factored densely; :class:`Stagnation` when the update scalar vanishes
+    and :class:`SingularMatrix` when ``lam_k`` lands on an eigenvalue
+    without the residual being converged already.
     """
     t_step = time.perf_counter()
-    if maxit < 0:
-        raise ValueError(f"maxit must be at least 0, got {maxit}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    check_count("maxit", maxit, 0)
+    check_fraction("tol", tol)
     lam = check_shift(lam0, "lam0")
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != (p.n,):
-        raise ValueError(f"x0 must have shape ({p.n},), got {x0.shape}")
-    if not np.isfinite(x0).all():
-        raise ValueError("x0 must be finite")
+    x0 = check_vector("x0", x0, p.n)
     e_idx = int(np.argmax(np.abs(x0)))
-    if x0[e_idx] == 0.0:
-        raise ValueError("x0 must be nonzero")
     x = x0 / x0[e_idx]
 
     history = []

@@ -290,6 +290,16 @@ def test_diagnose_angle_checks_reject_step_count(check, steps, capsys):
     assert f"--steps: must be at least 1, got {steps}" in capsys.readouterr().err
 
 
+def test_diagnose_angle_identity_rejects_steps_past_n(capsys):
+    # wave2d(4) has n = 12, so at most 11 steps fit the run's basis; the
+    # default --steps 15 used to end in a RuntimeError traceback, exit 1
+    argv = ("diagnose", "--check", "angle-identity", "--gen", "wave2d", "--m", "4",
+            "--sigma", PROBE)
+    assert run_cli(*argv) == 4
+    assert "steps must be at most 11, got 15" in capsys.readouterr().err
+    assert run_cli(*argv, "--steps", "11") == 0
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

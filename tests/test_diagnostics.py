@@ -31,12 +31,15 @@ def test_pick_isolated_index_rounding_tie():
     assert pick_isolated_index(lams[::-1]) == 0
 
 
-@pytest.mark.parametrize("steps", [0, -1])
+@pytest.mark.parametrize("steps", [0, -1, 2.5])
 def test_angle_checks_reject_step_count(steps):
+    # named before the oracle's eigendecomposition; a float step count
+    # used to reach the bound's run as max_subspace = 3.5
     p = wave2d(4)
-    with pytest.raises(ValueError, match="steps must be at least 1"):
+    rule = "must be an integer, got 2.5" if steps == 2.5 else "must be at least 1"
+    with pytest.raises(ValueError, match="steps " + rule):
         run_angle_identity_check(p, PROBE, steps=steps)
-    with pytest.raises(ValueError, match="max_steps must be at least 1"):
+    with pytest.raises(ValueError, match="max_steps " + rule):
         run_angle_bound_check(p, PROBE, max_steps=steps)
 
 
@@ -50,6 +53,22 @@ def test_trial_drivers_reject_counts():
         run_perturbation_trials(k=-1, trials=2)
     with pytest.raises(ValueError, match="trials must be at least 1, got -1"):
         run_sandwich_trials(p, trials=-1)
+    # non-integer counts are named too: n_points = 2.5 used to return 3
+    # points, and trials = 2.5 failed as a TypeError after the sandwich
+    # trials' eigendecompositions
+    with pytest.raises(ValueError, match="n_points must be an integer, got 2.5"):
+        run_resolvent_spot_check(p, PROBE, n_points=2.5)
+    with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
+        run_perturbation_trials(trials=2.5)
+    with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
+        run_sandwich_trials(p, trials=2.5)
+    # a subspace of all of C^n leaves nothing to expand: k = n used to
+    # fail as HypothesisViolated, k > n as Breakdown
+    for k in (5, 10):
+        with pytest.raises(ValueError, match=f"k must be at most 4, got {k}"):
+            run_perturbation_trials(n=5, k=k, trials=2)
+    with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+        run_perturbation_trials(k=2.5, trials=2)
     # checked before any eigendecomposition: at 5 the inexact solve
     # returned zero and failed in the angle, at 0 every trial ran to the
     # step budget, and a NaN ratio failed in the shift placement
@@ -96,7 +115,9 @@ def test_angle_identity_driver(p_wave2d4):
 
 
 def test_angle_identity_step_count_guard(p_example1):
-    with pytest.raises(RuntimeError):
+    # the run's basis holds at most n = 3 vectors, so at most 2 expansion
+    # steps can be checked; more are refused by name before the run
+    with pytest.raises(ValueError, match="steps must be at most 2, got 25"):
         run_angle_identity_check(p_example1, 0.9, steps=25, seed=0)
 
 

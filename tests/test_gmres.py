@@ -260,6 +260,10 @@ def test_bad_parameters_raise():
         gmres(lambda v: v, b, restart=0)
     with pytest.raises(ValueError):
         gmres(lambda v: v, b, maxit=0)
+    # a float count is named instead of failing as a TypeError in numpy
+    for name in ("restart", "maxit"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
+            gmres(lambda v: v, b, **{name: 2.5})
     # a tol outside (0, 1) is refused by name before any step; with an
     # exact first step, NaN used to restart GMRES from a zero residual
     for symmetric in (False, True):

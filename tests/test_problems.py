@@ -67,6 +67,8 @@ def test_wave2d_mass_nonsingular():
 def test_wave2d_validation():
     with pytest.raises(ValueError):
         wave2d(1)
+    with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+        wave2d(2.5)
     for zeta in (0.0, np.nan, np.inf, complex(np.nan, 1.0)):
         with pytest.raises(ValueError, match="zeta"):
             wave2d(4, zeta=zeta)
@@ -117,28 +119,26 @@ def test_spring_maxwell_deterministic():
 
 
 def test_spring_maxwell_explicit_parameters():
-    params = SpringMaxwellParams(
-        element_count=3,
-        chain_count=2,
-        rho=2.0,
-        alpha_rho=1.0,
-        eta=[0.5, 0.25],
-        xi=[1.5, 2.5],
-        e=[1.0, 2.0],
-    )
-    p = spring_maxwell(params)
+    # the coefficients the generator draws from the seed, in its order:
+    # rho, alpha_rho, then eta, xi and e with one entry per chain, each
+    # log-uniform on [1e-1, 1e1]
+    rng = np.random.default_rng(7)
+    rho = 10.0 ** rng.uniform(-1.0, 1.0)
+    alpha_rho = 10.0 ** rng.uniform(-1.0, 1.0)
+    eta, xi, e = (10.0 ** rng.uniform(-1.0, 1.0, 2) for _ in range(3))
+    p = spring_maxwell(SpringMaxwellParams(element_count=3, chain_count=2, seed=7))
     assert p.n == 9
     assert (p.K != p.K.T).nnz == 0
     # every 3 x 3 block against its coefficient times one chain block
     stiff, mass = (A.toarray() for A in _chain_matrices(3))
     zero = np.zeros((3, 3))
     expected = {
-        "M": [[2.0 * mass, zero, zero], [zero, zero, zero], [zero, zero, zero]],
-        "C": [[zero, zero, zero], [zero, 0.5 * stiff, zero],
-              [zero, zero, 0.25 * stiff]],
-        "K": [[1.0 * stiff, -1.5 * stiff, -2.5 * stiff],
-              [-1.5 * stiff, 1.0 * stiff, zero],
-              [-2.5 * stiff, zero, 2.0 * stiff]],
+        "M": [[rho * mass, zero, zero], [zero, zero, zero], [zero, zero, zero]],
+        "C": [[zero, zero, zero], [zero, eta[0] * stiff, zero],
+              [zero, zero, eta[1] * stiff]],
+        "K": [[alpha_rho * stiff, -xi[0] * stiff, -xi[1] * stiff],
+              [-xi[0] * stiff, e[0] * stiff, zero],
+              [-xi[1] * stiff, zero, e[1] * stiff]],
     }
     for name, blocks in expected.items():
         actual = getattr(p, name).toarray()
@@ -148,6 +148,16 @@ def test_spring_maxwell_explicit_parameters():
                     actual[3 * i:3 * i + 3, 3 * j:3 * j + 3], blocks[i][j],
                     rtol=1e-14, atol=0.0, err_msg=f"{name} block ({i}, {j})",
                 )
+
+
+def test_spring_maxwell_validation():
+    # counts and the seed are named instead of failing as a TypeError in
+    # numpy or as numpy's seed error
+    for args, message in (((2.5, 3), "element_count must be an integer, got 2.5"),
+                          ((3, 0), "chain_count must be at least 1, got 0"),
+                          ((3, 2, -1), "seed must be at least 0, got -1")):
+        with pytest.raises(ValueError, match=message):
+            spring_maxwell(SpringMaxwellParams(*args))
 
 
 def test_random_qep_deterministic():
@@ -171,6 +181,11 @@ def test_random_qep_validation():
     for density in (np.nan, -3.0, 0.0, 1.5, np.inf):
         with pytest.raises(ValueError, match="density"):
             random_qep(10, density=density)
+    # counts are named before numpy sees them
+    with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+        random_qep(2.5)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        random_qep(10, seed=-1)
 
 
 def test_random_qep_scalar_roots():

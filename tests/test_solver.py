@@ -73,6 +73,10 @@ def test_newton_rejects_bad_start(p_example1):
         newton_solve(p_example1, 0.9, [1.0, np.nan, 0.0])
     with pytest.raises(ValueError, match=r"x0 must have shape \(3,\), got \(4,\)"):
         newton_solve(p_example1, 0.9, np.ones(4, dtype=complex))
+    with pytest.raises(ValueError, match="x0 must be nonzero"):
+        newton_solve(p_example1, 0.9, np.zeros(3))
+    with pytest.raises(ValueError, match="maxit must be an integer, got 2.5"):
+        newton_solve(p_example1, 0.9, x0, maxit=2.5)
     # at 0 or NaN no residual passes, and every step would run to maxit
     for tol in (0.0, 1.0, -1e-10, np.nan, np.inf):
         with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\), got"):
@@ -869,6 +873,9 @@ def test_config_validation(p_example1):
         ("seed", SolverConfig(sigma=0.9, seed=-1)),
         ("seed", SolverConfig(sigma=0.9, seed=1.0)),
         ("initial_vector", SolverConfig(sigma=0.9, initial_vector=np.ones(4))),
+        # a zero start used to fail as ZeroVector inside the run
+        ("initial_vector must be nonzero",
+         SolverConfig(sigma=0.9, initial_vector=np.zeros(3))),
     ]
     for field, cfg in named:
         with pytest.raises(ValueError, match=field):
