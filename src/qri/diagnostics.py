@@ -211,10 +211,10 @@ def run_resolvent_spot_check(p, sigma, n_points=3, seed=0):
     """Relative error of the rank-one expansion of ``Q(mu)^{-1}`` at
     ``n_points`` random probe points, ``RESOLVENT_MARGIN_RTOL`` away from
     the spectrum.  Raises :class:`ValueError` unless ``n_points`` is an
-    integer of at least 1."""
+    integer of at least 1 and ``seed`` one of at least 0."""
     check_count("n_points", n_points, 1)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     d = full_eig(p, sigma)
-    rng = np.random.default_rng(seed)
     centre = d.lams.mean()
     radius = 2.0 * max(np.abs(d.lams - centre).max(), 1.0)
     margin = RESOLVENT_MARGIN_RTOL * radius
@@ -245,14 +245,14 @@ def run_perturbation_trials(n=40, k=8, trials=100, seed=0):
     an exact vector ``u``, and a perturbation
     ``utilde = u + eps * norm(u) * f`` with ``eps`` log-uniform over
     ``PERTURBATION_EPS_RANGE``, then measures both identity gaps.  Raises
-    :class:`ValueError` unless ``n``, ``k`` and ``trials`` are integers
-    with ``0 <= k <= n - 1`` and ``trials >= 1``: a subspace of all of
-    ``C^n`` leaves no direction to expand in.
+    :class:`ValueError` unless ``n``, ``k``, ``trials`` and ``seed`` are
+    integers with ``0 <= k <= n - 1``, ``trials >= 1`` and ``seed >= 0``:
+    a subspace of all of ``C^n`` leaves no direction to expand in.
     """
     check_count("n", n, 1)
     check_count("k", k, 0, n - 1)
     check_count("trials", trials, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     lo, hi = np.log10(PERTURBATION_EPS_RANGE[0]), np.log10(PERTURBATION_EPS_RANGE[1])
 
     def rand_vec():
@@ -308,9 +308,11 @@ def run_sandwich_trials(p, sigma=None, ratio=0.01, trials=100, gmres_tol=1e-2, s
     Violations are counted only among trials where the hypothesis (exact
     direction strictly closer than the error direction) holds.  Raises
     :class:`ValueError` unless ``trials`` is an integer of at least 1,
-    ``0 < gmres_tol < 1`` and ``0 < ratio < inf``.
+    ``seed`` one of at least 0, ``0 < gmres_tol < 1`` and
+    ``0 < ratio < inf``.
     """
     check_count("trials", trials, 1)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     check_fraction("gmres_tol", gmres_tol)
     if not 0.0 < ratio < np.inf:
         raise ValueError(f"ratio must be positive and finite, got {ratio}")
@@ -325,7 +327,6 @@ def run_sandwich_trials(p, sigma=None, ratio=0.01, trials=100, gmres_tol=1e-2, s
 
     op_matrix = shifted_matrix(p, sigma)
     exact = d.shifted_solver(sigma)
-    rng = np.random.default_rng(seed)
 
     results = []
     for _ in range(trials):

@@ -69,6 +69,14 @@ def test_trial_drivers_reject_counts():
             run_perturbation_trials(n=5, k=k, trials=2)
     with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
         run_perturbation_trials(k=2.5, trials=2)
+    # a negative seed is named instead of failing in numpy, and before
+    # the resolvent's and the sandwich's eigendecompositions
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        run_resolvent_spot_check(p, PROBE, seed=-1)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        run_perturbation_trials(trials=2, seed=-1)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        run_sandwich_trials(p, trials=2, seed=-1)
     # checked before any eigendecomposition: at 5 the inexact solve
     # returned zero and failed in the angle, at 0 every trial ran to the
     # step budget, and a NaN ratio failed in the shift placement
