@@ -221,8 +221,8 @@ def build_parser():
                       help="target distance ratio for auto-placed shift (sandwich)")
     diag.add_argument("--gmres-tol", type=bounded(1.0), default=1e-2,
                       help="inexact solve tolerance (sandwich)")
-    diag.add_argument("--subspace-dim", type=count(1), default=8,
-                      help="subspace dimension (perturbation)")
+    diag.add_argument("--subspace-dim", type=count(1),
+                      help="subspace dimension (perturbation; default min(8, n - 2))")
     diag.add_argument("--seed", type=count(0), default=0)
     diag.add_argument("--out-json", metavar="PATH",
                       help="write check results as JSON")
@@ -330,9 +330,7 @@ def cmd_solve(args, parser):
             parser.error("newton mode refines a single pair (--nev 1)")
         if config.max_subspace is not None:
             parser.error("argument --max-subspace: not allowed with --mode newton")
-        rng = np.random.default_rng(config.seed)
-        x0 = rng.uniform(-1.0, 1.0, p.n) + 1j * rng.uniform(-1.0, 1.0, p.n)
-        nres = newton_solve(p, config.sigma, x0, tol=config.tol_outer)
+        nres = newton_solve(p, config.sigma, config.start_vector(p.n), tol=config.tol_outer)
         history, converged = nres.history, [nres.converged]
         code = EXIT_OK if nres.converged else EXIT_NO_CONVERGENCE
         print(f"newton: lam = {_fmt_complex(nres.lam)}  "
@@ -437,7 +435,9 @@ def cmd_diagnose(args, parser):
 
     elif args.check == "perturbation":
         n = p.n if p is not None else 40
-        k = min(args.subspace_dim, max(1, n - 2))
+        k = args.subspace_dim or min(8, max(1, n - 2))
+        if k > n - 1:
+            parser.error(f"argument --subspace-dim: must be at most {n - 1}, got {k}")
         trials = run_perturbation_trials(
             n=n, k=k, trials=args.trials, seed=args.seed
         )

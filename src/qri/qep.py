@@ -49,14 +49,15 @@ def dense_cap():
     :attr:`QepProblem.factorization` is ``"dense"`` (``Q`` at a shift,
     order n) and the oracle's shift-inverted companion matrix (order
     2n); a sparse factorization of ``Q`` has no cap.  Overridable through the
-    ``QRI_DENSE_CAP`` environment variable; the guard exists so that
-    dense paths are not silently applied to problems that are too large
-    for them.
+    ``QRI_DENSE_CAP`` environment variable, which must be an integer of at
+    least 1 (:class:`ValueError` naming it otherwise); the guard exists so
+    that dense paths are not silently applied to problems that are too
+    large for them.
     """
-    value = os.environ.get("QRI_DENSE_CAP", "")
-    if value:
-        return int(value)
-    return DEFAULT_DENSE_CAP
+    value = os.environ.get("QRI_DENSE_CAP", "").strip() or str(DEFAULT_DENSE_CAP)
+    if value.removeprefix("-").isdecimal():
+        value = int(value)
+    return check_count("QRI_DENSE_CAP", value, 1)
 
 
 def _as_canonical_csr(A):

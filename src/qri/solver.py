@@ -25,10 +25,10 @@ than polluting the targets.  Above ``WARM_MIN_K`` columns, most steps
 skip that order-2k eigensolve: they refine the previous step's first
 values on the grown ``Q_k`` by Newton (:func:`warm_projected_qep`), and
 the full eigensolve still runs on a fixed schedule, at every restart and
-before convergence is declared (:func:`outer_loop`).  A coordinate
-vector is the null vector of ``Q_k(omega)``, found by inverse iteration
-only where the loop reads it (:class:`ProjectedSolve`).  Refined extraction
-instead minimizes ``norm(Q(omega) V z)`` through the small triangular
+before convergence is declared (:func:`outer_loop`, :func:`_small_solve`).
+A coordinate vector is the null vector of ``Q_k(omega)``, found by
+inverse iteration only where the loop reads it (:class:`ProjectedSolve`).
+Refined extraction instead minimizes ``norm(Q(omega) V z)`` through the small triangular
 factor of ``[M V, C V, K V]`` (:class:`ResidualFactor`) that the
 :class:`ProjectionCache` keeps up to date from the sparse products it
 forms anyway, so extraction itself makes none.
@@ -113,7 +113,8 @@ class SolverConfig:
     ``min(n, max(120, 3 * nev))`` in inexact mode, so that a restart keeps
     at least ``nev`` vectors, and it may double up to the capacity
     ``min(n, max(120, 3 * nev))``.
-    ``initial_vector`` overrides the seeded random start when provided.
+    ``initial_vector`` overrides the seeded random start
+    (:meth:`start_vector`).
     ``tol_inner``, ``restart`` and ``inner_maxit`` are read only by
     :class:`KrylovExpansion`, inexact mode's inner solves: ``restart`` is
     the GMRES cycle length, recycled vectors included, and is unused when
@@ -150,6 +151,15 @@ class SolverConfig:
         check_count("max_subspace", self.basis_sizes(n)[1], 1, n)
         if self.initial_vector is not None:
             check_vector("initial_vector", self.initial_vector, n)
+
+    def start_vector(self, n):
+        """``initial_vector`` if set, else the seeded random start of
+        length ``n``: real and imaginary parts uniform on (-1, 1), drawn
+        from ``default_rng(seed)``."""
+        if self.initial_vector is not None:
+            return np.asarray(self.initial_vector, dtype=complex)
+        rng = np.random.default_rng(self.seed)
+        return rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
 
     def basis_sizes(self, n):
         """``(restart_size, capacity)`` of the basis on a problem of size
@@ -613,11 +623,51 @@ def select_expansion_residual(pairs, nev):
     return 0
 
 
-def _residual_digits(pairs, nev, tol_outer):
-    """Progress of the first ``nev`` pairs: the sum of their residual
-    digits ``-log10 relres``, each capped at ``-log10 tol_outer`` and
-    clipped at 0; a missing pair counts 0."""
-    return sum(max(0.0, -math.log10(max(pr.relres, tol_outer))) for pr in pairs[:nev])
+def _small_solve(p, proj, config, last, warm):
+    """The step's projected solve and its first ``nev`` pairs, as
+    ``(projected, pairs, warm)``.
+
+    With ``warm`` set, :func:`warm_projected_qep` refines the first
+    ``nev + WARM_GUARD`` values of ``last`` (the previous step's solve) on
+    the grown blocks.  A failed refinement, or warm pairs that would all
+    pass ``tol_outer``, run the full companion eigensolve
+    (:func:`solve_projected_qep`) instead, so that convergence is declared
+    on a full one.  The returned ``warm`` says whether the warm result was
+    kept.
+    """
+    sigma = complex(config.sigma)
+    if warm:
+        projected = warm_projected_qep(*proj.blocks, sigma,
+                                       last.omegas[: config.nev + WARM_GUARD])
+        if projected is not None:
+            pairs = _extract_pairs(p, proj, projected, config.nev, config.tol_outer)
+            if select_expansion_residual(pairs, config.nev) is not None:
+                return projected, pairs, True
+    projected = solve_projected_qep(*proj.blocks, sigma)
+    pairs = _extract_pairs(p, proj, projected, config.nev, config.tol_outer)
+    return projected, pairs, False
+
+
+def _restart_rule(relres, digits, nev, tol_outer, k, n, restart_size, capacity):
+    """What a basis of ``k >= restart_size`` columns does next, from the
+    residuals ``relres`` of the extracted pairs and ``digits``, their
+    progress at the last restart: ``(action, digits to keep)``.
+
+    Progress is the sum of the first ``nev`` residual digits
+    ``-log10 relres``, each capped at ``-log10 tol_outer`` and clipped at
+    0; a missing pair counts 0.  The action is ``"exhausted"`` when
+    ``restart_size // 2 < nev`` or the basis spans all ``n`` dimensions;
+    ``"restart"``, keeping the new progress, when it grew by at least one
+    digit; ``"double"`` while ``restart_size`` is below ``capacity``; and
+    ``"exhausted"`` at the capacity.  Each restart gains a digit, so a run
+    makes at most ``nev * log10(1 / tol_outer)`` of them.
+    """
+    now = sum(max(0.0, -math.log10(max(r, tol_outer))) for r in relres[:nev])
+    if restart_size // 2 < nev or k == n:
+        return "exhausted", digits
+    if now >= digits + 1.0:
+        return "restart", now
+    return ("double" if restart_size < capacity else "exhausted"), digits
 
 
 def _restart_coordinates(pairs, projected, q):
@@ -747,47 +797,63 @@ def _timed(phase, key):
         phase[key] += time.perf_counter() - t0
 
 
+def _expand(expansion, basis, pairs, selected, record, phase):
+    """The expansion of one step, as ``(index, u, v_next)``: ``u`` solves
+    ``Q(sigma) u = r`` by ``expansion`` for the residual ``r`` of
+    ``pairs[index]``, and ``v_next`` is ``u`` orthonormalized against
+    ``basis``.  The ``selected`` pair's residual goes first; when its
+    ``u`` breaks down in orthogonalization, the other pairs' residuals
+    follow in order.  Each solve adds its inner steps, last inner
+    residual and convergence to ``record``, each breakdown to its
+    ``expansion_breakdowns``, and its times to ``phase``.  Raises
+    :class:`BreakdownError` when every candidate breaks down.
+    """
+    candidates = [selected] + [i for i in range(len(pairs)) if i != selected]
+    for idx in candidates:
+        with _timed(phase, "inner_solve"):
+            u, steps, relres, converged = expansion.solve(pairs[idx].resid)
+        record.inner_iters += steps
+        record.inner_relres = relres
+        record.inner_failures += not converged
+        try:
+            with _timed(phase, "projection"):
+                return idx, u, basis.orthonormalize(u)
+        except Breakdown:
+            record.expansion_breakdowns += 1
+    raise BreakdownError(
+        f"all {len(candidates)} candidate residuals broke down in orthogonalization"
+    )
+
+
 def outer_loop(p, config, observer=None):
     """Subspace residual iteration for the ``nev`` eigenvalues nearest
     ``config.sigma``.
 
-    Grows an orthonormal basis one vector per outer iteration: project,
-    solve the small problem, extract Ritz (or refined) pairs, and expand
-    with ``Q(sigma)^{-1} r`` for the residual ``r`` of the first
-    unconverged target pair, solved by the mode's expansion object:
-    :class:`ExactExpansion` (``mode="exact"``) or
-    :class:`KrylovExpansion` (``mode="inexact"``), whose ``inner_solver``
-    the result reports.  Each solve's inner steps, last inner residual
-    and convergence go to the iteration's record.
+    Grows an orthonormal basis from :meth:`SolverConfig.start_vector`,
+    one vector per outer iteration, as a sequence of one-decision steps:
+
+    - :func:`_small_solve` solves the projected problem and extracts the
+      first ``nev`` Ritz (or refined) pairs.  It is asked for a warm step
+      when the basis has more than ``WARM_MIN_K`` and fewer than ``R``
+      columns, fewer than ``WARM_STEPS`` warm steps ran since the last
+      full eigensolve and that solve had at least ``nev`` values; the
+      schedule depends only on counts.  The record's ``warm_start`` and
+      the result's ``full_eigensolves`` tell the two kinds apart.
+    - :func:`select_expansion_residual` picks the first unconverged
+      target, or declares convergence.
+    - At the restart size ``R`` (see :meth:`SolverConfig.basis_sizes`),
+      :func:`_restart_rule` decides: a thick restart compresses the
+      :class:`ProjectionCache` by ``V <- V Z`` for the ``R // 2``
+      coordinate vectors of :func:`_restart_coordinates`, and the same
+      iteration expands the compressed basis; ``R`` doubles, up to the
+      capacity; or the run ends as exhausted.
+    - :func:`_expand` solves ``Q(sigma) u = r`` with the mode's expansion
+      object, :class:`ExactExpansion` (``mode="exact"``) or
+      :class:`KrylovExpansion` (``mode="inexact"``, whose
+      ``inner_solver`` the result reports), and orthonormalizes ``u``.
+
     Converged pairs are left soft-locked: they are re-extracted every
     iteration and only reported at the end.
-
-    The small solve is the full companion eigensolve
-    (:func:`solve_projected_qep`) unless the basis has more than
-    ``WARM_MIN_K`` and fewer than ``R`` columns and fewer than
-    ``WARM_STEPS`` warm steps ran since the last full one.  Then
-    :func:`warm_projected_qep` refines the previous step's first
-    ``nev + WARM_GUARD`` values on the grown blocks instead.  A failed
-    refinement, or warm pairs that would all pass ``tol_outer``, run the
-    full eigensolve in the same iteration, so convergence and restarts
-    are decided on a full one; the schedule depends only on counts.
-    The record's ``warm_start`` and the result's ``full_eigensolves``
-    tell the two apart.
-
-    Thick restart: when the basis reaches the restart size ``R`` (see
-    :meth:`SolverConfig.basis_sizes`) with a target pair unconverged, the
-    :class:`ProjectionCache` is compressed by ``V <- V Z`` for the
-    ``R // 2`` orthonormalized coordinate vectors of the target pairs and
-    the next-nearest Ritz pairs, and the same iteration expands the
-    compressed basis.
-    A restart is guarded by progress: the summed residual digits of the
-    first ``nev`` pairs (each ``-log10 relres``, capped at
-    ``-log10 tol_outer``) must have grown by at least one since the last
-    restart.  Otherwise ``R`` doubles, up to the basis capacity (which an
-    explicit ``max_subspace`` equals, so that it never grows).  A full
-    basis at the capacity, a basis that spans the whole space, or
-    ``R // 2 < nev`` ends the run as exhausted.  Each restart gains a
-    digit, so a run makes at most ``nev * log10(1 / tol_outer)`` of them.
 
     ``observer``, when given, is called with a :class:`StepView` before
     each basis extension; returning a truthy value stops the run
@@ -809,10 +875,8 @@ def outer_loop(p, config, observer=None):
     """
     t_iter = time.perf_counter()
     config.validate(p.n)
-    n = p.n
     nev = config.nev
-    sigma = complex(config.sigma)
-    restart_size, capacity = config.basis_sizes(n)
+    restart_size, capacity = config.basis_sizes(p.n)
     restart_digits = 0.0  # residual digits at the last restart
 
     phase = {"projection": 0.0, "small_solve": 0.0, "inner_solve": 0.0}
@@ -820,16 +884,10 @@ def outer_loop(p, config, observer=None):
         expansion_class = ExactExpansion if config.mode == "exact" else KrylovExpansion
         expansion = expansion_class(p, config)
 
-    rng = np.random.default_rng(config.seed)
-    if config.initial_vector is not None:
-        v1 = np.asarray(config.initial_vector, dtype=complex)
-    else:
-        v1 = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
-
     with _timed(phase, "projection"):
         proj = ProjectionCache(p, capacity, refined=config.extraction == "refined")
         basis = proj.basis
-        proj.append(basis.orthonormalize(v1))
+        proj.append(basis.orthonormalize(config.start_vector(p.n)))
 
     history = []
     stop_reason = None
@@ -837,29 +895,16 @@ def outer_loop(p, config, observer=None):
     warm_steps = 0  # warm small solves since the last full one
     while stop_reason is None:
         with _timed(phase, "small_solve"):
-            warm = None
-            if (warm_steps < WARM_STEPS and WARM_MIN_K < basis.k < restart_size
-                    and projected is not None and len(projected) >= nev):
-                tracked = projected.omegas[: nev + WARM_GUARD]
-                warm = warm_projected_qep(*proj.blocks, sigma, tracked)
-            if warm is not None:
-                pairs = _extract_pairs(p, proj, warm, nev, config.tol_outer)
-                # convergence is declared on a full eigensolve only
-                if select_expansion_residual(pairs, nev) is None:
-                    warm = None
-            if warm is None:
-                projected = solve_projected_qep(*proj.blocks, sigma)
-                pairs = _extract_pairs(p, proj, projected, nev, config.tol_outer)
-                warm_steps = 0
-            else:
-                projected = warm
-                warm_steps += 1
+            warm = (warm_steps < WARM_STEPS and WARM_MIN_K < basis.k < restart_size
+                    and projected is not None and len(projected) >= nev)
+            projected, pairs, warm = _small_solve(p, proj, config, projected, warm)
+        warm_steps = warm_steps + 1 if warm else 0
         record = ConvergenceRecord(
             outer_iter=len(history) + 1,
             subspace_dim=basis.k,
             ritz_values=[pr.omega for pr in pairs],
             relres=[pr.relres for pr in pairs],
-            warm_start=warm is not None,
+            warm_start=warm,
         )
         history.append(record)
 
@@ -867,41 +912,18 @@ def outer_loop(p, config, observer=None):
         if selected is None:
             stop_reason = "converged"
         elif basis.k >= restart_size:
-            digits = _residual_digits(pairs, nev, config.tol_outer)
-            if restart_size // 2 < nev or basis.k == n:
-                stop_reason = "exhausted"
-            elif digits >= restart_digits + 1.0:
-                restart_digits = digits
+            action, restart_digits = _restart_rule(
+                record.relres, restart_digits, nev, config.tol_outer,
+                basis.k, p.n, restart_size, capacity)
+            if action == "restart":
                 with _timed(phase, "projection"):
-                    Z = _restart_coordinates(pairs, projected, restart_size // 2)
-                    proj.compress(Z)
-            elif restart_size < capacity:
+                    proj.compress(_restart_coordinates(pairs, projected, restart_size // 2))
+            elif action == "double":
                 restart_size = min(2 * restart_size, capacity)
             else:
-                stop_reason = "exhausted"
+                stop_reason = action
         if stop_reason is None:
-            # expansion, falling through to later residuals on breakdown
-            candidates = [selected] + [i for i in range(len(pairs)) if i != selected]
-            for idx in candidates:
-                with _timed(phase, "inner_solve"):
-                    u, steps, relres, converged = expansion.solve(pairs[idx].resid)
-                record.inner_iters += steps
-                record.inner_relres = relres
-                record.inner_failures += not converged
-                try:
-                    with _timed(phase, "projection"):
-                        v_next = basis.orthonormalize(u)
-                except Breakdown:
-                    record.expansion_breakdowns += 1
-                    continue
-                selected = idx
-                break
-            else:
-                raise BreakdownError(
-                    f"all {len(candidates)} candidate residuals broke down in "
-                    "orthogonalization"
-                )
-
+            selected, u, v_next = _expand(expansion, basis, pairs, selected, record, phase)
             if observer is not None and observer(
                 StepView(k=basis.k, basis=basis, pairs=pairs,
                          selected=selected, u=u, v_next=v_next)

@@ -317,6 +317,11 @@ def test_diagnose_angle_identity_rejects_steps_past_n(capsys):
           "--sigma", PROBE, "--points", "-2"], "--points: must be at least 1, got -2"),
         (["diagnose", "--check", "perturbation", "--subspace-dim", "-3",
           "--trials", "2"], "--subspace-dim: must be at least 1, got -3"),
+        (["diagnose", "--check", "perturbation", "--gen", "random", "--n", "5",
+          "--subspace-dim", "50", "--trials", "2"],
+         "--subspace-dim: must be at most 4, got 50"),
+        (["diagnose", "--check", "perturbation", "--gen", "random", "--n", "1",
+          "--trials", "2"], "--subspace-dim: must be at most 0, got 1"),
         (["diagnose", "--check", "perturbation", "--trials", "x"],
          "--trials: invalid integer value: 'x'"),
         (["solve", "--gen", "example1", "--sigma", "0.9", "--nev", "0"],
@@ -359,7 +364,8 @@ def test_diagnose_angle_identity_rejects_steps_past_n(capsys):
          "--gen-seed: must be at least 0, got -1"),
     ],
     ids=["exact-max-subspace", "inexact-max-subspace", "steps", "perturbation-trials", "sandwich-trials",
-         "points", "subspace-dim", "not-an-integer", "nev", "restart", "inner-maxit",
+         "points", "subspace-dim", "subspace-dim-past-n", "subspace-dim-default-past-n",
+         "not-an-integer", "nev", "restart", "inner-maxit",
          "newton-tol-outer-nan", "newton-tol-outer-zero", "tol-inner-one",
          "not-a-real", "gmres-tol-five", "gmres-tol-zero", "ratio-nan",
          "ratio-negative", "ratio-inf", "m", "n", "elements", "chains", "seed",

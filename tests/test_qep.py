@@ -258,6 +258,12 @@ def test_full_eig_dense_cap_guard(monkeypatch, p_example1):
     assert dense_cap() == 4
     with pytest.raises(ValueError):
         full_eig(p_example1, 0.9)
+    # a cap that is not an integer of at least 1 is refused by name
+    for value, message in (("abc", "must be an integer, got abc"),
+                           ("-5", "must be at least 1, got -5")):
+        monkeypatch.setenv("QRI_DENSE_CAP", value)
+        with pytest.raises(ValueError, match=f"QRI_DENSE_CAP {message}"):
+            dense_cap()
 
 
 def test_residual_denominator(p_example1, rng):

@@ -787,6 +787,40 @@ def test_select_expansion_residual_cases():
     assert select_expansion_residual([make_pair(1e-14, True)], 2) == 0
 
 
+@pytest.mark.parametrize(
+    "relres, digits, nev, k, n, restart_size, capacity, expected",
+    [
+        # a restart could keep only R // 2 = 2 < nev vectors, gain or not
+        ([1e-3, 1e-3, 1e-3], 0.0, 3, 4, 100, 4, 120, ("exhausted", 0.0)),
+        # the basis spans the whole space, gain or not
+        ([1e-3, 1e-3], 0.0, 2, 20, 20, 20, 20, ("exhausted", 0.0)),
+        # 3 + 2 digits against 4 at the last restart: a gain of exactly one
+        ([1e-3, 1e-2], 4.0, 2, 20, 100, 20, 120, ("restart", 5.0)),
+        # half a digit: R doubles, and the restart's digits are kept
+        ([1e-3, 1e-2], 4.5, 2, 20, 100, 20, 120, ("double", 4.5)),
+        ([1e-3, 1e-2], 4.5, 2, 120, 200, 120, 120, ("exhausted", 4.5)),
+        # digits capped at tol_outer's 8 and clipped at 0; the third pair is
+        # missing and counts 0
+        ([1e-12, 2.0], 0.0, 3, 20, 100, 20, 120, ("restart", 8.0)),
+        # a pair beyond the first nev does not count
+        ([1e-3, 1e-3, 1e-3], 5.5, 2, 20, 100, 20, 120, ("double", 5.5)),
+    ],
+    ids=["too-few-kept", "whole-space", "gain", "double", "capacity", "missing-pair",
+         "beyond-nev"],
+)
+def test_restart_rule_cases(relres, digits, nev, k, n, restart_size, capacity, expected):
+    assert solver._restart_rule(relres, digits, nev, 1e-8, k, n, restart_size,
+                                capacity) == expected
+
+
+def test_start_vector_is_the_seeded_draw_or_the_given_vector():
+    rng = np.random.default_rng(3)
+    drawn = rng.uniform(-1.0, 1.0, 5) + 1j * rng.uniform(-1.0, 1.0, 5)
+    assert np.array_equal(SolverConfig(sigma=0.5, seed=3).start_vector(5), drawn)
+    given = SolverConfig(sigma=0.5, seed=3, initial_vector=[1, 2, 3, 4, 5]).start_vector(5)
+    assert given.dtype == complex and np.array_equal(given, [1, 2, 3, 4, 5])
+
+
 @pytest.mark.parametrize("nev", [1, 2])
 def test_expansion_breakdown_after_every_candidate(nev):
     # span(e1, e2) is invariant, so from v1 = e1 + e2 every expansion
