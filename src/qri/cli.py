@@ -222,7 +222,8 @@ def build_parser():
     diag.add_argument("--gmres-tol", type=bounded(1.0), default=1e-2,
                       help="inexact solve tolerance (sandwich)")
     diag.add_argument("--subspace-dim", type=count(1),
-                      help="subspace dimension (perturbation; default min(8, n - 2))")
+                      help="subspace dimension (perturbation; default 8, or less "
+                           "on a small problem)")
     diag.add_argument("--seed", type=count(0), default=0)
     diag.add_argument("--out-json", metavar="PATH",
                       help="write check results as JSON")

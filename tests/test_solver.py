@@ -798,6 +798,7 @@ def test_select_expansion_residual_cases():
         ([1e-3, 1e-2], 4.0, 2, 20, 100, 20, 120, ("restart", 5.0)),
         # half a digit: R doubles, and the restart's digits are kept
         ([1e-3, 1e-2], 4.5, 2, 20, 100, 20, 120, ("double", 4.5)),
+        # the same at the capacity: R cannot double
         ([1e-3, 1e-2], 4.5, 2, 120, 200, 120, 120, ("exhausted", 4.5)),
         # digits capped at tol_outer's 8 and clipped at 0; the third pair is
         # missing and counts 0
