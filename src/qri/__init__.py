@@ -28,7 +28,6 @@ from .linalg import OrthonormalBasis
 from .oracle import (
     OracleDecomposition,
     angle_sandwich,
-    decompose_along,
     expansion_angle_bound,
     expansion_angle_identity,
     expansion_perturbation_diagnostics,
@@ -36,6 +35,7 @@ from .oracle import (
     resolvent_check,
     select_target_pair,
     sin_angle,
+    tan_angle,
 )
 from .problems import (
     SpringMaxwellParams,
@@ -87,7 +87,6 @@ __all__ = [
     "SubspaceExhausted",
     "ZeroVector",
     "angle_sandwich",
-    "decompose_along",
     "example1",
     "expansion_angle_bound",
     "expansion_angle_identity",
@@ -106,6 +105,7 @@ __all__ = [
     "select_target_pair",
     "sin_angle",
     "spring_maxwell",
+    "tan_angle",
     "wave2d",
     "write_problem",
 ]

@@ -116,7 +116,9 @@ def add_problem_args(sp, for_generate=False):
                      help="wave2d grid parameter (n = m(m-1))")
     src.add_argument("--zeta", type=float, default=1.0,
                      help="wave2d impedance parameter")
-    src.add_argument("--n", type=count(1), default=100, help="random problem size")
+    # no default here, so that --check perturbation tells an explicit --n
+    # from none
+    src.add_argument("--n", type=count(1), help="random problem size (default 100)")
     src.add_argument("--density", type=float, default=0.05,
                      help="random problem fill fraction, in (0, 1]")
     src.add_argument("--elements", type=count(1), default=30,
@@ -145,7 +147,7 @@ def build_problem(args, parser):
             chain_count=args.chains,
             seed=args.gen_seed,
         ))
-    return random_qep(args.n, density=args.density, seed=args.gen_seed)
+    return random_qep(args.n or 100, density=args.density, seed=args.gen_seed)
 
 
 def build_parser():
@@ -223,7 +225,8 @@ def build_parser():
                       help="inexact solve tolerance (sandwich)")
     diag.add_argument("--subspace-dim", type=count(1),
                       help="subspace dimension (perturbation; default 8, or less "
-                           "on a small problem)")
+                           "on a small problem; with no problem source the trials "
+                           "run in C^n, n from --n, default 40)")
     diag.add_argument("--seed", type=count(0), default=0)
     diag.add_argument("--out-json", metavar="PATH",
                       help="write check results as JSON")
@@ -435,7 +438,7 @@ def cmd_diagnose(args, parser):
         payload = {"check": args.check, "points": points}
 
     elif args.check == "perturbation":
-        n = p.n if p is not None else 40
+        n = p.n if p is not None else args.n or 40
         k = args.subspace_dim or min(8, max(1, n - 2))
         if k > n - 1:
             parser.error(f"argument --subspace-dim: must be at most {n - 1}, got {k}")

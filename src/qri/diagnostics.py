@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SubspaceExhausted
 from .gmres import gmres
-from .linalg import OrthonormalBasis, project_out, sin_angle
+from .linalg import OrthonormalBasis, sin_angle, uniform_complex
 from .oracle import (
     angle_sandwich,
     expansion_angle_bound,
@@ -24,7 +24,7 @@ from .oracle import (
     resolvent_check,
     select_target_pair,
 )
-from .qep import check_count, check_fraction, check_shift, shifted_matrix
+from .qep import check_count, check_fraction, check_real, check_shift, shifted_matrix
 from .solver import SolverConfig, outer_loop
 
 ISOLATION_TIE_RTOL = 1e-10
@@ -147,10 +147,9 @@ def run_angle_identity_check(p, sigma, steps, seed=0):
 
     def observer(view):
         V = view.basis.matrix
-        lhs, rhs, gap = expansion_angle_identity(V, view.v_next, x)
-        factor = sin_angle(view.v_next, project_out(V, x))
+        lhs, rhs, gap, sin_before, factor = expansion_angle_identity(V, view.v_next, x)
         records.append(IdentityStep(k=view.k, lhs=lhs, rhs=rhs, gap=gap,
-                                    sin_before=sin_angle(V, x), factor=factor))
+                                    sin_before=sin_before, factor=factor))
         return len(records) >= steps
 
     _run_exact(p, sigma, seed, steps, observer, IDENTITY_TOL_OUTER)
@@ -193,7 +192,7 @@ def run_angle_bound_check(p, sigma, max_steps, seed=0):
         if s <= BOUND_SIN_FLOOR:
             return True
         r = view.pairs[view.selected].resid
-        lhs, rhs, xi = expansion_angle_bound(d, view.basis.matrix, r, sigma)
+        lhs, rhs, xi = expansion_angle_bound(d, view.basis.matrix, r)
         records.append(BoundStep(k=view.k, lhs=lhs, rhs=rhs, xi=xi, sin_target=s))
         return len(records) >= max_steps
 
@@ -220,9 +219,7 @@ def run_resolvent_spot_check(p, sigma, n_points=3, seed=0):
     margin = RESOLVENT_MARGIN_RTOL * radius
     points = []
     while len(points) < n_points:
-        mu = centre + radius * (
-            rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-        )
+        mu = centre + radius * uniform_complex(rng)
         if np.abs(d.lams - mu).min() < margin:
             continue
         points.append(ResolventPoint(mu=complex(mu), error=resolvent_check(d, mu)))
@@ -255,16 +252,13 @@ def run_perturbation_trials(n=40, k=8, trials=100, seed=0):
     rng = np.random.default_rng(check_count("seed", seed, 0))
     lo, hi = np.log10(PERTURBATION_EPS_RANGE[0]), np.log10(PERTURBATION_EPS_RANGE[1])
 
-    def rand_vec():
-        return rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-
     out = []
     for _ in range(trials):
         basis = OrthonormalBasis(n, k)
         for _ in range(k):
-            basis.append(rand_vec())
-        u = rand_vec()
-        f = rand_vec()
+            basis.append(uniform_complex(rng, n))
+        u = uniform_complex(rng, n)
+        f = uniform_complex(rng, n)
         f /= np.linalg.norm(f)
         eps = 10.0 ** rng.uniform(lo, hi)
         utilde = u + eps * np.linalg.norm(u) * f
@@ -314,7 +308,7 @@ def run_sandwich_trials(p, sigma=None, ratio=0.01, trials=100, gmres_tol=1e-2, s
     check_count("trials", trials, 1)
     rng = np.random.default_rng(check_count("seed", seed, 0))
     check_fraction("gmres_tol", gmres_tol)
-    if not 0.0 < ratio < np.inf:
+    if not 0.0 < check_real("ratio", ratio) < np.inf:
         raise ValueError(f"ratio must be positive and finite, got {ratio}")
     if sigma is None:
         probe = full_eig(p, PROBE_SIGMA)
@@ -330,12 +324,12 @@ def run_sandwich_trials(p, sigma=None, ratio=0.01, trials=100, gmres_tol=1e-2, s
 
     results = []
     for _ in range(trials):
-        r = rng.uniform(-1, 1, p.n) + 1j * rng.uniform(-1, 1, p.n)
+        r = uniform_complex(rng, p.n)
         r /= np.linalg.norm(r)
         u = exact.solve(r)
         res = gmres(lambda w: op_matrix @ w, r, tol=gmres_tol,
                     restart=SANDWICH_RESTART, maxit=SANDWICH_MAXIT)
-        results.append(angle_sandwich(d, u, res.x, x1))
+        results.append(angle_sandwich(x1, u, res.x))
 
     held = [outcome for outcome in results if outcome.hypothesis_holds]
     return SandwichSummary(

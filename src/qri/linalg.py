@@ -326,3 +326,9 @@ def sin_angle(V, x):
     if one:
         V = V / nv
     return float(np.linalg.norm(project_out(V, x)) / nx)
+
+
+def uniform_complex(rng, size=None):
+    """``rng``'s draw of real parts, then imaginary parts, each uniform on
+    (-1, 1): a scalar when ``size`` is ``None``, else an array."""
+    return rng.uniform(-1.0, 1.0, size) + 1j * rng.uniform(-1.0, 1.0, size)

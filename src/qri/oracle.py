@@ -168,8 +168,9 @@ def expansion_angle_identity(V, v_next, x):
 
         sin([V, v_next], x) = sin(V, x) * sin(v_next, x_perp)
 
-    holds as an identity.  Returns ``(lhs, rhs, gap)`` so callers can
-    assert the gap at their own tolerance.
+    holds as an identity.  Returns ``(lhs, rhs, gap, sin_V, sin_step)``,
+    where ``rhs = sin_V * sin_step`` are the two factors, so callers can
+    assert the gap at their own tolerance and record the factors.
 
     Raises :class:`HypothesisViolated` when ``x`` lies in ``span(V)`` to
     working precision, and ``ValueError`` when ``v_next`` is not
@@ -192,16 +193,18 @@ def expansion_angle_identity(V, v_next, x):
 
     extended = np.hstack([Vm, v[:, None]])
     lhs = sin_angle(extended, x)
-    rhs = sin_angle(Vm, x) * sin_angle(x_perp, v)
-    return lhs, rhs, abs(lhs - rhs)
+    sin_V, sin_step = sin_angle(Vm, x), sin_angle(x_perp, v)
+    rhs = sin_V * sin_step
+    return lhs, rhs, abs(lhs - rhs), sin_V, sin_step
 
 
-def expansion_angle_bound(d, V, r, sigma):
+def expansion_angle_bound(d, V, r):
     """Spectral bound on the angle of the next expansion direction.
 
-    For the exact expansion ``u = Q(sigma)^{-1} r`` orthonormalized
-    against ``V``, the sine of its angle to ``x1_perp = (I - P_V) x1``
-    is bounded by
+    At the decomposition's own shift ``sigma = d.sigma``, for the exact
+    expansion ``u = Q(sigma)^{-1} r`` (one solve with ``d.sigma_lu``)
+    orthonormalized against ``V``, the sine of its angle to
+    ``x1_perp = (I - P_V) x1`` is bounded by
 
         |lam1 - sigma| / |lam2 - sigma| * xi,
         xi = sum_{i >= 2} |y_i* r| / |y_1* r|
@@ -215,6 +218,7 @@ def expansion_angle_bound(d, V, r, sigma):
             "the bound needs every eigenvalue finite (nonsingular mass matrix)"
         )
     r = np.asarray(r, dtype=complex)
+    sigma = d.sigma
     i1, i2 = select_target_pair(d.lams, sigma)
     coeffs = (r.conj() @ d.Y).conj()
     if abs(coeffs[i1]) < 1e-300:
@@ -231,7 +235,7 @@ def expansion_angle_bound(d, V, r, sigma):
     if np.linalg.norm(x1_perp) <= PERP_FLOOR_RTOL:
         raise HypothesisViolated("target vector already lies in span(V)")
 
-    u = d.shifted_solver(sigma).solve(r)
+    u = d.sigma_lu.solve(r)
     u_perp = project_out(V, u)
     nu = np.linalg.norm(u_perp)
     if nu <= 1e-300:
@@ -245,9 +249,10 @@ class ExpansionDiag:
     """Decomposition of an inexact expansion against its exact counterpart.
 
     ``utilde = u + eps * norm(u) * f`` with unit ``f``; ``f_perp`` is the
-    part of ``f`` outside the subspace; ``eps_tilde`` is the relative
-    error measured after projection; ``v`` and ``vtilde`` are the exact
-    and perturbed normalized expansion directions.  ``gap_scale`` and
+    part of ``f`` outside the subspace (neither is kept, as only the
+    identities below use them); ``eps_tilde`` is the relative error
+    measured after projection; ``v`` and ``vtilde`` are the exact and
+    perturbed normalized expansion directions.  ``gap_scale`` and
     ``gap_direction`` report how far the two exact identities
 
         eps_tilde * sin(V, u)   = eps * sin(V, f)
@@ -256,11 +261,7 @@ class ExpansionDiag:
     are from zero for the given data.
     """
 
-    u: np.ndarray
-    utilde: np.ndarray
     eps: float
-    f: np.ndarray
-    f_perp: np.ndarray
     eps_tilde: float
     v: np.ndarray
     vtilde: np.ndarray
@@ -293,15 +294,13 @@ def expansion_perturbation_diagnostics(V, u, utilde):
     delta = utilde - u
     ndelta = np.linalg.norm(delta)
     if ndelta == 0.0:
-        zero = np.zeros_like(u)
-        return ExpansionDiag(
-            u=u, utilde=utilde, eps=0.0, f=zero, f_perp=zero,
-            eps_tilde=0.0, v=v, vtilde=v, gap_scale=0.0, gap_direction=0.0,
-        )
+        return ExpansionDiag(eps=0.0, eps_tilde=0.0, v=v, vtilde=v,
+                             gap_scale=0.0, gap_direction=0.0)
 
     eps = float(ndelta / nu)
     f = delta / ndelta
     f_perp = project_out(V, f)
+    nfp = np.linalg.norm(f_perp)
 
     ut_perp = project_out(V, utilde)
     nutp = np.linalg.norm(ut_perp)
@@ -311,36 +310,24 @@ def expansion_perturbation_diagnostics(V, u, utilde):
 
     eps_tilde = float(np.linalg.norm(project_out(V, delta)) / nup)
 
-    gap_scale = abs(eps_tilde * sin_angle(V, u) - eps * sin_angle(V, f))
-    if np.linalg.norm(f_perp) == 0.0:
+    # sin(V, u) and sin(V, f) are the norms already taken
+    gap_scale = abs(eps_tilde * (nup / nu) - eps * (nfp / np.linalg.norm(f)))
+    if nfp == 0.0:
         gap_direction = abs(sin_angle(v, vtilde))
     else:
         gap_direction = abs(sin_angle(v, vtilde)
                             - eps_tilde * sin_angle(f_perp, vtilde))
 
-    return ExpansionDiag(
-        u=u, utilde=utilde, eps=eps, f=f, f_perp=f_perp,
-        eps_tilde=eps_tilde, v=v, vtilde=vtilde,
-        gap_scale=float(gap_scale), gap_direction=float(gap_direction),
-    )
+    return ExpansionDiag(eps=eps, eps_tilde=eps_tilde, v=v, vtilde=vtilde,
+                         gap_scale=float(gap_scale), gap_direction=float(gap_direction))
 
 
-@dataclass
-class AngleDecomposition:
-    """``w = alpha * x1 + beta * x_perp`` with unit ``x_perp`` orthogonal
-    to the unit reference ``x1`` and ``beta >= 0``."""
+def tan_angle(x1, w):
+    """Tangent of the angle between ``w`` and the reference ``x1``,
+    ``norm((I - x1 x1*) w) / |x1* w|`` with ``x1`` normalized here.
 
-    alpha: complex
-    beta: float
-    tan_angle: float
-    x_perp: np.ndarray | None
-
-
-def decompose_along(x1, w):
-    """Split ``w`` into components along and orthogonal to ``x1``.
-
-    ``tan_angle = beta / |alpha|``.  Raises :class:`OrthogonalToTarget`
-    when ``w`` has no component along ``x1``.
+    Raises :class:`OrthogonalToTarget` when ``w`` has no component along
+    ``x1``.
     """
     x1 = np.asarray(x1, dtype=complex)
     x1 = x1 / np.linalg.norm(x1)
@@ -348,12 +335,7 @@ def decompose_along(x1, w):
     alpha = np.vdot(x1, w)
     if abs(alpha) < 1e-300:
         raise OrthogonalToTarget("vector is orthogonal to the reference direction")
-    q = w - alpha * x1
-    beta = float(np.linalg.norm(q))
-    x_perp = q / beta if beta > 0.0 else None
-    return AngleDecomposition(
-        alpha=complex(alpha), beta=beta, tan_angle=beta / abs(alpha), x_perp=x_perp
-    )
+    return float(np.linalg.norm(w - alpha * x1)) / abs(alpha)
 
 
 class SandwichResult(NamedTuple):
@@ -364,7 +346,7 @@ class SandwichResult(NamedTuple):
     sandwich_holds: bool
 
 
-def angle_sandwich(d, u, utilde, x1=None):
+def angle_sandwich(x1, u, utilde):
     """Tangent ordering of exact, inexact, and error directions.
 
     With ``t(w) = norm((I - x1 x1*) w) / |x1* w|``, checks the ordering
@@ -373,11 +355,9 @@ def angle_sandwich(d, u, utilde, x1=None):
 
     which is expected whenever the hypothesis ``t(u) < t(u - utilde)``
     holds (the inexact direction should be no closer to the reference
-    than the exact one, nor farther than the pure error).  ``x1``
-    defaults to the decomposition's eigenvector nearest its shift; pass
-    it explicitly to target another direction.  Returns the three
-    tangents and both flags; no exception is raised on a violation, so
-    callers can gather statistics.  With ``utilde == u`` exactly the
+    than the exact one, nor farther than the pure error).  Returns the
+    three tangents and both flags; no exception is raised on a violation,
+    so callers can gather statistics.  With ``utilde == u`` exactly the
     error direction is undefined and the result is degenerate-true with
     an infinite error tangent.
 
@@ -387,18 +367,14 @@ def angle_sandwich(d, u, utilde, x1=None):
     hypothesis holds, so treat per-trial flags as statistics rather
     than certainties.
     """
-    if x1 is None:
-        if d is None:
-            raise ValueError("need a decomposition or an explicit x1")
-        x1 = d.X[:, 0]
     u = np.asarray(u, dtype=complex)
     utilde = np.asarray(utilde, dtype=complex)
-    t_u = decompose_along(x1, u).tan_angle
+    t_u = tan_angle(x1, u)
     diff = u - utilde
     if np.linalg.norm(diff) == 0.0:
         return SandwichResult(t_u, t_u, float("inf"), True, True)
-    t_ut = decompose_along(x1, utilde).tan_angle
-    t_err = decompose_along(x1, diff).tan_angle
+    t_ut = tan_angle(x1, utilde)
+    t_err = tan_angle(x1, diff)
     hypothesis = t_u < t_err
     sandwich = t_u <= t_ut <= t_err
     return SandwichResult(

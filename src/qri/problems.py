@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .qep import QepProblem, check_count
+from .qep import QepProblem, check_count, check_real
 
 
 def example1():
@@ -143,7 +143,7 @@ def random_qep(n, density=0.05, seed=0):
     tests.
     """
     check_count("n", n, 1)
-    if not 0.0 < density <= 1.0:
+    if not 0.0 < check_real("density", density) <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
     rng = np.random.default_rng(check_count("seed", seed, 0))
 

@@ -192,8 +192,8 @@ def check_shift(value, name):
 
 def check_count(name, value, least, most=math.inf):
     """``value`` unchanged; raises a :class:`ValueError` naming ``name``
-    unless it is an integer in ``[least, most]``."""
-    if not isinstance(value, numbers.Integral):
+    unless it is an integer in ``[least, most]``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -202,11 +202,20 @@ def check_count(name, value, least, most=math.inf):
     return value
 
 
+def check_real(name, value):
+    """``value`` unchanged; raises a :class:`ValueError` naming ``name``
+    unless it is a real number (a string, a complex value or ``None`` is
+    not), so that range checks can compare it."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def check_fraction(name, value):
     """``value`` unchanged; raises a :class:`ValueError` naming ``name``
     unless it is a real number in the open interval (0, 1), which NaN is
     not."""
-    if not 0.0 < value < 1.0:
+    if not 0.0 < check_real(name, value) < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
     return value
 

@@ -60,6 +60,7 @@ from .linalg import (
     null_vector,
     smallest_singular_vector,
     spmv,
+    uniform_complex,
 )
 from .qep import (
     Eigentriplet,
@@ -158,8 +159,7 @@ class SolverConfig:
         from ``default_rng(seed)``."""
         if self.initial_vector is not None:
             return np.asarray(self.initial_vector, dtype=complex)
-        rng = np.random.default_rng(self.seed)
-        return rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        return uniform_complex(np.random.default_rng(self.seed), n)
 
     def basis_sizes(self, n):
         """``(restart_size, capacity)`` of the basis on a problem of size

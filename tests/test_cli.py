@@ -479,6 +479,14 @@ def test_diagnose_perturbation_needs_no_problem(tmp_path):
     assert payload["worst_gap"] <= 1e-12
 
 
+def test_diagnose_perturbation_takes_n_without_a_problem(capsys):
+    # an explicit --n sizes the trials, and the default k shrinks with it;
+    # it used to be ignored, the run printing n = 40
+    code = run_cli("diagnose", "--check", "perturbation", "--n", "7", "--trials", "2")
+    assert code == 0
+    assert "(n = 7, k = 5)" in capsys.readouterr().out
+
+
 def test_diagnose_sandwich_smoke(capsys):
     code = run_cli(
         "diagnose", "--check", "sandwich", "--gen", "wave2d", "--m", "4",

@@ -86,6 +86,12 @@ def test_trial_drivers_reject_counts():
     for bad in (0.0, -0.01, np.inf, np.nan):
         with pytest.raises(ValueError, match="ratio must be positive and finite"):
             run_sandwich_trials(p, trials=2, ratio=bad)
+    # non-real values are named instead of failing as a TypeError
+    for bad in ("0.01", 0.01 + 0j, None):
+        with pytest.raises(ValueError, match="ratio must be a real number"):
+            run_sandwich_trials(p, trials=2, ratio=bad)
+        with pytest.raises(ValueError, match="gmres_tol must be a real number"):
+            run_sandwich_trials(p, trials=2, gmres_tol=bad)
 
 
 def test_shift_at_distance():

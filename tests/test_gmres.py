@@ -270,6 +270,10 @@ def test_bad_parameters_raise():
         for tol in (np.nan, 0.0, -1e-3, 1.0):
             with pytest.raises(ValueError, match="tol"):
                 gmres(lambda v: 2 * v, b, tol=tol, maxit=5, symmetric=symmetric)
+    # a non-real tol is named instead of failing as a TypeError
+    for tol in ("0.1", 0.1 + 0j, None):
+        with pytest.raises(ValueError, match="tol must be a real number"):
+            gmres(lambda v: v, b, tol=tol)
 
 
 def outlier_matrix(rng, n):

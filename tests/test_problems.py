@@ -181,6 +181,9 @@ def test_random_qep_validation():
     for density in (np.nan, -3.0, 0.0, 1.5, np.inf):
         with pytest.raises(ValueError, match="density"):
             random_qep(10, density=density)
+    for density in ("0.05", 0.05 + 0j, None):
+        with pytest.raises(ValueError, match="density must be a real number"):
+            random_qep(10, density=density)
     # counts are named before numpy sees them
     with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
         random_qep(2.5)

@@ -911,6 +911,12 @@ def test_config_validation(p_example1):
         # a zero start used to fail as ZeroVector inside the run
         ("initial_vector must be nonzero",
          SolverConfig(sigma=0.9, initial_vector=np.zeros(3))),
+        # a non-real tolerance used to fail as an unnamed TypeError in the
+        # range comparison, and a bool passed as a count
+        ("tol_outer must be a real number", SolverConfig(sigma=0.9, tol_outer="1e-8")),
+        ("tol_outer must be a real number", SolverConfig(sigma=0.9, tol_outer=1e-8 + 0j)),
+        ("tol_inner must be a real number", SolverConfig(sigma=0.9, tol_inner=None)),
+        ("nev must be an integer, got True", SolverConfig(sigma=0.9, nev=True)),
     ]
     for field, cfg in named:
         with pytest.raises(ValueError, match=field):
