@@ -302,8 +302,9 @@ def run_sandwich_trials(p, sigma=None, ratio=0.01, trials=100, gmres_tol=1e-2, s
     Violations are counted only among trials where the hypothesis (exact
     direction strictly closer than the error direction) holds.  Raises
     :class:`ValueError` unless ``trials`` is an integer of at least 1,
-    ``seed`` one of at least 0, ``0 < gmres_tol < 1`` and
-    ``0 < ratio < inf``.
+    ``seed`` one of at least 0, ``0 < gmres_tol < 1``, ``0 < ratio < inf``
+    and the problem has at least two finite eigenvalues.  The target pair
+    is the decomposition's first two values and its first vector.
     """
     check_count("trials", trials, 1)
     rng = np.random.default_rng(check_count("seed", seed, 0))
@@ -315,18 +316,18 @@ def run_sandwich_trials(p, sigma=None, ratio=0.01, trials=100, gmres_tol=1e-2, s
         idx = pick_isolated_index(probe.lams)
         sigma = shift_with_ratio(probe.lams, idx, ratio)
     d = full_eig(p, sigma)
-    i1, i2 = select_target_pair(d.lams, sigma)
-    actual_ratio = abs(d.lams[i1] - sigma) / abs(d.lams[i2] - sigma)
-    x1 = d.X[:, i1]
+    if d.lams.size < 2:
+        raise ValueError("the trials need at least two finite eigenvalues")
+    actual_ratio = abs(d.lams[0] - sigma) / abs(d.lams[1] - sigma)
+    x1 = d.X[:, 0]
 
     op_matrix = shifted_matrix(p, sigma)
-    exact = d.shifted_solver(sigma)
 
     results = []
     for _ in range(trials):
         r = uniform_complex(rng, p.n)
         r /= np.linalg.norm(r)
-        u = exact.solve(r)
+        u = d.sigma_lu.solve(r)
         res = gmres(lambda w: op_matrix @ w, r, tol=gmres_tol,
                     restart=SANDWICH_RESTART, maxit=SANDWICH_MAXIT)
         results.append(angle_sandwich(x1, u, res.x))

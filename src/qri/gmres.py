@@ -129,6 +129,8 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
     ----------
     apply_op : callable
     b : (n,) complex array_like
+        Nonzero (:class:`ZeroVector` otherwise) and of finite norm
+        (``ValueError`` otherwise).
     tol : float
         Target relative residual ``norm(b - A x) / norm(b)``, in (0, 1).
     restart : int
@@ -160,6 +162,8 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
     nb = np.linalg.norm(b)
     if nb == 0.0:
         raise ZeroVector("gmres needs a nonzero right-hand side")
+    if not np.isfinite(nb):
+        raise ValueError(f"gmres needs a right-hand side of finite norm, got {nb}")
     check_fraction("tol", tol)
     check_count("restart", restart, 1)
     check_count("maxit", maxit, 1)

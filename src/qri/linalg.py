@@ -42,6 +42,12 @@ def spmv(A, x):
     return A @ x
 
 
+def norm1(A):
+    """Matrix 1-norm, the largest column sum of moduli, of a dense or
+    sparse ``A``; 0 for a matrix without entries or columns."""
+    return float(np.abs(A).sum(axis=0).max(initial=0.0))
+
+
 class LUSolver:
     """LU factorization computed once, applied to many right-hand sides.
 
@@ -130,11 +136,11 @@ def dense_eig(A, vectors=True):
     return w, VL, VR
 
 
-def null_vector(A, scale, against=(), factor=False):
-    """Unit vector ``z`` with ``A z`` about ``eps * scale``, for a square
-    ``A`` that is singular to working precision (``scale`` bounds its
-    norm), from one LU of ``A``, which is overwritten.  With ``factor``,
-    returns ``(z, lu, piv)``: that LU, pivots floored as below, serves
+def null_vector(A, scale, against=()):
+    """``(z, lu, piv)``: a unit vector ``z`` with ``A z`` about ``eps *
+    scale``, for a square ``A`` that is singular to working precision
+    (``scale`` bounds its norm), and the one LU of ``A`` it came from,
+    which overwrites ``A``; that LU, pivots floored as below, serves
     further solves with ``A`` through ``_zgetrs``.
 
     Each of the ``NULL_VECTOR_STEPS`` steps is one step of inverse
@@ -170,7 +176,7 @@ def null_vector(A, scale, against=(), factor=False):
             if np.linalg.norm(w) > np.sqrt(eps) * np.linalg.norm(z):
                 z = w
         z /= np.linalg.norm(z)
-    return (z, lu, piv) if factor else z
+    return z, lu, piv
 
 
 def smallest_singular_vector(A):
@@ -242,6 +248,9 @@ class OrthonormalBasis:
             ``BREAKDOWN_RTOL * norm(u)``: the vector adds nothing.
         ZeroVector
             If ``u`` itself has zero norm.
+        ValueError
+            If the norm of ``u`` is not finite (a NaN or infinite entry,
+            or an overflow).
         """
         u = np.asarray(u, dtype=complex)
         if u.shape != (self.n,):
@@ -249,6 +258,8 @@ class OrthonormalBasis:
         nrm_in = np.linalg.norm(u)
         if nrm_in == 0.0:
             raise ZeroVector("cannot orthonormalize a zero vector")
+        if not np.isfinite(nrm_in):
+            raise ValueError(f"cannot orthonormalize a vector of norm {nrm_in}")
         w = project_out(self._V[:, : self.k], u)
         nrm = np.linalg.norm(w)
         if nrm <= BREAKDOWN_RTOL * nrm_in:

@@ -30,12 +30,8 @@ from .errors import (
     SingularMatrix,
     ZeroVector,
 )
-from .linalg import LUSolver, as_columns, dense_eig, project_out, sin_angle
+from .linalg import BREAKDOWN_RTOL, LUSolver, as_columns, dense_eig, project_out, sin_angle
 from .qep import check_shift, dense_cap, factor_q, finite_order, shift_invert
-
-# a target direction whose component outside the subspace falls below
-# this fraction of its norm makes the angle quantities meaningless
-PERP_FLOOR_RTOL = 1e-13
 
 
 @dataclass
@@ -51,7 +47,8 @@ class OracleDecomposition:
         Q(mu)^{-1} = sum_i  x_i y_i* / (mu - lam_i)
 
     holds exactly whenever every eigenvalue is finite.  ``sigma_lu`` is
-    the dense LU of ``Q(sigma)`` that :func:`full_eig` factored.
+    the dense LU of ``Q(sigma)`` that :func:`full_eig` factored, which
+    every check at the shift solves with.
     """
 
     problem: object
@@ -61,14 +58,6 @@ class OracleDecomposition:
     Y: np.ndarray
     n_infinite: int
     sigma_lu: LUSolver
-
-    def shifted_solver(self, mu):
-        """LU solver for ``Q(mu)``: ``sigma_lu`` at the shift, a new
-        :func:`~qri.qep.factor_q` (sparse or dense as the problem's pattern
-        says) at every call elsewhere."""
-        if complex(mu) == self.sigma:
-            return self.sigma_lu
-        return factor_q(self.problem, complex(mu), "mu")
 
 
 def full_eig(p, sigma):
@@ -84,7 +73,7 @@ def full_eig(p, sigma):
     and fixes their scale in one step: row i of ``W^{-1}`` is
     ``VL[:, i]* / (VL[:, i]* W[:, i])``, and the first n columns of
     ``(A - sigma B)^{-1}`` are ``-[sigma I; I] Q(sigma)^{-1}``, one adjoint
-    solve with the LU that ``shifted_solver(sigma)`` then reuses.
+    solve with the same LU, kept as ``sigma_lu``.
 
     Raises :class:`SingularMatrix` if ``sigma`` is itself an eigenvalue
     or some ``VL[:, i]* W[:, i]`` is zero (the shifted pencil is not
@@ -142,10 +131,14 @@ def resolvent_check(d, mu):
 
     ``norm(Q(mu)^{-1} - sum_i x_i y_i* / (mu - lam_i)) / norm(Q(mu)^{-1})``.
 
-    Raises :class:`InfiniteEigenvaluePresent` when the decomposition
-    contains infinite eigenvalues (the pure partial-fraction form then
-    no longer represents the inverse).
+    ``Q(mu)`` is factored afresh (:func:`~qri.qep.factor_q`) at each call.
+    Raises :class:`ValueError` unless ``mu`` is a finite shift
+    (:func:`~qri.qep.check_shift`) off the spectrum, and
+    :class:`InfiniteEigenvaluePresent` when the decomposition contains
+    infinite eigenvalues (the pure partial-fraction form then no longer
+    represents the inverse).
     """
+    mu = check_shift(mu, "mu")
     if d.n_infinite:
         raise InfiniteEigenvaluePresent(
             f"{d.n_infinite} infinite eigenvalue(s); the expansion needs a "
@@ -155,7 +148,7 @@ def resolvent_check(d, mu):
     if np.abs(gaps).min() == 0.0:
         raise ValueError("mu coincides with an eigenvalue")
     n = d.problem.n
-    Qinv = d.shifted_solver(mu).solve(np.eye(n, dtype=complex))
+    Qinv = factor_q(d.problem, mu, "mu").solve(np.eye(n, dtype=complex))
     R = (d.X / gaps) @ d.Y.conj().T
     return float(np.linalg.norm(Qinv - R) / np.linalg.norm(Qinv))
 
@@ -187,8 +180,10 @@ def expansion_angle_identity(V, v_next, x):
     if nx == 0.0:
         raise ZeroVector("angle of a zero vector is undefined")
 
+    # as in OrthonormalBasis, a remainder below BREAKDOWN_RTOL of the norm
+    # is in the span, where the angle quantities are meaningless
     x_perp = project_out(Vm, x)
-    if np.linalg.norm(x_perp) <= PERP_FLOOR_RTOL * nx:
+    if np.linalg.norm(x_perp) <= BREAKDOWN_RTOL * nx:
         raise HypothesisViolated("x lies in span(V) to working precision")
 
     extended = np.hstack([Vm, v[:, None]])
@@ -209,30 +204,26 @@ def expansion_angle_bound(d, V, r):
         |lam1 - sigma| / |lam2 - sigma| * xi,
         xi = sum_{i >= 2} |y_i* r| / |y_1* r|
 
-    where ``lam1, lam2`` are the two eigenvalues closest to ``sigma``
-    and the left vectors carry the oracle scaling.  Returns
-    ``(lhs, rhs, xi)``.
+    where ``lam1, lam2`` are the decomposition's first two values (the
+    two eigenvalues closest to ``sigma``), ``x1`` is its first vector and
+    the left vectors carry the oracle scaling.  Returns ``(lhs, rhs, xi)``.
     """
     if d.n_infinite:
         raise InfiniteEigenvaluePresent(
             "the bound needs every eigenvalue finite (nonsingular mass matrix)"
         )
     r = np.asarray(r, dtype=complex)
-    sigma = d.sigma
-    i1, i2 = select_target_pair(d.lams, sigma)
     coeffs = (r.conj() @ d.Y).conj()
-    if abs(coeffs[i1]) < 1e-300:
+    if abs(coeffs[0]) < 1e-300:
         raise DegenerateResidual(
             "residual has no component along the target left eigenvector"
         )
-    rest = np.abs(np.delete(coeffs, i1)).sum()
-    xi = float(rest / abs(coeffs[i1]))
-    rhs = abs(d.lams[i1] - sigma) / abs(d.lams[i2] - sigma) * xi
+    xi = float(np.abs(coeffs[1:]).sum() / abs(coeffs[0]))
+    rhs = abs(d.lams[0] - d.sigma) / abs(d.lams[1] - d.sigma) * xi
 
     V = as_columns(V)
-    x1 = d.X[:, i1]
-    x1_perp = project_out(V, x1)
-    if np.linalg.norm(x1_perp) <= PERP_FLOOR_RTOL:
+    x1_perp = project_out(V, d.X[:, 0])
+    if np.linalg.norm(x1_perp) <= BREAKDOWN_RTOL:
         raise HypothesisViolated("target vector already lies in span(V)")
 
     u = d.sigma_lu.solve(r)
@@ -287,7 +278,7 @@ def expansion_perturbation_diagnostics(V, u, utilde):
 
     u_perp = project_out(V, u)
     nup = np.linalg.norm(u_perp)
-    if nup <= PERP_FLOOR_RTOL * nu:
+    if nup <= BREAKDOWN_RTOL * nu:
         raise HypothesisViolated("u lies in span(V); no expansion direction")
     v = u_perp / nup
 
@@ -304,7 +295,7 @@ def expansion_perturbation_diagnostics(V, u, utilde):
 
     ut_perp = project_out(V, utilde)
     nutp = np.linalg.norm(ut_perp)
-    if nutp <= PERP_FLOOR_RTOL * np.linalg.norm(utilde):
+    if nutp <= BREAKDOWN_RTOL * np.linalg.norm(utilde):
         raise HypothesisViolated("utilde lies in span(V); no expansion direction")
     vtilde = ut_perp / nutp
 

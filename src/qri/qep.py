@@ -20,13 +20,14 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
 from .errors import SingularMatrix
-from .linalg import LUSolver, spmv
+from .linalg import LUSolver, norm1, spmv
 
 DEFAULT_DENSE_CAP = 2000
 
@@ -89,13 +90,6 @@ def _rcm_profile(p):
     return int((np.arange(p.n) - first).sum())
 
 
-def _norm1(A):
-    # max column sum of moduli
-    if A.nnz == 0:
-        return 0.0
-    return float(np.abs(A).sum(axis=0).max())
-
-
 class QepProblem:
     """Sparse matrices of ``Q(lam) = lam^2 M + lam C + K``.
 
@@ -116,18 +110,13 @@ class QepProblem:
         if n_rows != n_cols:
             raise ValueError("matrices must be square")
         self.n = n_rows
-        self._norms = None
-        self._factorization = None
-        self._symmetric = None
 
-    @property
+    @cached_property
     def norms1(self):
-        """1-norms ``(|M|_1, |C|_1, |K|_1)``, computed once."""
-        if self._norms is None:
-            self._norms = (_norm1(self.M), _norm1(self.C), _norm1(self.K))
-        return self._norms
+        """1-norms ``(|M|_1, |C|_1, |K|_1)``, computed on first read."""
+        return norm1(self.M), norm1(self.C), norm1(self.K)
 
-    @property
+    @cached_property
     def factorization(self):
         """``"sparse"`` or ``"dense"``: how :func:`factor_q` factors ``Q``
         at any shift, chosen once from the pattern alone.
@@ -138,12 +127,10 @@ class QepProblem:
         sparse LU.  Sparse when the profile is at most
         ``SPARSE_PROFILE_RATIO * n^2``.
         """
-        if self._factorization is None:
-            sparse = _rcm_profile(self) <= SPARSE_PROFILE_RATIO * self.n**2
-            self._factorization = "sparse" if sparse else "dense"
-        return self._factorization
+        sparse = _rcm_profile(self) <= SPARSE_PROFILE_RATIO * self.n**2
+        return "sparse" if sparse else "dense"
 
-    @property
+    @cached_property
     def symmetric(self):
         """Whether each of ``M``, ``C`` and ``K`` equals its transpose
         exactly (not its conjugate transpose), so that ``Q(lam)`` is
@@ -152,11 +139,7 @@ class QepProblem:
         :class:`~qri.solver.KrylovExpansion` reads it to solve with COCR
         instead of recycled GMRES.
         """
-        if self._symmetric is None:
-            self._symmetric = all(
-                (A != A.T).nnz == 0 for A in (self.M, self.C, self.K)
-            )
-        return self._symmetric
+        return all((A != A.T).nnz == 0 for A in (self.M, self.C, self.K))
 
     def densify(self):
         return self.M.toarray(), self.C.toarray(), self.K.toarray()
@@ -177,11 +160,14 @@ class Eigentriplet:
 
 def check_shift(value, name):
     """``value`` as a complex shift; raises a :class:`ValueError` naming
-    ``name`` unless the shift and its square are finite.
+    ``name`` unless it is a number (a string or ``None`` is not) and the
+    shift and its square are finite.
 
     ``value^2`` scales ``M`` in ``Q(value)``; a non-finite square would
     only surface later as a zero pivot.
     """
+    if not isinstance(value, numbers.Number):
+        raise ValueError(f"shift {name} must be a number, got {value!r}")
     shift = complex(value)
     if not np.isfinite(shift * shift):
         raise ValueError(

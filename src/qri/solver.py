@@ -55,8 +55,10 @@ from .linalg import (
     OrthonormalBasis,
     _zgetrf,
     _zgetrs,
+    as_columns,
     dense_eig,
     gram_schmidt,
+    norm1,
     null_vector,
     smallest_singular_vector,
     spmv,
@@ -424,7 +426,7 @@ class ProjectedSolve:
     def __init__(self, blocks, omegas, theta, zs=()):
         self.omegas = omegas
         self._blocks = [np.array(b, order="F") for b in blocks]
-        self._norms = [np.abs(b).sum(axis=0).max(initial=0.0) for b in blocks]
+        self._norms = [norm1(b) for b in blocks]
         self._theta = theta
         self._near = CLUSTER_RTOL * np.abs(theta).max(initial=0.0)
         self._z = dict(enumerate(zs))
@@ -449,7 +451,7 @@ class ProjectedSolve:
         if z is None:
             near = np.abs(self._theta[:i] - self._theta[i]) <= self._near
             against = [self.z(j) for j in np.flatnonzero(near)]
-            z = self._z[i] = null_vector(*self.q(self.omegas[i]), against)
+            z = self._z[i] = null_vector(*self.q(self.omegas[i]), against)[0]
         return z
 
 
@@ -507,7 +509,7 @@ def warm_projected_qep(Mk, Ck, Kk, sigma, omegas):
     refined = np.empty(len(omegas), dtype=complex)
     zs = []
     for i, w in enumerate(omegas):
-        z, lu, piv = null_vector(*start.q(w), factor=True)
+        z, lu, piv = null_vector(*start.q(w))
         e = int(np.argmax(np.abs(z)))
         z = z / z[e]
         for _ in range(WARM_MAXIT):
@@ -557,7 +559,7 @@ def refined_vector(p, V, omega):
     than the Ritz vector for the same ``omega`` (the Ritz coordinate
     vector is a candidate in the same minimization).
     """
-    Vm = V.matrix if isinstance(V, OrthonormalBasis) else np.asarray(V, dtype=complex)
+    Vm = as_columns(V)
     cache = ProjectionCache(p, capacity=Vm.shape[1], refined=True)
     for v in Vm.T:
         cache.append(v)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qri import wave2d
+from qri import QepProblem, wave2d
 from qri.diagnostics import (
     pick_isolated_index,
     run_angle_bound_check,
@@ -112,6 +112,14 @@ def test_shift_with_ratio():
         assert i1 == 0
         achieved = abs(lams[i1] - sigma) / abs(lams[i2] - sigma)
         assert achieved <= ratio
+
+
+def test_sandwich_needs_two_finite_eigenvalues():
+    # n = 1 with M = 0 has one finite eigenvalue, -1, and no second one
+    # to take the distance ratio against
+    p = QepProblem([[0.0]], [[1.0]], [[1.0]])
+    with pytest.raises(ValueError, match="at least two finite eigenvalues"):
+        run_sandwich_trials(p, sigma=0.5, trials=2)
 
 
 def test_angle_identity_driver(p_wave2d4):

@@ -274,6 +274,12 @@ def test_bad_parameters_raise():
     for tol in ("0.1", 0.1 + 0j, None):
         with pytest.raises(ValueError, match="tol must be a real number"):
             gmres(lambda v: v, b, tol=tol)
+    # a non-finite right-hand side is named; it used to spend the whole
+    # step budget and return x = 0
+    for symmetric in (False, True):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="right-hand side of finite norm"):
+                gmres(lambda v: v, [bad, 1, 1, 1, 1], symmetric=symmetric)
 
 
 def outlier_matrix(rng, n):

@@ -159,6 +159,15 @@ def test_basis_zero_vector(rng):
         basis.append(np.zeros(5, dtype=complex))
 
 
+def test_basis_non_finite_vector():
+    # a NaN or inf entry used to be appended as a column of NaNs
+    basis = OrthonormalBasis(3, 1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="vector of norm (nan|inf)"):
+            basis.append([bad, 1, 0])
+    assert basis.k == 0
+
+
 def test_basis_project_out(rng):
     basis = OrthonormalBasis(20, 5)
     for _ in range(5):

@@ -92,21 +92,28 @@ def test_left_vectors_accurate(make, sigma, nearest, left_tol, scale_tol):
 
 
 def test_full_eig_factors_q_once(p_wave2d4, lu_builds):
-    # one LU of the order-n Q(sigma), which shifted_solver(sigma) reuses
+    # one LU of the order-n Q(sigma), kept as sigma_lu
     sigma = PROBE
     d = full_eig(p_wave2d4, sigma)
     n = p_wave2d4.n
     assert lu_builds == [(n, n)]
-    lu = d.shifted_solver(d.sigma)
-    assert lu_builds == [(n, n)]
+    lu = d.sigma_lu
     b = np.arange(n, dtype=complex)
     assert np.linalg.norm(shifted_matrix(p_wave2d4, sigma) @ lu.solve(b) - b) <= (
         1e-12 * np.linalg.norm(b)
     )
-    # another shift gets a factorization of its own at every call
-    d.shifted_solver(2.0)
-    d.shifted_solver(2.0)
+    # the resolvent factors Q(mu) afresh at every call
+    resolvent_check(d, 2.0)
+    resolvent_check(d, 2.0)
     assert lu_builds == [(n, n)] * 3
+
+
+def test_full_eig_rejects_bad_shift(p_example1):
+    # a shift that is not a number, or not finite, is named before any
+    # factorization
+    for sigma in (None, "0.9", complex("nan"), float("inf")):
+        with pytest.raises(ValueError, match="shift sigma must be"):
+            full_eig(p_example1, sigma)
 
 
 def test_resolvent_expansion_exact(oracle_wave2d4_probe):
@@ -123,6 +130,15 @@ def test_resolvent_rejects_infinite(oracle_example1):
 def test_resolvent_rejects_eigenvalue(oracle_wave2d4_probe):
     with pytest.raises(ValueError):
         resolvent_check(oracle_wave2d4_probe, oracle_wave2d4_probe.lams[0])
+
+
+def test_resolvent_rejects_bad_probe(oracle_wave2d4_probe):
+    # a probe point that is not a finite number is named as such: NaN and
+    # inf used to be reported as an eigenvalue of Q, a string as numpy's
+    # UFuncTypeError
+    for mu in (complex("nan"), float("inf"), "x"):
+        with pytest.raises(ValueError, match="shift mu must be"):
+            resolvent_check(oracle_wave2d4_probe, mu)
 
 
 def test_select_target_pair(oracle_example1):

@@ -111,10 +111,10 @@ def test_factorization_rule_choices(tmp_path):
         random_qep(300, density=0.02, seed=0),
     )
     for p, choice in [(p, "sparse") for p in sparse] + [(p, "dense") for p in dense]:
-        assert p._factorization is None
+        assert "factorization" not in vars(p)
         assert p.factorization == choice, p
     write_problem(str(tmp_path / "w"), wave2d(6))
-    assert read_problem(str(tmp_path / "w"))._factorization is None
+    assert "factorization" not in vars(read_problem(str(tmp_path / "w")))
 
 
 def test_sparse_and_dense_solves_agree():

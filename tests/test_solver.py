@@ -66,7 +66,7 @@ def test_newton_rejects_bad_start(p_example1):
     # non-finite inputs fail up front, naming the argument, instead of as
     # a zero pivot in the first factorization
     x0 = np.ones(3, dtype=complex)
-    for lam0 in (complex("nan"), float("inf"), 1e308 + 1e308j):
+    for lam0 in (complex("nan"), float("inf"), 1e308 + 1e308j, "0.5"):
         with pytest.raises(ValueError, match="lam0"):
             newton_solve(p_example1, lam0, x0)
     with pytest.raises(ValueError, match="x0"):
@@ -838,6 +838,16 @@ def test_expansion_breakdown_after_every_candidate(nev):
     assert steps == [1]
 
 
+@pytest.mark.parametrize("mode", ["exact", "inexact"])
+def test_no_finite_pairs_breaks_down(mode):
+    # from v1 = e1, V* M V = V* C V = 0 and V* K V = 1: both eigenvalues
+    # of the projected problem are infinite, so no pair can be extracted
+    p = QepProblem(np.diag([0.0, 1.0]), np.zeros((2, 2)), np.eye(2))
+    config = SolverConfig(sigma=0.5j, nev=1, initial_vector=[1.0, 0.0], mode=mode)
+    with pytest.raises(BreakdownError, match="projected problem produced no finite pairs"):
+        outer_loop(p, config)
+
+
 def test_inexact_expansion_breakdown_record(monkeypatch):
     # the first expansion's selected residual breaks down once in
     # orthogonalization, so the next candidate is solved as well: the
@@ -917,6 +927,11 @@ def test_config_validation(p_example1):
         ("tol_outer must be a real number", SolverConfig(sigma=0.9, tol_outer=1e-8 + 0j)),
         ("tol_inner must be a real number", SolverConfig(sigma=0.9, tol_inner=None)),
         ("nev must be an integer, got True", SolverConfig(sigma=0.9, nev=True)),
+        # a shift that is not a number used to fail as an unnamed
+        # TypeError or a malformed-string error, or pass as a string
+        ("shift sigma must be a number, got None", SolverConfig(sigma=None)),
+        ("shift sigma must be a number, got 'abc'", SolverConfig(sigma="abc")),
+        ("shift sigma must be a number, got '1\\+2j'", SolverConfig(sigma="1+2j")),
     ]
     for field, cfg in named:
         with pytest.raises(ValueError, match=field):
