@@ -33,7 +33,6 @@ from .oracle import (
     expansion_perturbation_diagnostics,
     full_eig,
     resolvent_check,
-    select_target_pair,
     sin_angle,
     tan_angle,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "refined_vector",
     "relative_residual",
     "resolvent_check",
-    "select_target_pair",
     "sin_angle",
     "spring_maxwell",
     "tan_angle",

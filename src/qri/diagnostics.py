@@ -22,7 +22,6 @@ from .oracle import (
     expansion_perturbation_diagnostics,
     full_eig,
     resolvent_check,
-    select_target_pair,
 )
 from .qep import check_count, check_fraction, check_real, check_shift, shifted_matrix
 from .solver import SolverConfig, outer_loop
@@ -86,9 +85,9 @@ def shift_with_ratio(lams, index, ratio):
     gap = np.abs(np.delete(lams, index) - target).min()
     delta = 0.9 * ratio * gap / (1.0 + ratio)
     sigma = shift_at_distance(lams, index, delta)
-    i1, i2 = select_target_pair(lams, sigma)
-    actual = abs(lams[i1] - sigma) / abs(lams[i2] - sigma)
-    if i1 != index or actual > ratio:
+    dist = np.abs(lams - sigma)
+    actual = dist[index] / np.delete(dist, index).min()
+    if actual > ratio:
         raise ValueError(f"could not achieve ratio {ratio} (got {actual})")
     return sigma
 

@@ -163,6 +163,8 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
     if nb == 0.0:
         raise ZeroVector("gmres needs a nonzero right-hand side")
     if not np.isfinite(nb):
+        if np.isfinite(b).all():
+            raise ValueError("the norm of the gmres right-hand side overflows")
         raise ValueError(f"gmres needs a right-hand side of finite norm, got {nb}")
     check_fraction("tol", tol)
     check_count("restart", restart, 1)

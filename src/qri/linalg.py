@@ -259,6 +259,8 @@ class OrthonormalBasis:
         if nrm_in == 0.0:
             raise ZeroVector("cannot orthonormalize a zero vector")
         if not np.isfinite(nrm_in):
+            if np.isfinite(u).all():
+                raise ValueError("cannot orthonormalize a vector whose norm overflows")
             raise ValueError(f"cannot orthonormalize a vector of norm {nrm_in}")
         w = project_out(self._V[:, : self.k], u)
         nrm = np.linalg.norm(w)

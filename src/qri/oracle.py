@@ -109,23 +109,6 @@ def full_eig(p, sigma):
                                n_infinite=int(inf_idx.size), sigma_lu=qsolve)
 
 
-def select_target_pair(lams, sigma):
-    """Indices of the closest and second-closest values to ``sigma``.
-
-    Uses the ordering of :func:`full_eig` (:func:`~qri.qep.finite_order`):
-    ties are broken by the phase of ``lam - sigma`` and then by position,
-    and values it would class as infinite (at least 1e10 times
-    ``min(1, nearest distance)`` from ``sigma``) are left out.
-    """
-    lams = np.asarray(lams, dtype=complex)
-    if np.any(lams == sigma):
-        raise ValueError("sigma coincides with an eigenvalue")
-    idx, _, _ = finite_order(1.0 / (lams - sigma), sigma)
-    if idx.size < 2:
-        raise ValueError("need at least two finite eigenvalues")
-    return int(idx[0]), int(idx[1])
-
-
 def resolvent_check(d, mu):
     """Relative Frobenius error of the rank-one resolvent expansion at ``mu``.
 

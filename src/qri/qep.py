@@ -208,7 +208,12 @@ def check_fraction(name, value):
 
 def check_vector(name, x, n):
     """``x`` as a complex array; raises a :class:`ValueError` naming
-    ``name`` unless it has shape ``(n,)`` and is finite and nonzero."""
+    ``name`` unless it holds numbers (integer, real or complex; strings,
+    bools and ``None`` are not) and has shape ``(n,)`` and is finite and
+    nonzero."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must hold numbers, got dtype {x.dtype}")
     x = np.asarray(x, dtype=complex)
     if x.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {x.shape}")

@@ -25,7 +25,7 @@ than polluting the targets.  Above ``WARM_MIN_K`` columns, most steps
 skip that order-2k eigensolve: they refine the previous step's first
 values on the grown ``Q_k`` by Newton (:func:`warm_projected_qep`), and
 the full eigensolve still runs on a fixed schedule, at every restart and
-before convergence is declared (:func:`outer_loop`, :func:`_small_solve`).
+before convergence is declared (:func:`_small_solve`).
 A coordinate vector is the null vector of ``Q_k(omega)``, found by
 inverse iteration only where the loop reads it (:class:`ProjectedSolve`).
 Refined extraction instead minimizes ``norm(Q(omega) V z)`` through the small triangular
@@ -88,7 +88,7 @@ EXACT_RESTART_SIZE = 20
 # this fraction of the largest |theta| form a cluster, whose coordinate
 # vectors are orthonormal (see solve_projected_qep)
 CLUSTER_RTOL = 1e-10
-# warm small solves (see outer_loop): every step up to WARM_MIN_K basis
+# warm small solves (see _small_solve): every step up to WARM_MIN_K basis
 # columns runs the full companion eigensolve; above it at most WARM_STEPS
 # warm steps run between two full eigensolves.  They refine WARM_GUARD
 # values beyond the nev targets too, so that a value just past the nev-th
@@ -625,29 +625,36 @@ def select_expansion_residual(pairs, nev):
     return 0
 
 
-def _small_solve(p, proj, config, last, warm):
-    """The step's projected solve and its first ``nev`` pairs, as
-    ``(projected, pairs, warm)``.
+def _small_solve(p, proj, config, last, warm_steps, restart_size):
+    """The step's projected solve, its first ``nev`` pairs and the index
+    of the pair whose residual expands the basis (``None`` once they all
+    pass, see :func:`select_expansion_residual`), with the count of warm
+    steps since the last full eigensolve: ``(projected, pairs, selected,
+    warm_steps)``.
 
-    With ``warm`` set, :func:`warm_projected_qep` refines the first
-    ``nev + WARM_GUARD`` values of ``last`` (the previous step's solve) on
-    the grown blocks.  A failed refinement, or warm pairs that would all
-    pass ``tol_outer``, run the full companion eigensolve
-    (:func:`solve_projected_qep`) instead, so that convergence is declared
-    on a full one.  The returned ``warm`` says whether the warm result was
-    kept.
+    A step is warm when the basis has more than ``WARM_MIN_K`` and fewer
+    than ``restart_size`` columns, fewer than ``WARM_STEPS`` warm steps
+    (``warm_steps``) ran since the last full eigensolve and that solve,
+    ``last``, had at least ``nev`` values; the schedule depends only on
+    counts.  Then :func:`warm_projected_qep` refines the first ``nev +
+    WARM_GUARD`` values of ``last`` on the grown blocks.  A failed
+    refinement, or warm pairs that would all pass ``tol_outer``, run the
+    full companion eigensolve (:func:`solve_projected_qep`) instead, so
+    that convergence is declared on a full one.  The returned count is
+    ``warm_steps + 1`` after a kept warm step and 0 after a full one.
     """
-    sigma = complex(config.sigma)
-    if warm:
-        projected = warm_projected_qep(*proj.blocks, sigma,
-                                       last.omegas[: config.nev + WARM_GUARD])
+    sigma, nev = complex(config.sigma), config.nev
+    if (warm_steps < WARM_STEPS and WARM_MIN_K < proj.basis.k < restart_size
+            and last is not None and len(last) >= nev):
+        projected = warm_projected_qep(*proj.blocks, sigma, last.omegas[: nev + WARM_GUARD])
         if projected is not None:
-            pairs = _extract_pairs(p, proj, projected, config.nev, config.tol_outer)
-            if select_expansion_residual(pairs, config.nev) is not None:
-                return projected, pairs, True
+            pairs = _extract_pairs(p, proj, projected, nev, config.tol_outer)
+            selected = select_expansion_residual(pairs, nev)
+            if selected is not None:
+                return projected, pairs, selected, warm_steps + 1
     projected = solve_projected_qep(*proj.blocks, sigma)
-    pairs = _extract_pairs(p, proj, projected, config.nev, config.tol_outer)
-    return projected, pairs, False
+    pairs = _extract_pairs(p, proj, projected, nev, config.tol_outer)
+    return projected, pairs, select_expansion_residual(pairs, nev), 0
 
 
 def _restart_rule(relres, digits, nev, tol_outer, k, n, restart_size, capacity):
@@ -834,15 +841,11 @@ def outer_loop(p, config, observer=None):
     Grows an orthonormal basis from :meth:`SolverConfig.start_vector`,
     one vector per outer iteration, as a sequence of one-decision steps:
 
-    - :func:`_small_solve` solves the projected problem and extracts the
-      first ``nev`` Ritz (or refined) pairs.  It is asked for a warm step
-      when the basis has more than ``WARM_MIN_K`` and fewer than ``R``
-      columns, fewer than ``WARM_STEPS`` warm steps ran since the last
-      full eigensolve and that solve had at least ``nev`` values; the
-      schedule depends only on counts.  The record's ``warm_start`` and
-      the result's ``full_eigensolves`` tell the two kinds apart.
-    - :func:`select_expansion_residual` picks the first unconverged
-      target, or declares convergence.
+    - :func:`_small_solve` solves the projected problem, warm or full on
+      its schedule, extracts the first ``nev`` Ritz (or refined) pairs
+      and picks the first unconverged target, or declares convergence.
+      The record's ``warm_start`` and the result's ``full_eigensolves``
+      tell the two kinds of step apart.
     - At the restart size ``R`` (see :meth:`SolverConfig.basis_sizes`),
       :func:`_restart_rule` decides: a thick restart compresses the
       :class:`ProjectionCache` by ``V <- V Z`` for the ``R // 2``
@@ -893,24 +896,20 @@ def outer_loop(p, config, observer=None):
 
     history = []
     stop_reason = None
-    projected = None  # the last small solve's, which a warm step refines
-    warm_steps = 0  # warm small solves since the last full one
+    projected, warm_steps = None, 0
     while stop_reason is None:
         with _timed(phase, "small_solve"):
-            warm = (warm_steps < WARM_STEPS and WARM_MIN_K < basis.k < restart_size
-                    and projected is not None and len(projected) >= nev)
-            projected, pairs, warm = _small_solve(p, proj, config, projected, warm)
-        warm_steps = warm_steps + 1 if warm else 0
+            projected, pairs, selected, warm_steps = _small_solve(
+                p, proj, config, projected, warm_steps, restart_size)
         record = ConvergenceRecord(
             outer_iter=len(history) + 1,
             subspace_dim=basis.k,
             ritz_values=[pr.omega for pr in pairs],
             relres=[pr.relres for pr in pairs],
-            warm_start=warm,
+            warm_start=warm_steps > 0,
         )
         history.append(record)
 
-        selected = select_expansion_residual(pairs, nev)
         if selected is None:
             stop_reason = "converged"
         elif basis.k >= restart_size:

@@ -165,6 +165,11 @@ def test_basis_non_finite_vector():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="vector of norm (nan|inf)"):
             basis.append([bad, 1, 0])
+    # finite entries whose norm overflows are told apart from those;
+    # numpy warns of the overflow on the way
+    with pytest.raises(ValueError, match="vector whose norm overflows"):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            basis.append([1e200, 1, 0])
     assert basis.k == 0
 
 

@@ -18,7 +18,6 @@ from qri import (
     q_prime_apply,
     random_qep,
     resolvent_check,
-    select_target_pair,
     spring_maxwell,
     tan_angle,
     wave2d,
@@ -141,22 +140,6 @@ def test_resolvent_rejects_bad_probe(oracle_wave2d4_probe):
             resolvent_check(oracle_wave2d4_probe, mu)
 
 
-def test_select_target_pair(oracle_example1):
-    i1, i2 = select_target_pair(oracle_example1.lams, 0.9)
-    assert oracle_example1.lams[i1] == pytest.approx(1.0)
-    assert oracle_example1.lams[i2] == pytest.approx(0.5)
-    ratio = abs(oracle_example1.lams[i1] - 0.9) / abs(oracle_example1.lams[i2] - 0.9)
-    assert ratio == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        select_target_pair(np.array([1.0 + 0.0j]), 0.0)
-
-
-def test_select_target_pair_phase_tie():
-    # equidistant pair: the smaller phase of lam - sigma wins
-    i1, i2 = select_target_pair(np.array([1.0j, -1.0j]), 0.0)
-    assert (i1, i2) == (1, 0)
-
-
 def test_angle_identity_random(rng):
     n = 40
     V = orthonormal_cols(rng, n, 5)
@@ -204,7 +187,7 @@ def test_angle_bound_errors(oracle_wave2d4_probe, oracle_example1, rng):
     V = np.zeros((n, 0), dtype=complex)
     with pytest.raises(DegenerateResidual):
         expansion_angle_bound(d, V, np.zeros(n))
-    x1 = d.X[:, select_target_pair(d.lams, PROBE)[0]]
+    x1 = d.X[:, 0]
     Vx = (x1 / np.linalg.norm(x1))[:, None]
     with pytest.raises(HypothesisViolated):
         expansion_angle_bound(d, Vx, rand_complex(rng, n))

@@ -8,6 +8,7 @@ from qri import (
     QepProblem,
     SolverConfig,
     SpringMaxwellParams,
+    Stagnation,
     SubspaceExhausted,
     example1,
     full_eig,
@@ -71,6 +72,9 @@ def test_newton_rejects_bad_start(p_example1):
             newton_solve(p_example1, lam0, x0)
     with pytest.raises(ValueError, match="x0"):
         newton_solve(p_example1, 0.9, [1.0, np.nan, 0.0])
+    # a string used to fail as numpy's malformed-string error
+    with pytest.raises(ValueError, match="x0 must hold numbers"):
+        newton_solve(p_example1, 0.9, "abc")
     with pytest.raises(ValueError, match=r"x0 must have shape \(3,\), got \(4,\)"):
         newton_solve(p_example1, 0.9, np.ones(4, dtype=complex))
     with pytest.raises(ValueError, match="x0 must be nonzero"):
@@ -81,6 +85,13 @@ def test_newton_rejects_bad_start(p_example1):
     for tol in (0.0, 1.0, -1e-10, np.nan, np.inf):
         with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\), got"):
             newton_solve(p_example1, 0.9, x0, tol=tol)
+
+
+def test_newton_stagnation():
+    # with M = C = 0, Q'(lam) = 0, so the update scalar e* y is exactly 0
+    p = QepProblem(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(Stagnation, match="update scalar e\\* y vanished"):
+        newton_solve(p, 0.5, [1.0, 0.0])
 
 
 def test_newton_second_target(p_example1):
@@ -932,6 +943,14 @@ def test_config_validation(p_example1):
         ("shift sigma must be a number, got None", SolverConfig(sigma=None)),
         ("shift sigma must be a number, got 'abc'", SolverConfig(sigma="abc")),
         ("shift sigma must be a number, got '1\\+2j'", SolverConfig(sigma="1+2j")),
+        # a start vector that is not numeric used to fail as a
+        # malformed-string error, pass as numbers or be called non-finite
+        ("initial_vector must hold numbers", SolverConfig(sigma=0.9, initial_vector="abc")),
+        ("initial_vector must hold numbers", SolverConfig(sigma=0.9, initial_vector=[1, "x", 0])),
+        ("initial_vector must hold numbers",
+         SolverConfig(sigma=0.9, initial_vector=["1", "2", "3"])),
+        ("initial_vector must hold numbers",
+         SolverConfig(sigma=0.9, initial_vector=[None, 1, 0])),
     ]
     for field, cfg in named:
         with pytest.raises(ValueError, match=field):
