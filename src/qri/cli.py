@@ -39,7 +39,7 @@ from .problems import (
     spring_maxwell,
     wave2d,
 )
-from .qep import read_problem, write_problem
+from .qep import check_count, check_interval, read_problem, write_problem
 from .solver import ConvergenceRecord, SolverConfig, newton_solve, outer_loop
 
 EXIT_OK = 0
@@ -82,27 +82,20 @@ def complex_literal(text):
         )
 
 
-def count(least):
-    """argparse type for a count flag: an integer of at least ``least``,
-    so that a bad value fails before any work, naming its flag."""
-    def integer(text):  # argparse names it in "invalid integer value"
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        return value
-    return integer
-
-
-def bounded(upper):
-    """argparse type for a real flag in the open interval ``(0, upper)``,
-    so that NaN, infinities and the endpoints fail before any work,
-    naming the flag."""
-    def real(text):  # argparse names it in "invalid real value"
-        value = float(text)
-        if not 0.0 < value < upper:
-            raise argparse.ArgumentTypeError(f"must lie in (0, {upper:g}), got {value}")
-        return value
-    return real
+def rule(parse, check, *bounds):
+    """argparse type that parses the text with ``parse`` (``int`` or
+    ``float``), then applies the :mod:`qri.qep` input rule ``check`` with
+    ``bounds``, so that a bad value fails before any work, naming its
+    flag."""
+    def typed(text):
+        value = parse(text)
+        try:
+            return check("", value, *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc).lstrip())
+    # argparse names it in "invalid integer value" or "invalid real value"
+    typed.__name__ = "integer" if parse is int else "real"
+    return typed
 
 
 def add_problem_args(sp, for_generate=False):
@@ -112,20 +105,21 @@ def add_problem_args(sp, for_generate=False):
     if not for_generate:
         src.add_argument("--mtx-prefix", metavar="PREFIX",
                          help="load <PREFIX>_M.mtx, <PREFIX>_C.mtx, <PREFIX>_K.mtx")
-    src.add_argument("--m", type=count(2), default=8,
+    src.add_argument("--m", type=rule(int, check_count, 2), default=8,
                      help="wave2d grid parameter (n = m(m-1))")
     src.add_argument("--zeta", type=float, default=1.0,
                      help="wave2d impedance parameter")
     # no default here, so that --check perturbation tells an explicit --n
     # from none
-    src.add_argument("--n", type=count(1), help="random problem size (default 100)")
+    src.add_argument("--n", type=rule(int, check_count, 1),
+                     help="random problem size (default 100)")
     src.add_argument("--density", type=float, default=0.05,
                      help="random problem fill fraction, in (0, 1]")
-    src.add_argument("--elements", type=count(1), default=30,
+    src.add_argument("--elements", type=rule(int, check_count, 1), default=30,
                      help="spring-maxwell elements per chain")
-    src.add_argument("--chains", type=count(1), default=3,
+    src.add_argument("--chains", type=rule(int, check_count, 1), default=3,
                      help="spring-maxwell damper chain count")
-    src.add_argument("--gen-seed", type=count(0), default=0,
+    src.add_argument("--gen-seed", type=rule(int, check_count, 0), default=0,
                      help="seed for randomized generators")
 
 
@@ -170,34 +164,34 @@ def build_parser():
     add_problem_args(solve)
     solve.add_argument("--sigma", type=complex_literal, required=True,
                        help="target shift, a+bi literal")
-    solve.add_argument("--nev", type=count(1), default=SolverConfig.nev,
+    solve.add_argument("--nev", type=rule(int, check_count, 1), default=SolverConfig.nev,
                        help="number of eigenpairs to converge")
-    solve.add_argument("--tol-outer", type=bounded(1.0), default=SolverConfig.tol_outer,
+    solve.add_argument("--tol-outer", type=rule(float, check_interval),
+                       default=SolverConfig.tol_outer,
                        help="relative residual tolerance for eigenpairs")
-    solve.add_argument("--tol-inner", type=bounded(1.0), default=SolverConfig.tol_inner,
-                       help="relative residual tolerance of the inner solves "
-                            "of inexact mode (COCR or GMRES)")
+    solve.add_argument("--tol-inner", type=rule(float, check_interval),
+                       default=SolverConfig.tol_inner, help="relative residual "
+                       "tolerance of the inner solves of inexact mode (COCR or GMRES)")
     solve.add_argument("--mode", choices=("newton", "exact", "inexact"),
                        default=SolverConfig.mode)
     solve.add_argument("--extraction", choices=("ritz", "refined"),
                        default=SolverConfig.extraction)
-    solve.add_argument("--restart", type=count(1), default=SolverConfig.restart,
-                       help="GMRES restart length: Krylov vectors per cycle, "
-                            "counting up to min(10, restart // 2) recycled ones; "
-                            "unused when M, C and K are symmetric, whose inner "
-                            "solves run COCR; raise it when most inner solves "
-                            "stop at --inner-maxit, as 30 does on some random "
-                            "problems")
-    solve.add_argument("--inner-maxit", type=count(1), default=SolverConfig.inner_maxit,
+    solve.add_argument("--restart", type=rule(int, check_count, 1),
+                       default=SolverConfig.restart, help="GMRES restart length: "
+                       "Krylov vectors per cycle, counting up to min(10, restart // 2) "
+                       "recycled ones; unused when M, C and K are symmetric, whose "
+                       "inner solves run COCR; raise it when most inner solves stop "
+                       "at --inner-maxit, as 30 does on some random problems")
+    solve.add_argument("--inner-maxit", type=rule(int, check_count, 1),
+                       default=SolverConfig.inner_maxit,
                        help="inner step budget per expansion solve")
-    solve.add_argument("--max-subspace", type=count(1), default=SolverConfig.max_subspace,
-                       help="restart size and cap of the basis (default "
-                            "min(n, max(20, 3*nev)) in exact mode, "
-                            "min(n, max(120, 3*nev)) in inexact mode; only the "
-                            "default doubles, up to min(n, max(120, 3*nev)), "
-                            "when a restart cycle gains no residual digit); "
-                            "not used in newton mode")
-    solve.add_argument("--seed", type=count(0), default=SolverConfig.seed,
+    solve.add_argument("--max-subspace", type=rule(int, check_count, 1),
+                       default=SolverConfig.max_subspace, help="restart size and "
+                       "cap of the basis (default min(n, max(20, 3*nev)) in exact "
+                       "mode, min(n, max(120, 3*nev)) in inexact mode; only the "
+                       "default doubles, up to min(n, max(120, 3*nev)), when a "
+                       "restart cycle gains no residual digit); not used in newton mode")
+    solve.add_argument("--seed", type=rule(int, check_count, 0), default=SolverConfig.seed,
                        help="seed for the starting vector")
     solve.add_argument("--out-csv", metavar="PATH",
                        help="write per-iteration history as CSV")
@@ -213,21 +207,21 @@ def build_parser():
     diag.add_argument("--sigma", type=complex_literal,
                       help="shift (required by all checks except "
                            "perturbation; auto-placed for sandwich)")
-    diag.add_argument("--steps", type=count(1), default=15,
+    diag.add_argument("--steps", type=rule(int, check_count, 1), default=15,
                       help="expansion steps to check (angle checks)")
-    diag.add_argument("--points", type=count(1), default=3,
+    diag.add_argument("--points", type=rule(int, check_count, 1), default=3,
                       help="probe points (resolvent)")
-    diag.add_argument("--trials", type=count(1), default=100,
+    diag.add_argument("--trials", type=rule(int, check_count, 1), default=100,
                       help="random trials (perturbation, sandwich)")
-    diag.add_argument("--ratio", type=bounded(np.inf), default=0.01,
+    diag.add_argument("--ratio", type=rule(float, check_interval, np.inf), default=0.01,
                       help="target distance ratio for auto-placed shift (sandwich)")
-    diag.add_argument("--gmres-tol", type=bounded(1.0), default=1e-2,
+    diag.add_argument("--gmres-tol", type=rule(float, check_interval), default=1e-2,
                       help="inexact solve tolerance (sandwich)")
-    diag.add_argument("--subspace-dim", type=count(1),
+    diag.add_argument("--subspace-dim", type=rule(int, check_count, 1),
                       help="subspace dimension (perturbation; default 8, or less "
                            "on a small problem; with no problem source the trials "
                            "run in C^n, n from --n, default 40)")
-    diag.add_argument("--seed", type=count(0), default=0)
+    diag.add_argument("--seed", type=rule(int, check_count, 0), default=0)
     diag.add_argument("--out-json", metavar="PATH",
                       help="write check results as JSON")
 

@@ -8,6 +8,7 @@ place a shift at a controlled distance or distance ratio from an
 isolated eigenvalue, which several of the checks need to be meaningful.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .oracle import (
     full_eig,
     resolvent_check,
 )
-from .qep import check_count, check_fraction, check_real, check_shift, shifted_matrix
+from .qep import check_count, check_interval, check_shift, shifted_matrix
 from .solver import SolverConfig, outer_loop
 
 ISOLATION_TIE_RTOL = 1e-10
@@ -92,21 +93,33 @@ def shift_with_ratio(lams, index, ratio):
     return sigma
 
 
-def _run_exact(p, sigma, seed, steps, observer, tol_outer):
-    """Exact-mode ``outer_loop`` with ``observer`` on at most ``steps + 1``
-    basis vectors, until the observer, convergence or the cap stops it."""
-    config = SolverConfig(
-        sigma=sigma,
-        nev=1,
-        tol_outer=tol_outer,
-        mode="exact",
-        max_subspace=min(p.n, steps + 1),
-        seed=seed,
-    )
+def _run_exact(p, sigma, seed, steps, tol_outer, measure):
+    """Records ``measure(d, view)`` of an exact-mode ``outer_loop`` on at
+    most ``steps + 1`` basis vectors, ``d`` the oracle decomposition at
+    ``sigma``.
+
+    The config is validated before ``d`` is computed, so a bad ``sigma``
+    or ``seed`` is named first.  The run stops when ``measure`` returns
+    ``None``, once ``steps`` records exist, or at convergence to
+    ``tol_outer`` or the cap.
+    """
+    config = SolverConfig(sigma=sigma, nev=1, tol_outer=tol_outer, mode="exact",
+                          max_subspace=min(p.n, steps + 1), seed=seed)
+    config.validate(p.n)
+    d = full_eig(p, sigma)
+    records = []
+
+    def observer(view):
+        record = measure(d, view)
+        if record is not None:
+            records.append(record)
+        return record is None or len(records) >= steps
+
     try:
         outer_loop(p, config, observer=observer)
     except SubspaceExhausted:
         pass
+    return records
 
 
 @dataclass
@@ -136,26 +149,19 @@ def run_angle_identity_check(p, sigma, steps, seed=0):
     against the oracle eigenvector ``x`` nearest ``sigma``, and
     accumulates the per-step factors whose product must reproduce the
     final subspace angle.  Raises :class:`ValueError` unless ``sigma`` is
-    a finite shift and ``steps`` an integer in ``[1, n - 1]``: the run's
-    basis holds at most ``n`` vectors, ``steps + 1`` of them at the end.
+    a finite shift, ``steps`` an integer in ``[1, n - 1]`` and ``seed``
+    one of at least 0: the run's basis holds at most ``n`` vectors,
+    ``steps + 1`` of them at the end.
     """
     check_shift(sigma, "sigma")
     check_count("steps", steps, 1, p.n - 1)
-    x = full_eig(p, sigma).X[:, 0]
-    records = []
 
-    def observer(view):
-        V = view.basis.matrix
-        lhs, rhs, gap, sin_before, factor = expansion_angle_identity(V, view.v_next, x)
-        records.append(IdentityStep(k=view.k, lhs=lhs, rhs=rhs, gap=gap,
-                                    sin_before=sin_before, factor=factor))
-        return len(records) >= steps
+    def measure(d, view):
+        return IdentityStep(view.k, *expansion_angle_identity(
+            view.basis.matrix, view.v_next, d.X[:, 0]))
 
-    _run_exact(p, sigma, seed, steps, observer, IDENTITY_TOL_OUTER)
-
-    product = records[0].sin_before
-    for rec in records:
-        product *= rec.factor
+    records = _run_exact(p, sigma, seed, steps, IDENTITY_TOL_OUTER, measure)
+    product = math.prod([records[0].sin_before] + [rec.factor for rec in records])
     final_sin = records[-1].lhs
     return IdentityReport(
         steps=records,
@@ -179,24 +185,19 @@ def run_angle_bound_check(p, sigma, max_steps, seed=0):
     Stops after ``max_steps`` records, once the target eigenvector is
     captured to ``BOUND_SIN_FLOOR`` or once the pair converges at
     ``BOUND_TOL_OUTER``.  Raises :class:`ValueError` unless ``max_steps``
-    is an integer of at least 1.
+    is an integer of at least 1, ``sigma`` a finite shift and ``seed`` an
+    integer of at least 0.
     """
     check_count("max_steps", max_steps, 1)
-    d = full_eig(p, sigma)
-    x1 = d.X[:, 0]
-    records = []
 
-    def observer(view):
-        s = sin_angle(view.basis.matrix, x1)
+    def measure(d, view):
+        s = sin_angle(view.basis.matrix, d.X[:, 0])
         if s <= BOUND_SIN_FLOOR:
-            return True
+            return None
         r = view.pairs[view.selected].resid
-        lhs, rhs, xi = expansion_angle_bound(d, view.basis.matrix, r)
-        records.append(BoundStep(k=view.k, lhs=lhs, rhs=rhs, xi=xi, sin_target=s))
-        return len(records) >= max_steps
+        return BoundStep(view.k, *expansion_angle_bound(d, view.basis.matrix, r), s)
 
-    _run_exact(p, sigma, seed, max_steps, observer, BOUND_TOL_OUTER)
-    return records
+    return _run_exact(p, sigma, seed, max_steps, BOUND_TOL_OUTER, measure)
 
 
 @dataclass
@@ -307,9 +308,8 @@ def run_sandwich_trials(p, sigma=None, ratio=0.01, trials=100, gmres_tol=1e-2, s
     """
     check_count("trials", trials, 1)
     rng = np.random.default_rng(check_count("seed", seed, 0))
-    check_fraction("gmres_tol", gmres_tol)
-    if not 0.0 < check_real("ratio", ratio) < np.inf:
-        raise ValueError(f"ratio must be positive and finite, got {ratio}")
+    check_interval("gmres_tol", gmres_tol)
+    check_interval("ratio", ratio, np.inf)
     if sigma is None:
         probe = full_eig(p, PROBE_SIGMA)
         idx = pick_isolated_index(probe.lams)

@@ -255,7 +255,8 @@ class OrthonormalBasis:
         u = np.asarray(u, dtype=complex)
         if u.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {u.shape}")
-        nrm_in = np.linalg.norm(u)
+        with np.errstate(over="ignore"):  # an overflow is named below
+            nrm_in = np.linalg.norm(u)
         if nrm_in == 0.0:
             raise ZeroVector("cannot orthonormalize a zero vector")
         if not np.isfinite(nrm_in):

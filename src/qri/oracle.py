@@ -76,7 +76,8 @@ def full_eig(p, sigma):
     solve with the same LU, kept as ``sigma_lu``.
 
     Raises :class:`SingularMatrix` if ``sigma`` is itself an eigenvalue
-    or some ``VL[:, i]* W[:, i]`` is zero (the shifted pencil is not
+    (the error of :func:`~qri.qep.factor_q`, naming ``sigma``) or some
+    ``VL[:, i]* W[:, i]`` is zero (the shifted pencil is not
     diagonalizable), and ``ValueError`` if ``sigma`` or its square is not
     finite (every oracle-backed check starts here) or ``2 n`` exceeds the
     dense cap.

@@ -197,12 +197,12 @@ def check_real(name, value):
     return value
 
 
-def check_fraction(name, value):
+def check_interval(name, value, upper=1.0):
     """``value`` unchanged; raises a :class:`ValueError` naming ``name``
-    unless it is a real number in the open interval (0, 1), which NaN is
-    not."""
-    if not 0.0 < check_real(name, value) < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    unless it is a real number in the open interval ``(0, upper)``, which
+    NaN is not."""
+    if not 0.0 < check_real(name, value) < upper:
+        raise ValueError(f"{name} must lie in (0, {upper:g}), got {value}")
     return value
 
 
@@ -261,8 +261,14 @@ def factor_q(p, shift, name):
             f"Q({name}) is factored densely, but n = {p.n} exceeds the dense "
             f"cap {dense_cap()}; use mode=\"inexact\" or raise QRI_DENSE_CAP"
         )
+    return _lu_at(shifted_matrix(p, shift), shift, name, sparse)
+
+
+def _lu_at(Q, shift, name, sparse=False):
+    """LU of ``Q``, which is ``Q(shift)``; a :class:`SingularMatrix`
+    names ``name`` and its value as an eigenvalue."""
     try:
-        return LUSolver(shifted_matrix(p, shift), sparse=sparse)
+        return LUSolver(Q, sparse=sparse)
     except SingularMatrix as exc:
         raise SingularMatrix(
             f"Q is singular at {name} = {shift}: the shift is an eigenvalue "
@@ -299,11 +305,12 @@ def shift_invert(Md, Cd, Kd, sigma):
     ``lam = sigma + 1/theta`` (see :func:`finite_order`); ``theta = 0``
     corresponds to an infinite eigenvalue.  Returns ``(S, qsolve)`` where
     ``qsolve`` is the dense :class:`~qri.linalg.LUSolver` of ``Q(sigma)``.
-    Raises :class:`SingularMatrix` when ``Q(sigma)``, and with it
-    ``A - sigma B``, is singular: ``sigma`` is an eigenvalue.
+    Raises the :class:`SingularMatrix` of :func:`factor_q`, naming
+    ``sigma``, when ``Q(sigma)``, and with it ``A - sigma B``, is
+    singular: ``sigma`` is an eigenvalue.
     """
     n = Md.shape[0]
-    qsolve = LUSolver((sigma * sigma) * Md + sigma * Cd + Kd)
+    qsolve = _lu_at((sigma * sigma) * Md + sigma * Cd + Kd, sigma, "sigma")
     X = qsolve.solve(np.hstack([-Md, -Cd - sigma * Md]))
     S = np.vstack([sigma * X, X])
     S[:n, n:][np.diag_indices(n)] += 1.0

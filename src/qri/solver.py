@@ -67,7 +67,7 @@ from .linalg import (
 from .qep import (
     Eigentriplet,
     check_count,
-    check_fraction,
+    check_interval,
     check_shift,
     check_vector,
     factor_q,
@@ -144,8 +144,8 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.extraction not in ("ritz", "refined"):
             raise ValueError(f"unknown extraction {self.extraction!r}")
-        check_fraction("tol_outer", self.tol_outer)
-        check_fraction("tol_inner", self.tol_inner)
+        check_interval("tol_outer", self.tol_outer)
+        check_interval("tol_inner", self.tol_inner)
         check_count("nev", self.nev, 1, n)
         check_count("restart", self.restart, 1)
         check_count("inner_maxit", self.inner_maxit, 1)
@@ -233,7 +233,7 @@ def newton_solve(p, lam0, x0, tol=1e-10, maxit=50):
     """
     t_step = time.perf_counter()
     check_count("maxit", maxit, 0)
-    check_fraction("tol", tol)
+    check_interval("tol", tol)
     lam = check_shift(lam0, "lam0")
     x0 = check_vector("x0", x0, p.n)
     e_idx = int(np.argmax(np.abs(x0)))

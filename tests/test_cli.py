@@ -176,10 +176,13 @@ def test_nonfinite_sigma_is_config_error(capsys):
 
 
 def test_eigenvalue_shift_is_named(capsys):
-    # 1.0 is an eigenvalue of example1, so Q(1.0) is singular
-    for mode in ("exact", "newton"):
-        argv = ("solve", "--gen", "example1", "--sigma", "1.0", "--mode", mode)
-        assert run_cli(*argv) == 4
+    # 1.0 is an eigenvalue of example1, so Q(1.0) is singular; the
+    # oracle-backed checks name it too, through the oracle they share
+    runs = [("solve", "--mode", mode) for mode in ("exact", "newton")]
+    runs += [("diagnose", "--steps", "2", "--check", check)
+             for check in ("angle-identity", "angle-bound", "resolvent", "sandwich")]
+    for argv in runs:
+        assert run_cli(*argv, "--gen", "example1", "--sigma", "1.0") == 4
         err = capsys.readouterr().err
         assert "eigenvalue" in err
         assert "zero pivot" not in err

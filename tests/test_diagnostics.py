@@ -42,6 +42,17 @@ def test_angle_checks_reject_step_count(steps):
         run_angle_bound_check(p, PROBE, max_steps=steps)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_angle_checks_reject_seed(seed, lu_builds):
+    # named before the oracle's eigendecomposition, which builds an LU
+    p = wave2d(4)
+    with pytest.raises(ValueError, match="seed must be"):
+        run_angle_identity_check(p, PROBE, steps=3, seed=seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        run_angle_bound_check(p, PROBE, max_steps=3, seed=seed)
+    assert lu_builds == []
+
+
 def test_trial_drivers_reject_counts():
     p = wave2d(4)
     with pytest.raises(ValueError, match="n_points must be at least 1, got 0"):
@@ -83,7 +94,7 @@ def test_trial_drivers_reject_counts():
         with pytest.raises(ValueError, match=r"gmres_tol must lie in \(0, 1\)"):
             run_sandwich_trials(p, trials=2, gmres_tol=bad)
     for bad in (0.0, -0.01, np.inf, np.nan):
-        with pytest.raises(ValueError, match="ratio must be positive and finite"):
+        with pytest.raises(ValueError, match=r"ratio must lie in \(0, inf\)"):
             run_sandwich_trials(p, trials=2, ratio=bad)
     # non-real values are named instead of failing as a TypeError
     for bad in ("0.01", 0.01 + 0j, None):

@@ -281,10 +281,9 @@ def test_bad_parameters_raise():
             with pytest.raises(ValueError, match="right-hand side of finite norm"):
                 gmres(lambda v: v, [bad, 1, 1, 1, 1], symmetric=symmetric)
         # finite entries whose norm overflows are told apart from a
-        # non-finite entry; numpy warns of the overflow on the way
+        # non-finite entry, with no overflow warning on the way
         with pytest.raises(ValueError, match="norm of the gmres right-hand side overflows"):
-            with pytest.warns(RuntimeWarning, match="overflow"):
-                gmres(lambda v: v, [1e200, 1, 1, 1, 1], symmetric=symmetric)
+            gmres(lambda v: v, [1e200, 1, 1, 1, 1], symmetric=symmetric)
 
 
 def outlier_matrix(rng, n):

@@ -165,12 +165,25 @@ def test_basis_non_finite_vector():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="vector of norm (nan|inf)"):
             basis.append([bad, 1, 0])
-    # finite entries whose norm overflows are told apart from those;
-    # numpy warns of the overflow on the way
+    # finite entries whose norm overflows are told apart from those,
+    # with no overflow warning on the way
     with pytest.raises(ValueError, match="vector whose norm overflows"):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            basis.append([1e200, 1, 0])
+        basis.append([1e200, 1, 0])
     assert basis.k == 0
+
+
+def test_basis_rejects_wrong_shapes(rng):
+    basis = OrthonormalBasis(4, 3)
+    for _ in range(2):
+        basis.append(rand_complex(rng, 4))
+    for u in (np.ones(3), np.ones((4, 1))):
+        with pytest.raises(ValueError, match="expected vector of length 4"):
+            basis.orthonormalize(u)
+    # a thick restart takes a k x q matrix with q <= k, here k = 2
+    for Z in (np.ones(2), np.ones((3, 2)), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="expected a 2 x q matrix with q <= 2"):
+            basis.compress(Z)
+    assert basis.k == 2
 
 
 def test_basis_project_out(rng):

@@ -64,6 +64,9 @@ def test_problem_rejects_nonsquare():
     I2 = sp.eye_array(2)
     with pytest.raises(ValueError):
         QepProblem(I23, I2, I2)
+    # one shared shape that is not square
+    with pytest.raises(ValueError, match="matrices must be square"):
+        QepProblem(I23, I23, I23)
 
 
 def test_shifted_matrix_frozen(p_example1):
