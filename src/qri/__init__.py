@@ -20,7 +20,6 @@ from .errors import (
     QriError,
     SingularMatrix,
     Stagnation,
-    SubspaceExhausted,
     ZeroVector,
 )
 from .gmres import GmresResult, gmres
@@ -83,7 +82,6 @@ __all__ = [
     "SolverConfig",
     "SpringMaxwellParams",
     "Stagnation",
-    "SubspaceExhausted",
     "ZeroVector",
     "angle_sandwich",
     "example1",

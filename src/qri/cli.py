@@ -31,7 +31,7 @@ from .diagnostics import (
     run_resolvent_spot_check,
     run_sandwich_trials,
 )
-from .errors import BreakdownError, QriError, SubspaceExhausted
+from .errors import BreakdownError, QriError
 from .problems import (
     SpringMaxwellParams,
     example1,
@@ -339,13 +339,10 @@ def cmd_solve(args, parser):
     else:
         try:
             result = outer_loop(p, config)
-            code = EXIT_OK if all(result.converged) else EXIT_NO_CONVERGENCE
-        except SubspaceExhausted as exc:
-            result = exc.result
-            code = EXIT_NO_CONVERGENCE
         except BreakdownError as exc:
             print(f"solver breakdown: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
+        code = EXIT_OK if result.stop_reason == "converged" else EXIT_NO_CONVERGENCE
         history, converged = result.history, result.converged
         for i, (trip, rr, ok) in enumerate(
             zip(result.eigenpairs, result.relres, converged), start=1

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SubspaceExhausted
 from .gmres import gmres
 from .linalg import OrthonormalBasis, sin_angle, uniform_complex
 from .oracle import (
@@ -115,10 +114,7 @@ def _run_exact(p, sigma, seed, steps, tol_outer, measure):
             records.append(record)
         return record is None or len(records) >= steps
 
-    try:
-        outer_loop(p, config, observer=observer)
-    except SubspaceExhausted:
-        pass
+    outer_loop(p, config, observer=observer)
     return records
 
 

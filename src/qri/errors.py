@@ -1,9 +1,7 @@
 """Exception types shared across the package.
 
 Everything derives from :class:`QriError` so callers can catch the whole
-family at once.  ``SubspaceExhausted`` acts as a control-flow signal
-rather than a genuine failure; it is an exception so that the condition
-cannot be silently ignored.
+family at once.
 """
 
 
@@ -55,15 +53,3 @@ class Stagnation(QriError):
 class BreakdownError(QriError):
     """Every candidate expansion residual broke down in orthogonalization;
     the subspace cannot be extended."""
-
-
-class SubspaceExhausted(QriError):
-    """The outer iteration hit the subspace cap before convergence.
-
-    The partial result is attached as ``.result`` so callers can still
-    inspect the history and the best pairs found.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result

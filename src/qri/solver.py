@@ -42,13 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    Breakdown,
-    BreakdownError,
-    SingularMatrix,
-    Stagnation,
-    SubspaceExhausted,
-)
+from .errors import Breakdown, BreakdownError, SingularMatrix, Stagnation
 from .gmres import RecycleSpace, gmres
 from .linalg import (
     BREAKDOWN_RTOL,
@@ -383,7 +377,7 @@ class ProjectionCache:
         S = np.empty((6, len(v)), dtype=complex)
         for i, (mat, mat_t) in enumerate(self._mats):
             np.conjugate(spmv(mat, v), out=S[i])
-            S[3 + i] = mat_t @ vc
+            S[3 + i] = spmv(mat_t, vc)
         SV = S @ self.basis.matrix
         for i, small in enumerate(self._small):
             small[: k + 1, k] = SV[i].conj()
@@ -769,8 +763,10 @@ class StepView:
 @dataclass
 class RunResult:
     """The first ``nev`` pairs as the last extraction scored them, one
-    :class:`ConvergenceRecord` per iteration, the phase times and the
-    expansion's ``inner_solver`` (``None``, ``"cocr"`` or ``"gmres"``)."""
+    :class:`ConvergenceRecord` per iteration, the phase times, how the run
+    ended (``stop_reason``: ``"converged"``, ``"observer"`` or
+    ``"exhausted"``) and the expansion's ``inner_solver`` (``None``,
+    ``"cocr"`` or ``"gmres"``)."""
 
     eigenpairs: list
     converged: list
@@ -862,7 +858,9 @@ def outer_loop(p, config, observer=None):
 
     ``observer``, when given, is called with a :class:`StepView` before
     each basis extension; returning a truthy value stops the run
-    gracefully (``stop_reason="observer"``).
+    gracefully.  The run returns its :class:`RunResult` however it ends,
+    with ``stop_reason`` ``"converged"``, ``"observer"`` or
+    ``"exhausted"``.
 
     Every iteration, the last included, leaves one
     :class:`ConvergenceRecord` in ``history``.  ``phase_wall_ms`` times
@@ -873,10 +871,9 @@ def outer_loop(p, config, observer=None):
 
     Raises :class:`ValueError` before the first iteration for a config
     that :meth:`SolverConfig.validate` rejects, or when exact mode must
-    factor ``Q`` densely and ``n`` is above the dense cap,
-    :class:`SubspaceExhausted` (partial result attached) when the basis is
-    exhausted as above, and :class:`BreakdownError` when no candidate
-    residual can extend the basis.
+    factor ``Q`` densely and ``n`` is above the dense cap, and
+    :class:`BreakdownError` when no candidate residual can extend the
+    basis.
     """
     t_iter = time.perf_counter()
     config.validate(p.n)
@@ -941,7 +938,7 @@ def outer_loop(p, config, observer=None):
 
     # the first nev pairs as the last extraction scored them
     final = pairs[:nev]
-    result = RunResult(
+    return RunResult(
         eigenpairs=[Eigentriplet(lam=pr.omega, x=pr.xtilde) for pr in final],
         converged=[pr.converged for pr in final],
         relres=[pr.relres for pr in final],
@@ -950,8 +947,3 @@ def outer_loop(p, config, observer=None):
         stop_reason=stop_reason,
         inner_solver=expansion.inner_solver,
     )
-    if stop_reason == "exhausted":
-        raise SubspaceExhausted(
-            f"no convergence within a basis of {basis.k} vectors", result=result
-        )
-    return result

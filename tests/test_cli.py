@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ from qri.cli import complex_literal, history_csv_lines, main, write_json
 from qri.errors import BreakdownError
 from qri.problems import SpringMaxwellParams, spring_maxwell
 from qri.qep import read_problem
-from qri.solver import ConvergenceRecord
+from qri.solver import ConvergenceRecord, outer_loop
 
 PROBE = "0.1234+0.4321i"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -148,6 +148,22 @@ def test_solve_no_convergence_exit_code():
         "--nev", "3", "--tol-outer", "1e-14", "--max-subspace", "2",
     )
     assert code == 2
+
+
+def test_solve_exhausted_exit_code_follows_stop_reason(monkeypatch, capsys):
+    # the exit code reads how the run ended, not the flags of the pairs it
+    # returned: an exhausted run whose returned pairs all pass still exits 2
+    def all_flagged(p, config):
+        res = outer_loop(p, config)
+        return replace(res, converged=[True] * len(res.converged))
+
+    monkeypatch.setattr("qri.cli.outer_loop", all_flagged)
+    code = run_cli(
+        "solve", "--gen", "wave2d", "--m", "4", "--sigma", PROBE,
+        "--nev", "3", "--tol-outer", "1e-14", "--max-subspace", "2",
+    )
+    assert code == 2
+    assert "stop = exhausted" in capsys.readouterr().out
 
 
 def test_missing_sigma_is_usage_error():

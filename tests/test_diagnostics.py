@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qri import QepProblem, wave2d
+import qri.diagnostics as diagnostics
 from qri.diagnostics import (
     pick_isolated_index,
     run_angle_bound_check,
@@ -169,6 +170,19 @@ def test_angle_bound_driver_never_restarts():
     ks = [s.k for s in steps]
     assert len(ks) > 20
     assert ks == list(range(ks[0], ks[0] + len(ks)))
+
+
+def test_angle_bound_driver_stops_at_sine_floor(monkeypatch):
+    # once the basis holds the target eigenvector to the sine floor the
+    # run stops, without a record for that step: with the real floor
+    # wave2d(4) gives 10 records, ending at sin_target 5.2e-8; with a
+    # floor of 1e-2 it gives 5, ending at 2.9e-2
+    p = wave2d(4)
+    full = run_angle_bound_check(p, PROBE, max_steps=40)
+    monkeypatch.setattr(diagnostics, "BOUND_SIN_FLOOR", 1e-2)
+    cut = run_angle_bound_check(p, PROBE, max_steps=40)
+    assert 1 <= len(cut) < len(full)
+    assert all(s.sin_target > 1e-2 for s in cut)
 
 
 def test_resolvent_spot_check(p_wave2d4):

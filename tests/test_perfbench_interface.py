@@ -128,3 +128,18 @@ def test_worker_solve_one(monkeypatch, p_wave2d4, oracle_wave2d4_probe):
         assert meta["inner_failures"] == 0 and meta["expansion_breakdowns"] == 0
         assert meta["phase_s"] > 0.0 and meta["newton_steps"] >= 0
         assert np.isfinite(X).all()
+
+
+def test_worker_solve_one_exhausted(monkeypatch, p_wave2d4):
+    # a run that exhausts its basis returns its partial pairs, which the
+    # worker reports as an unconverged solve rather than an error
+    monkeypatch.setitem(sys.modules, "tracing", load_tracing())
+    worker = load_module("perfbench_worker", "worker.py")
+    config = {"sigma": [0.1234, 0.4321], "nev": 3, "tol_outer": 1e-14,
+              "mode": "exact", "max_subspace": 2, "seed": 0}
+    for newton_tol, count in ((None, 3), (1e-12, 1)):
+        entry = {"config": config, "newton_tol": newton_tol}
+        lams, X, meta = worker.solve_one(p_wave2d4, entry)
+        assert not meta["converged"], newton_tol
+        assert meta["final_k"] == 2
+        assert lams.shape == (count,) and X.shape == (p_wave2d4.n, count)

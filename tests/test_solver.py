@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import rand_complex
 from qri import (
@@ -9,7 +10,6 @@ from qri import (
     SolverConfig,
     SpringMaxwellParams,
     Stagnation,
-    SubspaceExhausted,
     example1,
     full_eig,
     newton_solve,
@@ -348,9 +348,7 @@ def test_subspace_exhausted_carries_partial(p_wave2d4):
     cfg = SolverConfig(
         sigma=PROBE, nev=3, tol_outer=1e-14, mode="exact", max_subspace=2, seed=0
     )
-    with pytest.raises(SubspaceExhausted) as excinfo:
-        outer_loop(p_wave2d4, cfg)
-    partial = excinfo.value.result
+    partial = outer_loop(p_wave2d4, cfg)
     assert partial.stop_reason == "exhausted"
     assert len(partial.history) >= 1
     assert partial.history[-1].subspace_dim == 2
@@ -581,9 +579,9 @@ def test_explicit_max_subspace_caps_the_basis():
     # double and converge on this case, see test_restart_guard_stall_case)
     p = random_qep(300, density=0.02, seed=3)
     cfg = SolverConfig(sigma=0.3 + 0.2j, nev=3, mode="exact", max_subspace=20)
-    with pytest.raises(SubspaceExhausted) as exc:
-        outer_loop(p, cfg)
-    history = exc.value.result.history
+    res = outer_loop(p, cfg)
+    assert res.stop_reason == "exhausted"
+    history = res.history
     assert max(rec.subspace_dim for rec in history) == 20
     assert len(history) > 20  # it restarted before giving up
 
@@ -1135,6 +1133,33 @@ def test_recycle_space_only_for_nonsymmetric_inexact(monkeypatch):
         assert len(made) == 1
     res = outer_loop(wave2d(8), SolverConfig(sigma=PROBE, mode="exact"))
     assert res.inner_solver is None
+
+
+def test_recycling_pays_on_convected_wave2d(monkeypatch):
+    # a central-difference convection term (b = 10) makes wave2d(30)
+    # nonsymmetric, so inexact mode runs GMRES; at m = 30 its inner solves
+    # outlast one cycle and the recycled space is used (at m <= 20 it is
+    # not).  Recycled: 97 outer, 1427 inner steps; plain: 96 and 2500
+    m, b = 30, 10.0
+    w = wave2d(m)
+    conv = sp.diags_array([-np.ones(m - 1), np.ones(m - 1)], offsets=[-1, 1])
+    p = QepProblem(w.M, w.C, w.K + (b / (2 * m)) * sp.kron(
+        sp.identity(m - 1), conv, format="csr"))
+    assert p.n == 870 and not p.symmetric
+    sigma = -0.5 + 4j
+    cfg = SolverConfig(sigma=sigma, nev=6, tol_outer=1e-8, mode="inexact")
+    exact = outer_loop(p, SolverConfig(sigma=sigma, nev=6, tol_outer=1e-8, mode="exact"))
+    recycled = outer_loop(p, cfg)
+    monkeypatch.setattr(solver, "RecycleSpace", lambda *args: None)
+    plain = outer_loop(p, cfg)
+    for res in (exact, recycled, plain):
+        assert all(res.converged)
+    assert recycled.inner_solver == plain.inner_solver == "gmres"
+    assert recycled.cumulative_inner_iters <= 0.7 * plain.cumulative_inner_iters
+    ref = np.array([pair.lam for pair in exact.eigenpairs])
+    for res in (recycled, plain):
+        lams = np.array([pair.lam for pair in res.eigenpairs])
+        assert np.max(np.abs(lams - ref) / np.abs(ref)) <= 1e-6
 
 
 def test_spring_maxwell_sweep_shifts_inner_solves_converge():
