@@ -11,7 +11,6 @@ behaviour.
 
 from .errors import (
     Breakdown,
-    BreakdownError,
     DegenerateResidual,
     HypothesisViolated,
     InfiniteEigenvaluePresent,
@@ -43,7 +42,6 @@ from .problems import (
     wave2d,
 )
 from .qep import (
-    Eigentriplet,
     QepProblem,
     q_apply,
     q_prime_apply,
@@ -53,6 +51,7 @@ from .qep import (
 )
 from .solver import (
     NewtonResult,
+    RitzPair,
     RunResult,
     SolverConfig,
     newton_solve,
@@ -64,9 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Breakdown",
-    "BreakdownError",
     "DegenerateResidual",
-    "Eigentriplet",
     "GmresResult",
     "HypothesisViolated",
     "InfiniteEigenvaluePresent",
@@ -77,6 +74,7 @@ __all__ = [
     "OrthonormalBasis",
     "QepProblem",
     "QriError",
+    "RitzPair",
     "RunResult",
     "SingularMatrix",
     "SolverConfig",

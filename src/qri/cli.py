@@ -31,7 +31,7 @@ from .diagnostics import (
     run_resolvent_spot_check,
     run_sandwich_trials,
 )
-from .errors import BreakdownError, QriError
+from .errors import QriError
 from .problems import (
     SpringMaxwellParams,
     example1,
@@ -337,18 +337,12 @@ def cmd_solve(args, parser):
         summary = {"outer_iters": len(history) - 1}
         inner_solver = None
     else:
-        try:
-            result = outer_loop(p, config)
-        except BreakdownError as exc:
-            print(f"solver breakdown: {exc}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
+        result = outer_loop(p, config)
         code = EXIT_OK if result.stop_reason == "converged" else EXIT_NO_CONVERGENCE
         history, converged = result.history, result.converged
-        for i, (trip, rr, ok) in enumerate(
-            zip(result.eigenpairs, result.relres, converged), start=1
-        ):
-            mark = "ok " if ok else "..."
-            print(f"[{mark}] lam_{i} = {_fmt_complex(trip.lam)}  relres = {rr:.3e}")
+        for i, pair in enumerate(result.eigenpairs, start=1):
+            mark = "ok " if pair.converged else "..."
+            print(f"[{mark}] lam_{i} = {_fmt_complex(pair.lam)}  relres = {pair.relres:.3e}")
         print(f"stop = {result.stop_reason}, outer iterations = {len(history)}, "
               f"inner iterations = {result.cumulative_inner_iters}")
         summary = {

@@ -99,8 +99,9 @@ def _run_exact(p, sigma, seed, steps, tol_outer, measure):
 
     The config is validated before ``d`` is computed, so a bad ``sigma``
     or ``seed`` is named first.  The run stops when ``measure`` returns
-    ``None``, once ``steps`` records exist, or at convergence to
-    ``tol_outer`` or the cap.
+    ``None``, once ``steps`` records exist, or when the run itself ends
+    (convergence to ``tol_outer``, the cap or a breakdown), which leaves
+    fewer records.
     """
     config = SolverConfig(sigma=sigma, nev=1, tol_outer=tol_outer, mode="exact",
                           max_subspace=min(p.n, steps + 1), seed=seed)

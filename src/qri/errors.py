@@ -48,8 +48,3 @@ class OrthogonalToTarget(QriError):
 
 class Stagnation(QriError):
     """An iteration produced an update too small to change the iterate."""
-
-
-class BreakdownError(QriError):
-    """Every candidate expansion residual broke down in orthogonalization;
-    the subspace cannot be extended."""

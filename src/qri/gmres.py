@@ -66,7 +66,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zdotu, zgemm, zscal
 
-from .errors import ZeroVector
+from .linalg import checked_norm
 from .qep import check_count, check_interval
 
 HAPPY_BREAKDOWN_RTOL = 1e-14
@@ -159,14 +159,7 @@ def gmres(apply_op, b, tol=1e-8, restart=30, maxit=500, recycle=None,
     """
     b = np.asarray(b, dtype=complex)
     n = b.shape[0]
-    with np.errstate(over="ignore"):  # an overflow is named below
-        nb = np.linalg.norm(b)
-    if nb == 0.0:
-        raise ZeroVector("gmres needs a nonzero right-hand side")
-    if not np.isfinite(nb):
-        if np.isfinite(b).all():
-            raise ValueError("the norm of the gmres right-hand side overflows")
-        raise ValueError(f"gmres needs a right-hand side of finite norm, got {nb}")
+    nb = checked_norm(b, "the gmres right-hand side")
     check_interval("tol", tol)
     check_count("restart", restart, 1)
     check_count("maxit", maxit, 1)

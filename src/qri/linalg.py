@@ -215,6 +215,22 @@ def project_out(V, x):
     return w
 
 
+def checked_norm(x, name):
+    """The 2-norm of ``x``.  Raises :class:`ZeroVector` when it is zero,
+    and a ``ValueError`` naming ``name`` when it is not finite: a NaN or
+    infinite entry is told apart from finite entries whose norm
+    overflows, with no overflow warning on the way."""
+    with np.errstate(over="ignore"):  # an overflow is named below
+        nrm = np.linalg.norm(x)
+    if nrm == 0.0:
+        raise ZeroVector(f"{name} has zero norm")
+    if not np.isfinite(nrm):
+        if np.isfinite(x).all():
+            raise ValueError(f"the norm of {name} overflows")
+        raise ValueError(f"{name} must have a finite norm, got {nrm}")
+    return nrm
+
+
 class OrthonormalBasis:
     """Orthonormal basis of at most ``capacity`` columns of length ``n``,
     with reorthogonalized Gram-Schmidt appends.
@@ -255,14 +271,7 @@ class OrthonormalBasis:
         u = np.asarray(u, dtype=complex)
         if u.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {u.shape}")
-        with np.errstate(over="ignore"):  # an overflow is named below
-            nrm_in = np.linalg.norm(u)
-        if nrm_in == 0.0:
-            raise ZeroVector("cannot orthonormalize a zero vector")
-        if not np.isfinite(nrm_in):
-            if np.isfinite(u).all():
-                raise ValueError("cannot orthonormalize a vector whose norm overflows")
-            raise ValueError(f"cannot orthonormalize a vector of norm {nrm_in}")
+        nrm_in = checked_norm(u, "the vector to orthonormalize")
         w = project_out(self._V[:, : self.k], u)
         nrm = np.linalg.norm(w)
         if nrm <= BREAKDOWN_RTOL * nrm_in:

@@ -19,7 +19,6 @@ solve with ``A - sigma B`` into one with ``Q(sigma)`` (:func:`shift_invert`).
 import math
 import numbers
 import os
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -147,15 +146,6 @@ class QepProblem:
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"<QepProblem{label} n={self.n}>"
-
-
-@dataclass
-class Eigentriplet:
-    """One computed eigenvalue ``lam`` with its right vector ``x`` of unit
-    2-norm."""
-
-    lam: complex
-    x: np.ndarray
 
 
 def check_shift(value, name):

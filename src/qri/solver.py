@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Breakdown, BreakdownError, SingularMatrix, Stagnation
+from .errors import Breakdown, SingularMatrix, Stagnation
 from .gmres import RecycleSpace, gmres
 from .linalg import (
     BREAKDOWN_RTOL,
@@ -59,7 +59,6 @@ from .linalg import (
     uniform_complex,
 )
 from .qep import (
-    Eigentriplet,
     check_count,
     check_interval,
     check_shift,
@@ -532,9 +531,13 @@ def warm_projected_qep(Mk, Ck, Kk, sigma, omegas):
 
 @dataclass
 class RitzPair:
-    omega: complex
+    """One extracted pair: the value ``lam``, its coordinates ``z`` in the
+    basis, the unit vector ``x``, its residual ``resid = Q(lam) x``, the
+    relative residual ``relres`` and whether it passes ``tol_outer``."""
+
+    lam: complex
     z: np.ndarray
-    xtilde: np.ndarray
+    x: np.ndarray
     resid: np.ndarray
     relres: float
     converged: bool
@@ -589,9 +592,9 @@ def _extract_pairs(p, proj, projected, nev, tol_outer):
         relres = float(np.linalg.norm(resid) / residual_denominator(p, omega))
         out.append(
             RitzPair(
-                omega=omega,
+                lam=omega,
                 z=Z[:, i],
-                xtilde=X[i],
+                x=X[i],
                 resid=resid,
                 relres=relres,
                 converged=relres <= tol_outer,
@@ -605,18 +608,15 @@ def select_expansion_residual(pairs, nev):
 
     Walks the pairs (already sorted by distance to the shift) and
     returns the first that is not converged.  Returns ``None``
-    once the first ``nev`` pairs all pass.  If fewer than ``nev`` pairs
-    exist but all of them pass, the first one is returned anyway: the
-    subspace still has to grow before convergence can be declared.
+    once the first ``nev`` pairs all pass, and for an empty ``pairs``
+    (the projected problem had no finite pair).  If fewer than ``nev``
+    pairs exist but all of them pass, the first one is returned anyway:
+    the subspace still has to grow before convergence can be declared.
     """
     for i, pair in enumerate(pairs[:nev]):
         if not pair.converged:
             return i
-    if len(pairs) >= nev:
-        return None
-    if not pairs:
-        raise BreakdownError("projected problem produced no finite pairs")
-    return 0
+    return 0 if 0 < len(pairs) < nev else None
 
 
 def _small_solve(p, proj, config, last, warm_steps, restart_size):
@@ -762,19 +762,26 @@ class StepView:
 
 @dataclass
 class RunResult:
-    """The first ``nev`` pairs as the last extraction scored them, one
-    :class:`ConvergenceRecord` per iteration, the phase times, how the run
-    ended (``stop_reason``: ``"converged"``, ``"observer"`` or
-    ``"exhausted"``) and the expansion's ``inner_solver`` (``None``,
-    ``"cocr"`` or ``"gmres"``)."""
+    """The first ``nev`` :class:`RitzPair` s as the last extraction scored
+    them, one :class:`ConvergenceRecord` per iteration, the phase times,
+    how the run ended (``stop_reason``: ``"converged"``, ``"observer"``,
+    ``"exhausted"`` or ``"breakdown"``) and the expansion's
+    ``inner_solver`` (``None``, ``"cocr"`` or ``"gmres"``).
+    ``converged`` and ``relres`` list the pairs' flags and residuals."""
 
     eigenpairs: list
-    converged: list
-    relres: list
     history: list
     phase_wall_ms: dict
     stop_reason: str
     inner_solver: str | None
+
+    @property
+    def converged(self):
+        return [pair.converged for pair in self.eigenpairs]
+
+    @property
+    def relres(self):
+        return [pair.relres for pair in self.eigenpairs]
 
     @property
     def cumulative_inner_iters(self):
@@ -803,15 +810,15 @@ def _timed(phase, key):
 
 
 def _expand(expansion, basis, pairs, selected, record, phase):
-    """The expansion of one step, as ``(index, u, v_next)``: ``u`` solves
-    ``Q(sigma) u = r`` by ``expansion`` for the residual ``r`` of
-    ``pairs[index]``, and ``v_next`` is ``u`` orthonormalized against
-    ``basis``.  The ``selected`` pair's residual goes first; when its
-    ``u`` breaks down in orthogonalization, the other pairs' residuals
-    follow in order.  Each solve adds its inner steps, last inner
-    residual and convergence to ``record``, each breakdown to its
-    ``expansion_breakdowns``, and its times to ``phase``.  Raises
-    :class:`BreakdownError` when every candidate breaks down.
+    """The expansion of one step, as the :class:`StepView` an observer
+    reads: ``u`` solves ``Q(sigma) u = r`` by ``expansion`` for the
+    residual ``r`` of ``pairs[selected]``, and ``v_next`` is ``u``
+    orthonormalized against ``basis``.  The ``selected`` pair's residual
+    goes first; when its ``u`` breaks down in orthogonalization, the
+    other pairs' residuals follow in order.  Each solve adds its inner
+    steps, last inner residual and convergence to ``record``, each
+    breakdown to its ``expansion_breakdowns``, and its times to
+    ``phase``.  Returns ``None`` when every candidate breaks down.
     """
     candidates = [selected] + [i for i in range(len(pairs)) if i != selected]
     for idx in candidates:
@@ -822,12 +829,13 @@ def _expand(expansion, basis, pairs, selected, record, phase):
         record.inner_failures += not converged
         try:
             with _timed(phase, "projection"):
-                return idx, u, basis.orthonormalize(u)
+                v_next = basis.orthonormalize(u)
         except Breakdown:
             record.expansion_breakdowns += 1
-    raise BreakdownError(
-        f"all {len(candidates)} candidate residuals broke down in orthogonalization"
-    )
+            continue
+        return StepView(k=basis.k, basis=basis, pairs=pairs, selected=idx, u=u,
+                        v_next=v_next)
+    return None
 
 
 def outer_loop(p, config, observer=None):
@@ -839,7 +847,9 @@ def outer_loop(p, config, observer=None):
 
     - :func:`_small_solve` solves the projected problem, warm or full on
       its schedule, extracts the first ``nev`` Ritz (or refined) pairs
-      and picks the first unconverged target, or declares convergence.
+      and picks the first unconverged target, or declares convergence;
+      a projected problem with no finite pair ends the run as a
+      breakdown.
       The record's ``warm_start`` and the result's ``full_eigensolves``
       tell the two kinds of step apart.
     - At the restart size ``R`` (see :meth:`SolverConfig.basis_sizes`),
@@ -851,7 +861,9 @@ def outer_loop(p, config, observer=None):
     - :func:`_expand` solves ``Q(sigma) u = r`` with the mode's expansion
       object, :class:`ExactExpansion` (``mode="exact"``) or
       :class:`KrylovExpansion` (``mode="inexact"``, whose
-      ``inner_solver`` the result reports), and orthonormalizes ``u``.
+      ``inner_solver`` the result reports), and orthonormalizes ``u``;
+      when every candidate residual breaks down in orthogonalization,
+      the run ends as a breakdown.
 
     Converged pairs are left soft-locked: they are re-extracted every
     iteration and only reported at the end.
@@ -859,8 +871,8 @@ def outer_loop(p, config, observer=None):
     ``observer``, when given, is called with a :class:`StepView` before
     each basis extension; returning a truthy value stops the run
     gracefully.  The run returns its :class:`RunResult` however it ends,
-    with ``stop_reason`` ``"converged"``, ``"observer"`` or
-    ``"exhausted"``.
+    with ``stop_reason`` ``"converged"``, ``"observer"``, ``"exhausted"``
+    or ``"breakdown"``.
 
     Every iteration, the last included, leaves one
     :class:`ConvergenceRecord` in ``history``.  ``phase_wall_ms`` times
@@ -871,9 +883,7 @@ def outer_loop(p, config, observer=None):
 
     Raises :class:`ValueError` before the first iteration for a config
     that :meth:`SolverConfig.validate` rejects, or when exact mode must
-    factor ``Q`` densely and ``n`` is above the dense cap, and
-    :class:`BreakdownError` when no candidate residual can extend the
-    basis.
+    factor ``Q`` densely and ``n`` is above the dense cap.
     """
     t_iter = time.perf_counter()
     config.validate(p.n)
@@ -901,14 +911,14 @@ def outer_loop(p, config, observer=None):
         record = ConvergenceRecord(
             outer_iter=len(history) + 1,
             subspace_dim=basis.k,
-            ritz_values=[pr.omega for pr in pairs],
+            ritz_values=[pr.lam for pr in pairs],
             relres=[pr.relres for pr in pairs],
             warm_start=warm_steps > 0,
         )
         history.append(record)
 
         if selected is None:
-            stop_reason = "converged"
+            stop_reason = "converged" if pairs else "breakdown"
         elif basis.k >= restart_size:
             action, restart_digits = _restart_rule(
                 record.relres, restart_digits, nev, config.tol_outer,
@@ -921,27 +931,22 @@ def outer_loop(p, config, observer=None):
             else:
                 stop_reason = action
         if stop_reason is None:
-            selected, u, v_next = _expand(expansion, basis, pairs, selected, record, phase)
-            if observer is not None and observer(
-                StepView(k=basis.k, basis=basis, pairs=pairs,
-                         selected=selected, u=u, v_next=v_next)
-            ):
+            step = _expand(expansion, basis, pairs, selected, record, phase)
+            if step is None:
+                stop_reason = "breakdown"
+            elif observer is not None and observer(step):
                 stop_reason = "observer"
             else:
                 with _timed(phase, "projection"):
-                    proj.append(v_next)
+                    proj.append(step.v_next)
                 # released here, the pairs' 2 nev n-vectors do not sit
                 # through the next small solve
-                pairs = u = v_next = None
+                pairs = step = None
         now = time.perf_counter()
         record.wall_ms, t_iter = (now - t_iter) * 1e3, now
 
-    # the first nev pairs as the last extraction scored them
-    final = pairs[:nev]
     return RunResult(
-        eigenpairs=[Eigentriplet(lam=pr.omega, x=pr.xtilde) for pr in final],
-        converged=[pr.converged for pr in final],
-        relres=[pr.relres for pr in final],
+        eigenpairs=pairs[:nev],
         history=history,
         phase_wall_ms={k: v * 1e3 for k, v in phase.items()},
         stop_reason=stop_reason,

@@ -167,8 +167,8 @@ def test_10_refined_dominance():
     def compare(view):
         nonlocal snapshots
         for pair in view.pairs:
-            xr, _ = refined_vector(p, view.basis.matrix, pair.omega)
-            n_refined = np.linalg.norm(q_apply(p, pair.omega, xr))
+            xr, _ = refined_vector(p, view.basis.matrix, pair.lam)
+            n_refined = np.linalg.norm(q_apply(p, pair.lam, xr))
             n_ritz = np.linalg.norm(pair.resid)
             assert n_refined <= n_ritz * (1.0 + 1e-12) + 1e-16
             snapshots += 1

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from qri.cli import complex_literal, history_csv_lines, main, write_json
-from qri.errors import BreakdownError
 from qri.problems import SpringMaxwellParams, spring_maxwell
-from qri.qep import read_problem
+from qri.qep import QepProblem, read_problem, write_problem
 from qri.solver import ConvergenceRecord, outer_loop
 
 PROBE = "0.1234+0.4321i"
@@ -155,7 +154,8 @@ def test_solve_exhausted_exit_code_follows_stop_reason(monkeypatch, capsys):
     # returned: an exhausted run whose returned pairs all pass still exits 2
     def all_flagged(p, config):
         res = outer_loop(p, config)
-        return replace(res, converged=[True] * len(res.converged))
+        return replace(res, eigenpairs=[replace(pair, converged=True)
+                                        for pair in res.eigenpairs])
 
     monkeypatch.setattr("qri.cli.outer_loop", all_flagged)
     code = run_cli(
@@ -286,15 +286,27 @@ def test_newton_rejects_max_subspace(capsys):
     assert "--max-subspace: not allowed with --mode newton" in capsys.readouterr().err
 
 
-def test_solver_breakdown_exit_code(monkeypatch, capsys):
-    def broken(p, config):
-        raise BreakdownError("all 1 candidate residuals broke down in orthogonalization")
+def test_solver_breakdown_exit_code(tmp_path, monkeypatch, capsys):
+    # span(e1, e2) is invariant and holds the start, so the run breaks down
+    # at k = 2 (see test_expansion_breakdown_after_every_candidate); its
+    # pairs and records are reported as for any other stop
+    prefix = str(tmp_path / "inv")
+    write_problem(prefix, QepProblem(np.eye(4), np.zeros((4, 4)),
+                                     np.diag([1.0, 2.0, 3.0, 4.0])))
 
-    monkeypatch.setattr("qri.cli.outer_loop", broken)
-    assert run_cli("solve", "--gen", "example1", "--sigma", "0.9") == 2
-    captured = capsys.readouterr()
-    assert "solver breakdown: all 1 candidate residuals broke down" in captured.err
-    assert "lam_1" not in captured.out
+    def from_invariant_start(p, config):
+        return outer_loop(p, replace(config, initial_vector=[1.0, 1.0, 0.0, 0.0]))
+
+    monkeypatch.setattr("qri.cli.outer_loop", from_invariant_start)
+    json_path = tmp_path / "run.json"
+    code = run_cli("solve", "--mtx-prefix", prefix, "--sigma", "0.9i",
+                   "--tol-outer", "1e-17", "--out-json", str(json_path))
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "lam_1 = " in out and "stop = breakdown" in out
+    payload = json.loads(json_path.read_text())
+    assert payload["stop_reason"] == "breakdown"
+    assert payload["expansion_breakdowns"] == 1 and payload["converged"] == [False]
 
 
 @pytest.mark.parametrize("check", ["angle-identity", "angle-bound"])

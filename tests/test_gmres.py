@@ -278,7 +278,7 @@ def test_bad_parameters_raise():
     # step budget and return x = 0
     for symmetric in (False, True):
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="right-hand side of finite norm"):
+            with pytest.raises(ValueError, match="right-hand side must have a finite norm"):
                 gmres(lambda v: v, [bad, 1, 1, 1, 1], symmetric=symmetric)
         # finite entries whose norm overflows are told apart from a
         # non-finite entry, with no overflow warning on the way

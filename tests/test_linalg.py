@@ -163,11 +163,11 @@ def test_basis_non_finite_vector():
     # a NaN or inf entry used to be appended as a column of NaNs
     basis = OrthonormalBasis(3, 1)
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="vector of norm (nan|inf)"):
+        with pytest.raises(ValueError, match="must have a finite norm, got (nan|inf)"):
             basis.append([bad, 1, 0])
     # finite entries whose norm overflows are told apart from those,
     # with no overflow warning on the way
-    with pytest.raises(ValueError, match="vector whose norm overflows"):
+    with pytest.raises(ValueError, match="norm of the vector to orthonormalize overflows"):
         basis.append([1e200, 1, 0])
     assert basis.k == 0
 

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from conftest import rand_complex
 from qri import (
     Breakdown,
-    BreakdownError,
     QepProblem,
     SolverConfig,
     SpringMaxwellParams,
@@ -41,11 +40,9 @@ PROBE = 0.1234 + 0.4321j
 E2 = np.array([0.0, 1.0, 0.0], dtype=complex)
 
 
-def make_pair(relres, converged, omega=1.0 + 0.0j):
+def make_pair(relres, converged, lam=1.0 + 0.0j):
     z = np.ones(2, dtype=complex)
-    return RitzPair(
-        omega=omega, z=z, xtilde=z, resid=z, relres=relres, converged=converged
-    )
+    return RitzPair(lam=lam, z=z, x=z, resid=z, relres=relres, converged=converged)
 
 
 def test_newton_converges_to_nearest(p_example1):
@@ -199,7 +196,7 @@ def test_restart_coordinates_drop_a_repeated_candidate(rng):
     # and dropped, so the restart keeps the two distinct candidates
     k = 4
     a, b = (z / np.linalg.norm(z) for z in rand_complex(rng, 2 * k).reshape(2, k))
-    pairs = [RitzPair(omega=1.0, z=z, xtilde=z, resid=z, relres=1.0, converged=False)
+    pairs = [RitzPair(lam=1.0, z=z, x=z, resid=z, relres=1.0, converged=False)
              for z in (a, a, b)]
     blocks = [rand_complex(rng, k * k).reshape(k, k) for _ in range(3)]
     Z = solver._restart_coordinates(pairs, solve_projected_qep(*blocks, 0.1j), 2)
@@ -394,8 +391,8 @@ def test_refined_never_worse_than_ritz(p_wave2d6):
     def compare(view):
         nonlocal checked
         for pair in view.pairs:
-            xr, _ = refined_vector(p_wave2d6, view.basis.matrix, pair.omega)
-            rr = relative_residual(p_wave2d6, pair.omega, xr)
+            xr, _ = refined_vector(p_wave2d6, view.basis.matrix, pair.lam)
+            rr = relative_residual(p_wave2d6, pair.lam, xr)
             assert rr <= pair.relres * (1.0 + 1e-10) + 1e-16
             checked += 1
         return False
@@ -413,8 +410,8 @@ def test_refined_extraction_run(p_wave2d4, oracle_wave2d4_probe):
     def compare(view):
         nonlocal checked
         for pair in view.pairs:
-            xr, zr = refined_vector(p_wave2d4, view.basis, pair.omega)
-            assert np.linalg.norm(pair.xtilde - xr) <= 1e-12
+            xr, zr = refined_vector(p_wave2d4, view.basis, pair.lam)
+            assert np.linalg.norm(pair.x - xr) <= 1e-12
             assert np.linalg.norm(pair.z - zr) <= 1e-12
             checked += 1
         return False
@@ -453,14 +450,14 @@ def test_refined_extraction_optimal_across_restarts():
             # basis before its compression
             restarted, last_k = view.k <= last_k, view.k
             for pair in view.pairs:
-                w = pair.omega
+                w = pair.lam
                 tall = w * w * (p.M @ V) + w * (p.C @ V) + p.K @ V
                 smin = np.linalg.svd(tall, compute_uv=False)[-1]
                 slack = 1e-15 * residual_denominator(p, w)
                 assert np.linalg.norm(pair.resid) <= (1.0 + 1e-10) * smin + slack
                 if not restarted:
                     xr, _ = refined_vector(p, V, w)
-                    assert np.linalg.norm(pair.xtilde - xr) <= 1e-10
+                    assert np.linalg.norm(pair.x - xr) <= 1e-10
                 checked += 1
             return False
 
@@ -790,8 +787,8 @@ def test_select_expansion_residual_cases():
     assert select_expansion_residual(pairs, 3) == 1
     # the first nev pairs all pass: nothing left to expand
     assert select_expansion_residual(pairs, 1) is None
-    with pytest.raises(BreakdownError):
-        select_expansion_residual([], 1)
+    # no finite pair: nothing to expand, and the run ends as a breakdown
+    assert select_expansion_residual([], 1) is None
     # all present pairs pass but too few of them: keep growing
     assert select_expansion_residual([make_pair(1e-14, True)], 2) == 0
 
@@ -836,15 +833,20 @@ def test_expansion_breakdown_after_every_candidate(nev):
     # span(e1, e2) is invariant, so from v1 = e1 + e2 every expansion
     # Q(sigma)^{-1} r stays in it.  A tolerance below round-off keeps its
     # exact pairs unconverged, and at k = 2 every candidate residual
-    # orthogonalizes to nothing
+    # orthogonalizes to nothing: the run returns the exact pairs it scored
     p = QepProblem(np.eye(4), np.zeros((4, 4)), np.diag([1.0, 2.0, 3.0, 4.0]))
     config = SolverConfig(sigma=0.9j, nev=nev, mode="exact", tol_outer=1e-17,
                           initial_vector=[1.0, 1.0, 0.0, 0.0])
     steps = []
-    with pytest.raises(BreakdownError,
-                       match=f"all {nev} candidate residuals broke down"):
-        outer_loop(p, config, observer=lambda view: steps.append(view.k))
+    res = outer_loop(p, config, observer=lambda view: steps.append(view.k))
     assert steps == [1]
+    assert res.stop_reason == "breakdown"
+    assert res.history[-1].expansion_breakdowns == nev
+    assert len(res.eigenpairs) == nev
+    for pair, lam in zip(res.eigenpairs, [1j, np.sqrt(2) * 1j]):
+        assert abs(pair.lam - lam) <= 1e-14
+        assert pair.relres <= 1e-15
+        assert relative_residual(p, pair.lam, pair.x) == pair.relres
 
 
 @pytest.mark.parametrize("mode", ["exact", "inexact"])
@@ -853,8 +855,10 @@ def test_no_finite_pairs_breaks_down(mode):
     # of the projected problem are infinite, so no pair can be extracted
     p = QepProblem(np.diag([0.0, 1.0]), np.zeros((2, 2)), np.eye(2))
     config = SolverConfig(sigma=0.5j, nev=1, initial_vector=[1.0, 0.0], mode=mode)
-    with pytest.raises(BreakdownError, match="projected problem produced no finite pairs"):
-        outer_loop(p, config)
+    res = outer_loop(p, config)
+    assert res.stop_reason == "breakdown"
+    assert res.eigenpairs == [] and res.converged == [] and res.relres == []
+    assert len(res.history) == 1 and res.history[0].ritz_values == []
 
 
 def test_inexact_expansion_breakdown_record(monkeypatch):
